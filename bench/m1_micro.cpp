@@ -47,20 +47,24 @@ void BM_BuildRoceWrite(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_BuildRoceWrite)->Arg(64)->Arg(1500);
+BENCHMARK(BM_BuildRoceWrite)->Arg(64)->Arg(1500)->Arg(4096);
 
 void BM_ParseRocePacket(benchmark::State& state) {
+  const auto len = static_cast<std::uint32_t>(state.range(0));
   roce::RoceMessage msg;
   msg.bth.opcode = roce::Opcode::kRdmaWriteOnly;
-  msg.reth = roce::Reth{0x1000, 0xaa, 1500};
-  msg.payload.assign(1500, 0x5a);
+  msg.reth = roce::Reth{0x1000, 0xaa, len};
+  msg.payload.assign(len, 0x5a);
   const net::Packet frame = roce::build_roce_packet(ep(1), ep(2), msg);
   for (auto _ : state) {
     auto parsed = roce::parse_roce_packet(frame);
     benchmark::DoNotOptimize(parsed);
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_ParseRocePacket);
+// 4096 is the incast_cc WRITE size.
+BENCHMARK(BM_ParseRocePacket)->Arg(1500)->Arg(4096);
 
 void BM_Crc32(benchmark::State& state) {
   const std::vector<std::uint8_t> data(
@@ -71,7 +75,7 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(1500);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1500)->Arg(4096);
 
 void BM_InternetChecksum(benchmark::State& state) {
   const std::vector<std::uint8_t> data(1500, 0x44);

@@ -4,7 +4,10 @@
 # UndefinedBehaviorSanitizer (-DXMEM_SANITIZE).
 #
 #   $ scripts/check.sh             # both passes (local pre-merge default)
-#   $ scripts/check.sh --tier1     # Release build + tier-1 ctest only
+#   $ scripts/check.sh --tier1     # Release build + tier-1 ctest only,
+#                                  # plus the xmem_bench correctness
+#                                  # smoke (bench/xmem_bench, Release,
+#                                  # in build-bench)
 #   $ scripts/check.sh --sanitize  # ASan+UBSan build + ctest only
 #   $ scripts/check.sh --fast      # alias for --tier1 (kept for habit)
 #   $ scripts/check.sh --chaos     # Release build + chaos-labeled ctests
@@ -127,6 +130,16 @@ if [[ "$run_tier1" == 1 ]]; then
   cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$repo/build" -j "$jobs"
   ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
+  # The benchmark is a CMake package of its own. Its smoke test runs every
+  # workload's correctness checks (exactly-once counters, per-sender FIFO,
+  # every WRITE acknowledged) and requires a sim digest that repeats
+  # across runs and changes with the seed.
+  echo "== tier-1: xmem_bench correctness smoke =="
+  cmake -B "$repo/build-bench" -S "$repo/bench/xmem_bench" \
+        -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$repo/build-bench" --target xmem_bench -j "$jobs"
+  ctest --test-dir "$repo/build-bench" -R '^xmem_bench_smoke$' \
+    --output-on-failure
 fi
 
 if [[ "$run_chaos" == 1 ]]; then

@@ -1,5 +1,7 @@
 #include "roce/packet.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "net/checksum.hpp"
@@ -48,23 +50,35 @@ void check_headers_match_opcode(const RoceMessage& msg) {
   }
 }
 
+// Routing header (IPv4 + UDP, or GRH) plus BTH: the fixed part of every
+// frame's overhead, and the only bytes in which the ICRC masks fields.
+std::size_t routing_and_bth_bytes(RoceVersion version) {
+  if (version == RoceVersion::kV1) return kGrhBytes + kBthBytes;
+  return net::kIpv4HeaderBytes + net::kUdpHeaderBytes + kBthBytes;
+}
+
 }  // namespace
 
 std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
                            RoceVersion version) {
-  // Build the masked pseudo-frame the CRC covers: 8 bytes of 0xFF in
-  // place of deterministically varying routing fields, then the packet
-  // from the routing header onwards with the mutable fields (ToS/TTL/IP
-  // checksum/UDP checksum for v2; TClass/hop limit for v1; BTH resv8a)
-  // forced to ones.
-  std::vector<std::uint8_t> pseudo;
-  pseudo.reserve(8 + frame.size());
-  pseudo.insert(pseudo.end(), 8, 0xff);
-  // Strip Ethernet (14 bytes): the L2 header is not covered.
-  pseudo.insert(pseudo.end(), frame.begin() + net::kEthernetHeaderBytes,
-                frame.end());
+  // The CRC covers a masked pseudo-frame: 8 bytes of 0xFF in place of
+  // deterministically varying routing fields, then the packet from the
+  // routing header onwards (Ethernet is not covered) with the mutable
+  // fields (ToS/TTL/IP checksum/UDP checksum for v2; TClass/hop limit for
+  // v1; BTH resv8a) forced to ones. Only the routing header and BTH are
+  // copied and masked; the CRC then continues over the rest of the frame
+  // in place.
+  const std::size_t masked = routing_and_bth_bytes(version);
+  if (frame.size() < net::kEthernetHeaderBytes + masked) {
+    throw std::invalid_argument(
+        "compute_icrc: frame shorter than its routing header and BTH");
+  }
+  constexpr std::size_t base = 8;  // offset of the routing header in `pseudo`
+  std::array<std::uint8_t, base + kGrhBytes + kBthBytes> pseudo{};
+  std::fill_n(pseudo.begin(), base, 0xff);
+  const auto covered = frame.subspan(net::kEthernetHeaderBytes);
+  std::copy_n(covered.begin(), masked, pseudo.begin() + base);
 
-  const std::size_t base = 8;  // offset of the routing header in `pseudo`
   if (version == RoceVersion::kV2) {
     pseudo[base + 1] = 0xff;   // IPv4 ToS (DSCP+ECN)
     pseudo[base + 8] = 0xff;   // TTL
@@ -81,7 +95,8 @@ std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
     pseudo[base + 7] = 0xff;
     pseudo[base + 40 + 4] = 0xff;  // BTH resv8a
   }
-  return net::crc32(pseudo);
+  const std::uint32_t head = net::crc32(std::span(pseudo).first(base + masked));
+  return net::crc32(covered.subspan(masked), head);
 }
 
 net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
@@ -198,10 +213,7 @@ std::optional<RoceMessage> parse_roce_packet(const net::Packet& p) {
 }
 
 std::size_t roce_overhead_bytes(Opcode op, RoceVersion version) {
-  std::size_t n = (version == RoceVersion::kV2)
-                      ? net::kIpv4HeaderBytes + net::kUdpHeaderBytes
-                      : kGrhBytes;
-  n += kBthBytes;
+  std::size_t n = routing_and_bth_bytes(version);
   if (has_reth(op)) n += kRethBytes;
   if (has_atomic_eth(op)) n += kAtomicEthBytes;
   if (has_aeth(op)) n += kAethBytes;

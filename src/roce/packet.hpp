@@ -75,7 +75,8 @@ struct RoceMessage {
                                                   RoceVersion::kV2);
 
 /// Exact ICRC over an already-built frame (without its trailing 4 ICRC
-/// bytes). Exposed for tests.
+/// bytes). Exposed for tests. Throws std::invalid_argument if the frame is
+/// shorter than Ethernet + routing header (IPv4+UDP or GRH) + BTH.
 [[nodiscard]] std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
                                          RoceVersion version);
 

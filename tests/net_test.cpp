@@ -3,7 +3,9 @@
 // pcap output.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <vector>
 
 #include "net/address.hpp"
 #include "net/bytes.hpp"
@@ -14,6 +16,7 @@
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
 #include "net/udp.hpp"
+#include "sim/rng.hpp"
 
 namespace xmem::net {
 namespace {
@@ -117,6 +120,79 @@ TEST(Crc32, SeedChaining) {
       crc32(std::span<const std::uint8_t>(all + 2, 2), part1);
   EXPECT_EQ(chained, whole);
 }
+
+// The byte-at-a-time loop crc32() ran before it gained its slicing-by-8
+// and carry-less-multiply kernels: the reference every kernel must match.
+constexpr std::array<std::uint32_t, 256> kReferenceCrcTable = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  return table;
+}();
+
+std::uint32_t crc32_reference(std::span<const std::uint8_t> data,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (const std::uint8_t byte : data) {
+    c = kReferenceCrcTable[(c ^ byte) & 0xff] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                      std::uint32_t);
+
+// Checks `kernel` against the reference at every length from 0 to 4,200 B
+// (past one 4 KiB WRITE frame), at every start offset modulo 16, with a
+// zero and a non-zero seed; then chains two calls split at every point of
+// a few lengths.
+void expect_matches_reference(Crc32Kernel kernel) {
+  std::vector<std::uint8_t> buf(4200 + 16);
+  sim::Rng rng(7);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buf);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 4200; ++len) {
+      for (const std::uint32_t seed : {0u, 0x9e3779b9u}) {
+        const auto data = all.subspan(offset, len);
+        ASSERT_EQ(kernel(data, seed), crc32_reference(data, seed))
+            << "offset " << offset << " len " << len << " seed " << seed;
+      }
+    }
+  }
+  for (const std::size_t len : {63u, 64u, 200u, 1500u, 4170u}) {
+    const auto data = all.subspan(3, len);
+    const std::uint32_t whole = crc32_reference(data, 0);
+    for (std::size_t split = 0; split <= len; ++split) {
+      const std::uint32_t head = kernel(data.first(split), 0);
+      ASSERT_EQ(kernel(data.subspan(split), head), whole)
+          << "len " << len << " split " << split;
+    }
+  }
+}
+
+TEST(Crc32, SlicingKernelMatchesReference) {
+  expect_matches_reference(detail::crc32_slicing8);
+}
+
+TEST(Crc32, ClmulKernelMatchesReference) {
+#if defined(__x86_64__)
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  }
+  expect_matches_reference(detail::crc32_clmul);
+#else
+  EXPECT_FALSE(detail::crc32_clmul_supported());
+  GTEST_SKIP() << "the carry-less-multiply kernel is x86-64 only";
+#endif
+}
+
+TEST(Crc32, DispatchedMatchesReference) { expect_matches_reference(crc32); }
 
 TEST(Address, MacParseFormat) {
   const MacAddress mac = MacAddress::parse("02:58:4d:00:00:2a");

@@ -3,6 +3,12 @@
 // and the §4 header-overhead arithmetic the paper quotes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "net/packet.hpp"
 #include "roce/grh.hpp"
 #include "roce/headers.hpp"
@@ -223,6 +229,78 @@ TEST(RocePacket, RoceV1RoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->opcode(), Opcode::kFetchAdd);
   EXPECT_EQ(parsed->atomic_eth->va, 0x2000u);
+}
+
+std::vector<std::uint8_t> byte_pattern(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return v;
+}
+
+// The golden ICRC bytes below were recorded with the byte-at-a-time CRC
+// over a fully copied pseudo-frame: the in-place masking must reproduce
+// them to the bit.
+void expect_icrc_bytes(const net::Packet& frame, std::size_t size,
+                       const std::array<std::uint8_t, kIcrcBytes>& icrc) {
+  ASSERT_EQ(frame.size(), size);
+  std::array<std::uint8_t, kIcrcBytes> tail{};
+  std::ranges::copy(frame.bytes().last(kIcrcBytes), tail.begin());
+  EXPECT_EQ(tail, icrc);
+  EXPECT_TRUE(parse_roce_packet(frame).has_value());
+}
+
+TEST(RocePacket, IcrcGoldenV2Write4KiB) {
+  RoceMessage msg;
+  msg.bth.opcode = Opcode::kRdmaWriteOnly;
+  msg.bth.dest_qp = 0x12;
+  msg.bth.psn = Psn(0x123456);
+  msg.bth.ack_req = true;
+  msg.reth = Reth{0x10000, 0x77, 4096};
+  msg.payload = byte_pattern(4096);
+  msg.ecn = net::Ecn::kCe;  // a masked field, set to a non-default value
+  const net::Packet frame = build_roce_packet(endpoint_a(), endpoint_b(), msg);
+  expect_icrc_bytes(frame, 4170, {0x46, 0x4e, 0x40, 0x14});
+}
+
+TEST(RocePacket, IcrcGoldenV2FetchAdd) {
+  RoceMessage msg;
+  msg.bth.opcode = Opcode::kFetchAdd;
+  msg.bth.dest_qp = 0x34;
+  msg.bth.psn = Psn(77);
+  msg.atomic_eth = AtomicEth{0x2000, 0xbb, 5, 0};
+  const net::Packet frame = build_roce_packet(endpoint_a(), endpoint_b(), msg);
+  expect_icrc_bytes(frame, 86, {0x1b, 0x27, 0x0e, 0x59});
+}
+
+TEST(RocePacket, IcrcGoldenV1ReadResponse2KiB) {
+  RoceMessage msg;
+  msg.bth.opcode = Opcode::kRdmaReadResponseOnly;
+  msg.bth.dest_qp = 0x56;
+  msg.bth.psn = Psn(0xfffffe);
+  msg.aeth = Aeth{AckSyndrome::kAck, 9};
+  msg.payload = byte_pattern(2048);
+  const net::Packet frame =
+      build_roce_packet(endpoint_b(), endpoint_a(), msg, RoceVersion::kV1);
+  expect_icrc_bytes(frame, 2122, {0xf2, 0xe4, 0x57, 0xfd});
+}
+
+TEST(RocePacket, IcrcRejectsFrameShorterThanHeaders) {
+  // compute_icrc reads Ethernet + (IPv4 + UDP | GRH) + BTH: 54 B for v2,
+  // 66 B for v1.
+  const std::vector<std::uint8_t> zeros(66, 0);
+  const std::span<const std::uint8_t> frame(zeros);
+  EXPECT_THROW((void)compute_icrc(frame.first(20), RoceVersion::kV2),
+               std::invalid_argument);
+  EXPECT_THROW((void)compute_icrc(frame.first(53), RoceVersion::kV2),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)compute_icrc(frame.first(54), RoceVersion::kV2));
+  EXPECT_THROW((void)compute_icrc(frame.first(20), RoceVersion::kV1),
+               std::invalid_argument);
+  EXPECT_THROW((void)compute_icrc(frame.first(65), RoceVersion::kV1),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)compute_icrc(frame, RoceVersion::kV1));
 }
 
 // --- The §4 overhead arithmetic the paper quotes ----------------------
