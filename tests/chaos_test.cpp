@@ -53,7 +53,58 @@ std::string postmortem_dir() {
   return testing::TempDir();
 }
 
-TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
+/// Appends `name=value` pairs to one text line per stats block, so a
+/// golden mismatch names the field that moved.
+class StatsText {
+ public:
+  StatsText& line(const std::string& label) {
+    if (!text_.empty()) text_ += '\n';
+    text_ += label;
+    return *this;
+  }
+  StatsText& operator()(const char* name, std::uint64_t value) {
+    text_ += ' ';
+    text_ += name;
+    text_ += '=';
+    text_ += std::to_string(value);
+    return *this;
+  }
+  [[nodiscard]] const std::string& str() const { return text_; }
+
+ private:
+  std::string text_;
+};
+
+void add_shard_stats(StatsText& out, const std::string& prefix,
+                     const core::ChannelSet& set) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const core::ChannelSet::ShardStats& s = set.shard_stats(i);
+    out.line(prefix + "/shard" + std::to_string(i))("ops_routed", s.ops_routed)(
+        "routed_while_down", s.routed_while_down)("timeouts", s.timeouts)(
+        "naks", s.naks)("down_transitions", s.down_transitions)(
+        "up_transitions", s.up_transitions)("probes_sent", s.probes_sent);
+  }
+}
+
+/// Everything the chaos run pins bit for bit: the event count, a digest
+/// of the Perfetto trace (span order, timestamps and close statuses), and
+/// every primitive Stats and per-shard ShardStats field.
+struct ChaosOutcome {
+  std::uint64_t events = 0;
+  std::uint64_t trace_digest = 0;
+  std::string stats;
+};
+
+struct ChaosVariant {
+  /// Adaptive RTO on all three primitives.
+  bool adaptive_rto = false;
+  /// Lookups hold the packet and fetch only the action.
+  bool recirculate = false;
+};
+
+/// The headline scenario. Every invariant and fault-plan expectation is
+/// checked in here; the caller pins the returned outcome.
+ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   Testbed::Config tbc;
   tbc.hosts = 3;
   tbc.memory_servers = 3;
@@ -82,6 +133,7 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
   auto ss_configs = tb.setup_memory_pool(ss_spec);
   core::StateStorePrimitive::Config ss_cfg;
   ss_cfg.reliable = true;
+  ss_cfg.adaptive_rto.enabled = variant.adaptive_rto;
   {
     auto next = std::make_shared<std::uint64_t>(0);
     ss_cfg.sample_fn =
@@ -100,6 +152,10 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
   core::LookupTablePrimitive::Config lt_cfg;
   lt_cfg.entry_bytes = 2048;
   lt_cfg.cache_capacity = 0;  // the accounting invariant's form
+  lt_cfg.adaptive_rto.enabled = variant.adaptive_rto;
+  if (variant.recirculate) {
+    lt_cfg.mode = core::LookupTablePrimitive::Mode::kRecirculate;
+  }
   lt_cfg.key_fn =
       [](const net::Packet& p) -> std::optional<std::vector<std::uint8_t>> {
     auto tuple = net::extract_five_tuple(p);
@@ -120,6 +176,7 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
   pb_cfg.reliable_stores = true;
   pb_cfg.reliable_loads = true;
   pb_cfg.read_timeout = sim::microseconds(150);
+  pb_cfg.adaptive_rto.enabled = variant.adaptive_rto;
   core::PacketBufferPrimitive pb(tb.tor(), pb_configs, pb_cfg);
   pb.attach_telemetry(&reg, &tracer, "pb");
 
@@ -314,6 +371,140 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
   EXPECT_EQ(sink_b.packets(),
             lt.stats().applied + lt.stats().degraded_passthrough);
   EXPECT_EQ(ss.stats().sampled_packets, kFlowA + kFlowB);
+
+  ChaosOutcome outcome;
+  outcome.events = tb.sim().events_executed();
+  const std::string trace = tracer.chrome_trace_json();
+  outcome.trace_digest = net::fnv1a(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(trace.data()), trace.size()));
+
+  StatsText out;
+  const auto& sst = ss.stats();
+  out.line("ss")("sampled_packets", sst.sampled_packets)(
+            "fetch_adds_sent", sst.fetch_adds_sent)("acks_received",
+                                              sst.acks_received)(
+            "naks_received", sst.naks_received)("accumulated", sst.accumulated)(
+            "retransmits", sst.retransmits)("max_outstanding_seen",
+                                      sst.max_outstanding_seen)(
+            "counts_in_flight_lost", sst.counts_in_flight_lost)(
+            "failover_reissues", sst.failover_reissues)("duplicate_responses",
+                                                  sst.duplicate_responses);
+  add_shard_stats(out, "ss", ss.channels());
+  const auto& lst = lt.stats();
+  out.line("lt")("cache_hits", lst.cache_hits)("remote_lookups",
+                                               lst.remote_lookups)(
+            "applied", lst.applied)("no_entry_drops", lst.no_entry_drops)(
+            "collision_drops", lst.collision_drops)("cache_inserts",
+                                              lst.cache_inserts)(
+            "cache_evictions", lst.cache_evictions)("held_packets",
+                                              lst.held_packets)(
+            "lost_responses", lst.lost_responses)("oversized_drops",
+                                            lst.oversized_drops)(
+            "degraded_passthrough", lst.degraded_passthrough)(
+            "duplicate_responses", lst.duplicate_responses)(
+            "negative_cache_drops", lst.negative_cache_drops)(
+            "cache_hits_while_down", lst.cache_hits_while_down)(
+            "cache_stale_refetches", lst.cache_stale_refetches)(
+            "degraded_bypass", lst.degraded_bypass);
+  add_shard_stats(out, "lt", lt.channels());
+  const auto& pst = pb.stats();
+  out.line("pb")("stored", pst.stored)("loaded", pst.loaded)(
+            "ring_full_drops", pst.ring_full_drops)("lost_loads", pst.lost_loads)(
+            "read_retries", pst.read_retries)("write_retries", pst.write_retries)(
+            "deferred_stores", pst.deferred_stores)("naks", pst.naks)(
+            "ecn_marked", pst.ecn_marked)("dead_stripe_drops",
+                                    pst.dead_stripe_drops)(
+            "duplicate_responses", pst.duplicate_responses)(
+            "max_ring_depth", static_cast<std::uint64_t>(pst.max_ring_depth));
+  add_shard_stats(out, "pb", pb.channels());
+  outcome.stats = out.str();
+  return outcome;
+}
+
+TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
+  const ChaosOutcome got = run_chaos_scenario({});
+  // Golden values: any change to the reliability paths (retransmit,
+  // reclaim, expiry, replay, dedup) that moves one of these is a
+  // behaviour change, not a refactor.
+  EXPECT_EQ(got.events, 120407u);
+  EXPECT_EQ(got.trace_digest, 0xfc432cd8b6bed5c0u);
+  EXPECT_EQ(got.stats,
+            "ss sampled_packets=6500 fetch_adds_sent=2346 "
+            "acks_received=2328 naks_received=10 accumulated=4185 "
+            "retransmits=177 max_outstanding_seen=16 "
+            "counts_in_flight_lost=0 failover_reissues=31 "
+            "duplicate_responses=48\n"
+            "ss/shard0 ops_routed=699 routed_while_down=0 timeouts=1 "
+            "naks=5 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "ss/shard1 ops_routed=481 routed_while_down=0 timeouts=5 "
+            "naks=2 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "ss/shard2 ops_routed=1166 routed_while_down=0 timeouts=1 "
+            "naks=3 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "lt cache_hits=0 remote_lookups=391 applied=241 "
+            "no_entry_drops=0 collision_drops=0 cache_inserts=0 "
+            "cache_evictions=0 held_packets=0 lost_responses=150 "
+            "oversized_drops=0 degraded_passthrough=1109 "
+            "duplicate_responses=45 negative_cache_drops=0 "
+            "cache_hits_while_down=0 cache_stale_refetches=0 "
+            "degraded_bypass=0\n"
+            "lt/shard0 ops_routed=391 routed_while_down=1109 timeouts=3 "
+            "naks=0 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "lt/shard1 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
+            "down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "lt/shard2 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
+            "down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "pb stored=5000 loaded=5000 ring_full_drops=0 lost_loads=0 "
+            "read_retries=27 write_retries=1689 deferred_stores=0 naks=0 "
+            "ecn_marked=0 dead_stripe_drops=0 duplicate_responses=142 "
+            "max_ring_depth=4960\n"
+            "pb/shard0 ops_routed=1667 routed_while_down=0 timeouts=2 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "pb/shard1 ops_routed=1667 routed_while_down=0 timeouts=3 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "pb/shard2 ops_routed=1666 routed_while_down=0 timeouts=1 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0");
+}
+
+TEST(ChaosTest, AdaptiveRtoAndRecirculatePassAllInvariants) {
+  const ChaosOutcome got =
+      run_chaos_scenario({.adaptive_rto = true, .recirculate = true});
+  EXPECT_EQ(got.events, 127191u);
+  EXPECT_EQ(got.trace_digest, 0x0a7f5fad812a1608u);
+  EXPECT_EQ(got.stats,
+            "ss sampled_packets=6500 fetch_adds_sent=2314 "
+            "acks_received=2295 naks_received=9 accumulated=4216 "
+            "retransmits=159 max_outstanding_seen=16 "
+            "counts_in_flight_lost=0 failover_reissues=30 "
+            "duplicate_responses=64\n"
+            "ss/shard0 ops_routed=771 routed_while_down=0 timeouts=0 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "ss/shard1 ops_routed=400 routed_while_down=240 timeouts=6 "
+            "naks=5 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "ss/shard2 ops_routed=1143 routed_while_down=0 timeouts=1 "
+            "naks=4 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "lt cache_hits=0 remote_lookups=1500 applied=1500 "
+            "no_entry_drops=0 collision_drops=0 cache_inserts=0 "
+            "cache_evictions=0 held_packets=46 lost_responses=0 "
+            "oversized_drops=0 degraded_passthrough=0 "
+            "duplicate_responses=0 negative_cache_drops=0 "
+            "cache_hits_while_down=0 cache_stale_refetches=0 "
+            "degraded_bypass=0\n"
+            "lt/shard0 ops_routed=1500 routed_while_down=0 timeouts=0 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "lt/shard1 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
+            "down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "lt/shard2 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
+            "down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "pb stored=5000 loaded=5000 ring_full_drops=0 lost_loads=0 "
+            "read_retries=16 write_retries=2110 deferred_stores=0 naks=0 "
+            "ecn_marked=0 dead_stripe_drops=0 duplicate_responses=107 "
+            "max_ring_depth=4876\n"
+            "pb/shard0 ops_routed=1667 routed_while_down=0 timeouts=1 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "pb/shard1 ops_routed=1667 routed_while_down=0 timeouts=29 "
+            "naks=0 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "pb/shard2 ops_routed=1666 routed_while_down=0 timeouts=1 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0");
 }
 
 // The crash-forensics contract: a failing invariant must leave a
