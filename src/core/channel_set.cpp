@@ -1,6 +1,6 @@
 #include "core/channel_set.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "sim/log.hpp"
 
@@ -14,9 +14,13 @@ ChannelSet::ChannelSet(switchsim::ProgrammableSwitch& sw,
                        std::vector<control::RdmaChannelConfig> configs,
                        Config config)
     : switch_(&sw), config_(config) {
-  assert(!configs.empty() && "ChannelSet needs at least one channel");
-  assert(config_.down_after_timeouts > 0);
-  assert(config_.down_after_naks > 0);
+  if (configs.empty()) {
+    throw std::invalid_argument("ChannelSet: needs at least one channel");
+  }
+  if (config_.down_after_timeouts <= 0 || config_.down_after_naks <= 0) {
+    throw std::invalid_argument(
+        "ChannelSet: down_after_timeouts and down_after_naks must be > 0");
+  }
   shards_.reserve(configs.size());
   for (auto& cfg : configs) {
     Shard shard;
@@ -39,6 +43,25 @@ std::optional<std::size_t> ChannelSet::route(std::uint64_t key) {
   }
   ++shards_[s].stats.ops_routed;
   return s;
+}
+
+std::size_t ChannelSet::slots_per_shard(std::size_t slot_bytes) const {
+  const std::size_t region_bytes = at(0).config().region_bytes;
+  for (const Shard& shard : shards_) {
+    const control::RdmaChannelConfig& cfg = shard.channel->config();
+    if (cfg.region_bytes != region_bytes) {
+      throw std::invalid_argument("ChannelSet: regions must be equally sized");
+    }
+    if (slot_bytes > cfg.path_mtu) {
+      throw std::invalid_argument(
+          "ChannelSet: a slot must fit one path MTU");
+    }
+  }
+  if (slot_bytes == 0 || region_bytes / slot_bytes == 0) {
+    throw std::invalid_argument(
+        "ChannelSet: every shard must hold at least one slot");
+  }
+  return region_bytes / slot_bytes;
 }
 
 std::optional<std::size_t> ChannelSet::owner_of(
@@ -82,6 +105,17 @@ void ChannelSet::note_nak(std::size_t shard, roce::AckSyndrome syndrome) {
       s.consecutive_naks >= config_.down_after_naks) {
     mark_down(shard);
   }
+}
+
+bool ChannelSet::note_nak_once(std::size_t shard,
+                               const roce::RoceMessage& msg) {
+  if (!nak_dedup_.first_time(DedupWindow::key(
+          shard, msg.bth.psn, msg.aeth->msn,
+          static_cast<std::uint8_t>(msg.aeth->syndrome)))) {
+    return false;
+  }
+  note_nak(shard, msg.aeth->syndrome);
+  return true;
 }
 
 bool ChannelSet::maybe_probe_response(std::size_t shard,

@@ -32,6 +32,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/dedup_window.hpp"
+#include "core/primitive.hpp"
 #include "core/rdma_channel.hpp"
 #include "switchsim/switch.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -76,6 +78,8 @@ class ChannelSet {
   using HealthFn = std::function<void(std::size_t shard, Health health)>;
 
   /// One channel per config, in order; shard i talks to configs[i].
+  /// Throws std::invalid_argument on an empty list or a non-positive
+  /// health threshold.
   ChannelSet(switchsim::ProgrammableSwitch& sw,
              std::vector<control::RdmaChannelConfig> configs, Config config);
   ChannelSet(switchsim::ProgrammableSwitch& sw,
@@ -114,9 +118,35 @@ class ChannelSet {
   /// is down (the caller degrades). Counts into ShardStats.
   [[nodiscard]] std::optional<std::size_t> route(std::uint64_t key);
 
+  /// Fixed-size slots each shard's region holds, for a primitive that
+  /// lays `slot_bytes` slots over the regions. Throws
+  /// std::invalid_argument unless the regions are equally sized, a slot
+  /// fits one path MTU (one READ response segment) and every shard holds
+  /// at least one slot.
+  [[nodiscard]] std::size_t slots_per_shard(std::size_t slot_bytes) const;
+
   /// Which shard owns this response, if any (per-channel QPN demux).
   [[nodiscard]] std::optional<std::size_t> owner_of(
       const roce::RoceMessage& msg) const;
+
+  /// The RoCE ingress demux every primitive's stage starts with. Returns
+  /// false for non-RoCE packets (the stage goes on with them). A RoCE
+  /// response addressed to one of this set's channels is consumed: CNPs
+  /// go to the shard's rate machine, probe responses to the health
+  /// machine, and everything else to on_response(shard, msg). RoCE for
+  /// anyone else is left alone.
+  template <class Fn>
+  bool intercept(switchsim::PipelineContext& ctx, Fn&& on_response) {
+    const auto msg = roce_view(ctx);
+    if (!msg) return false;
+    if (const auto shard = owner_of(*msg)) {
+      if (!maybe_cnp(*shard, *msg) && !maybe_probe_response(*shard, *msg)) {
+        on_response(*shard, *msg);
+      }
+      ctx.consume();
+    }
+    return true;
+  }
 
   /// --- Health observations (reported by the owning primitive) --------
   void note_ok(std::size_t shard);
@@ -128,6 +158,12 @@ class ChannelSet {
   /// a lossy link and invalid-request NAKs are expired-replay-cache
   /// artifacts.
   void note_nak(std::size_t shard, roce::AckSyndrome syndrome);
+  /// note_nak() once per NAK frame: the network may deliver a NAK twice,
+  /// and a NAK has no in-flight entry whose removal would make the second
+  /// delivery a no-op. Returns false (and observes nothing) for a
+  /// duplicate. `msg` must carry a NAK AETH.
+  [[nodiscard]] bool note_nak_once(std::size_t shard,
+                                   const roce::RoceMessage& msg);
 
   /// True when `msg` answers one of this set's health probes — the
   /// caller should consume the packet and do nothing else. Flips a down
@@ -201,6 +237,7 @@ class ChannelSet {
   Config config_;
   std::vector<Shard> shards_;
   HealthFn health_fn_;
+  DedupWindow nak_dedup_;
   telemetry::FlightRecorder* flight_recorder_ = nullptr;
   bool probe_pending_ = false;
 };

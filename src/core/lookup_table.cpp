@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
-#include "core/primitive.hpp"
 #include "net/bytes.hpp"
 #include "net/flow.hpp"
 
@@ -42,25 +42,16 @@ LookupTablePrimitive::LookupTablePrimitive(
     : switch_(&sw),
       channels_(sw, std::move(channels), config.health),
       config_(std::move(config)),
-      cache_(cache_config_from(config_)) {
-  assert(config_.entry_bytes > kFrameOffset);
-  const std::size_t region_bytes = channels_.at(0).config().region_bytes;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    assert(channels_.at(i).config().region_bytes == region_bytes &&
-           "shards must be equal size");
-    assert(config_.entry_bytes <= channels_.at(i).config().path_mtu &&
-           "entries must fit one READ response segment");
+      cache_(cache_config_from(config_)),
+      inflight_(sw.simulator(), channels_.size(), config_.lookup_timeout,
+                config_.adaptive_rto, [this]() { on_timeout(); }) {
+  if (config_.entry_bytes <= kFrameOffset) {
+    throw std::invalid_argument(
+        "LookupTable: entry_bytes must exceed the entry header");
   }
   if (!config_.key_fn) config_.key_fn = five_tuple_key;
-  rto_.reserve(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    AdaptiveRtoConfig rc = config_.adaptive_rto;
-    rc.jitter_seed ^= i * 0x2545f4914f6cdd1dULL;  // per-shard jitter stream
-    rto_.emplace_back(rc);
-  }
-  entries_per_shard_ = region_bytes / config_.entry_bytes;
+  entries_per_shard_ = channels_.slots_per_shard(config_.entry_bytes);
   n_entries_ = entries_per_shard_ * channels_.size();
-  assert(n_entries_ > 0);
   channels_.set_health_fn([this](std::size_t shard, ChannelSet::Health h) {
     on_health_change(shard, h);
   });
@@ -158,14 +149,10 @@ LookupTablePrimitive::install_entry_sharded(
 }
 
 void LookupTablePrimitive::on_ingress(PipelineContext& ctx) {
-  if (auto msg = roce_view(ctx)) {
-    if (auto shard = channels_.owner_of(*msg)) {
-      if (!channels_.maybe_cnp(*shard, *msg) &&
-          !channels_.maybe_probe_response(*shard, *msg)) {
-        handle_response(*shard, *msg);
-      }
-      ctx.consume();
-    }
+  if (channels_.intercept(ctx, [this](std::size_t shard,
+                                      const roce::RoceMessage& msg) {
+        handle_response(shard, msg);
+      })) {
     return;
   }
 
@@ -236,7 +223,6 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
   RdmaChannel& channel = channels_.at(*shard);
   const std::uint64_t va =
       channel.config().base_va + slot * config_.entry_bytes;
-  const sim::Time now = switch_->simulator().now();
 
   if (config_.mode == Mode::kBounce) {
     // Deposit the original packet into the entry's packet slot, then
@@ -258,102 +244,56 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
 
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(config_.entry_bytes));
-    inflight_.emplace(ShardPsn{*shard, psn}, now);
-    ctx.consume();
+    inflight_.add(*shard, psn, net::Packet{});
   } else {
     // Recirculate variant: hold the original, fetch only the action and
     // the key-check word.
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(kLenOffset));
-    pending_.emplace(ShardPsn{*shard, psn}, Held{ctx.packet.clone(), now});
-    if (pending_.size() > stats_.held_packets) {
-      stats_.held_packets = pending_.size();
-    }
-    ctx.consume();
+    inflight_.add(*shard, psn, ctx.packet.clone());
+    stats_.held_packets =
+        std::max<std::uint64_t>(stats_.held_packets, inflight_.size());
   }
-  arm_timeout();
+  ctx.consume();
+  inflight_.arm();
 }
 
 void LookupTablePrimitive::handle_response(std::size_t shard,
                                            const roce::RoceMessage& msg) {
   if (!roce::is_read_response(msg.opcode())) return;
-
-  if (config_.mode == Mode::kBounce) {
-    auto it = inflight_.find(ShardPsn{shard, msg.bth.psn});
-    if (it == inflight_.end()) {
-      ++stats_.duplicate_responses;  // stale or duplicated delivery
-      return;
-    }
-    rto_[shard].sample(switch_->simulator().now() - it->second);
-    inflight_.erase(it);
-    channels_.note_ok(shard);
-    channels_.at(shard).trace_complete(msg.bth.psn);
-
-    try {
-      net::ByteReader r(msg.payload);
-      const Action action = Action::parse(r);
-      if (action.kind == Action::Kind::kNone) {
-        ++stats_.no_entry_drops;  // empty slot: no entry installed
-        // The deposited frame is still in the entry's packet slot —
-        // recover the key from it so the absence itself can be cached.
-        if (cache_.enabled() && config_.negative_ttl > 0) {
-          r.u64();  // key-check of an empty slot: zeros, skip
-          const std::uint32_t len = r.u32();
-          const auto frame = r.bytes(len);
-          net::Packet deposited(
-              std::vector<std::uint8_t>(frame.begin(), frame.end()));
-          if (auto key = config_.key_fn(deposited)) {
-            cache_store_negative(*key, shard);
-          }
-        }
-        return;
-      }
-      const std::uint64_t stored_check = r.u64();
-      const std::uint32_t len = r.u32();
-      const auto frame = r.bytes(len);
-      net::Packet packet(
-          std::vector<std::uint8_t>(frame.begin(), frame.end()));
-
-      auto key = config_.key_fn(packet);
-      if (!key || key_check_hash(*key) != stored_check) {
-        ++stats_.collision_drops;
-        return;
-      }
-      cache_store(*key, action, shard);
-      auto egress = apply_action(action, packet);
-      if (egress) {
-        switch_->inject(std::move(packet), *egress);
-      }
-    } catch (const net::BufferError&) {
-      ++stats_.lost_responses;
-    }
-    return;
-  }
-
-  // Recirculate mode.
-  auto it = pending_.find(ShardPsn{shard, msg.bth.psn});
-  if (it == pending_.end()) {
+  auto done = inflight_.complete(shard, msg.bth.psn);
+  if (!done) {
     ++stats_.duplicate_responses;  // stale or duplicated delivery
     return;
   }
-  rto_[shard].sample(switch_->simulator().now() - it->second.sent_at);
-  net::Packet packet = std::move(it->second.packet);
-  pending_.erase(it);
   channels_.note_ok(shard);
   channels_.at(shard).trace_complete(msg.bth.psn);
 
+  // Recirculate mode held the original; bounce mode recovers it from the
+  // entry's packet slot, after the action and the key-check word.
+  net::Packet packet = std::move(done->op);
+  const bool negative_caching = cache_.enabled() && config_.negative_ttl > 0;
   try {
     net::ByteReader r(msg.payload);
     const Action action = Action::parse(r);
-    if (action.kind == Action::Kind::kNone) {
-      ++stats_.no_entry_drops;  // empty slot: no entry installed
-      // Recirc mode held the original packet, so the key is at hand.
-      if (auto key = config_.key_fn(packet)) {
-        cache_store_negative(*key, shard);
+    const std::uint64_t stored_check = r.u64();
+    const bool absent = action.kind == Action::Kind::kNone;
+    if (absent) ++stats_.no_entry_drops;  // empty slot: no entry installed
+    if (config_.mode == Mode::kBounce && (!absent || negative_caching)) {
+      const std::uint32_t len = r.u32();
+      const auto frame = r.bytes(len);
+      packet =
+          net::Packet(std::vector<std::uint8_t>(frame.begin(), frame.end()));
+    }
+    if (absent) {
+      // The key is at hand, so the absence itself can be cached.
+      if (negative_caching) {
+        if (auto key = config_.key_fn(packet)) {
+          cache_store_negative(*key, shard);
+        }
       }
       return;
     }
-    const std::uint64_t stored_check = r.u64();
     auto key = config_.key_fn(packet);
     if (!key || key_check_hash(*key) != stored_check) {
       ++stats_.collision_drops;
@@ -386,83 +326,39 @@ void LookupTablePrimitive::reconnect(std::size_t shard,
   // alias it): reclaim them now instead of waiting for the scavenger.
   reclaim_shard(shard);
   channels_.reconnect(shard, std::move(config));
-  rto_[shard].reset();  // RTTs to the old server say nothing about the new
+  inflight_.reset_rto(shard);  // RTTs to the old server say nothing about the new
 }
 
 void LookupTablePrimitive::reclaim_shard(std::size_t shard) {
-  std::vector<ShardPsn> keys;
-  for (const auto& [key, sent_at] : inflight_) {
-    if (key.shard == shard) keys.push_back(key);
-  }
-  for (const auto& [key, held] : pending_) {
-    if (key.shard == shard) keys.push_back(key);
-  }
-  // Reclaim in PSN order (numeric, one shard): trace completion must
-  // replay identically run to run, not in hash order.
-  std::sort(keys.begin(), keys.end(), [](const ShardPsn& a,
-                                         const ShardPsn& b) {
-    return a.psn.raw() < b.psn.raw();
-  });
-  for (const ShardPsn& key : keys) {
-    inflight_.erase(key);
-    pending_.erase(key);
+  // PSN order: trace completion must replay identically run to run.
+  for (const auto& lookup : inflight_.take(shard)) {
     ++stats_.lost_responses;
-    channels_.at(shard).trace_complete(key.psn, "failover");
+    channels_.at(shard).trace_complete(lookup.psn, "failover");
   }
-}
-
-void LookupTablePrimitive::arm_timeout() {
-  if (timeout_.pending()) return;
-  sim::Time delay = config_.lookup_timeout;
-  if (config_.adaptive_rto.enabled) {
-    // Fire at the earliest shard deadline; on_timeout() judges each
-    // lookup against its own shard's (backed-off) deadline.
-    delay = rto_[0].rto();
-    for (std::size_t i = 1; i < rto_.size(); ++i) {
-      delay = std::min(delay, rto_[i].rto());
-    }
-  }
-  timeout_ =
-      switch_->simulator().schedule_in(delay, [this]() { on_timeout(); });
 }
 
 void LookupTablePrimitive::on_timeout() {
-  if (inflight_.empty() && pending_.empty()) return;  // re-armed on next post
   const sim::Time now = switch_->simulator().now();
-  std::vector<ShardPsn> stale;
-  for (const auto& [key, sent_at] : inflight_) {
-    if (now - sent_at >= shard_timeout(key.shard)) stale.push_back(key);
-  }
-  for (const auto& [key, held] : pending_) {
-    if (now - held.sent_at >= shard_timeout(key.shard)) stale.push_back(key);
-  }
-  // Expire in (shard, PSN) order, not hash order: drops, traces and
-  // health observations are part of the replay.
-  std::sort(stale.begin(), stale.end(), [](const ShardPsn& a,
-                                           const ShardPsn& b) {
-    return a.shard != b.shard ? a.shard < b.shard
-                              : a.psn.raw() < b.psn.raw();
+  const auto stale = inflight_.keys([&](std::size_t shard, const auto& l) {
+    return now - l.sent_at >= inflight_.timeout(shard);
   });
   std::vector<bool> shard_expired(channels_.size(), false);
-  for (const ShardPsn& key : stale) shard_expired[key.shard] = true;
-  for (const ShardPsn& key : stale) {
+  for (const auto& key : stale) shard_expired[key.shard] = true;
+  for (const auto& key : stale) {
     // A lookup abandoned: the packet it carried is gone either way
     // (deposited remotely in bounce mode, held copy dropped in recirc
     // mode). Each expiry is a timeout observation against its shard —
     // unless an earlier observation already tripped the down transition,
     // whose handler reclaimed the rest of the shard's keys.
-    const bool present =
-        inflight_.erase(key) > 0 || pending_.erase(key) > 0;
-    if (!present) continue;
+    if (!inflight_.erase(key.shard, key.psn)) continue;
     ++stats_.lost_responses;
     channels_.at(key.shard).trace_complete(key.psn, "lost");
     channels_.note_timeout(key.shard);
   }
   // One backoff step per shard per round, however many lookups expired.
   for (std::size_t shard = 0; shard < shard_expired.size(); ++shard) {
-    if (shard_expired[shard]) rto_[shard].note_timeout();
+    if (shard_expired[shard]) inflight_.note_timeout(shard);
   }
-  arm_timeout();
 }
 
 std::optional<int> LookupTablePrimitive::apply_action(const Action& action,

@@ -46,11 +46,11 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
+#include "core/inflight.hpp"
 #include "core/lookup_cache.hpp"
 #include "switchsim/switch.hpp"
 
@@ -138,6 +138,7 @@ class LookupTablePrimitive {
   static constexpr std::size_t kFrameOffset = 28;
 
   /// Sharded over `channels` (at least one; all regions equally sized).
+  /// Throws std::invalid_argument on an invalid channel list or config.
   LookupTablePrimitive(switchsim::ProgrammableSwitch& sw,
                        std::vector<control::RdmaChannelConfig> channels,
                        Config config);
@@ -157,7 +158,7 @@ class LookupTablePrimitive {
   [[nodiscard]] std::size_t shard_count() const { return channels_.size(); }
   /// The shard's RTT estimator (meaningful only with adaptive_rto on).
   [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return rto_[shard];
+    return inflight_.rto(shard);
   }
   /// Total entries across all shards.
   [[nodiscard]] std::size_t table_entries() const { return n_entries_; }
@@ -165,9 +166,7 @@ class LookupTablePrimitive {
   /// The local SRAM cache (policy, occupancy, its own Stats).
   [[nodiscard]] const LookupCache& cache() const { return cache_; }
   /// Lookups currently in flight (bounce READs + held recirc originals).
-  [[nodiscard]] std::size_t outstanding() const {
-    return inflight_.size() + pending_.size();
-  }
+  [[nodiscard]] std::size_t outstanding() const { return inflight_.size(); }
 
   /// Register every Stats field plus outstanding-lookup gauges under
   /// `<prefix>/...`, and delegate per-shard channel + health metrics to
@@ -221,7 +220,6 @@ class LookupTablePrimitive {
   void remote_lookup(switchsim::PipelineContext& ctx, std::uint64_t idx);
   void on_health_change(std::size_t shard, ChannelSet::Health health);
   void reclaim_shard(std::size_t shard);
-  void arm_timeout();
   void on_timeout();
   /// Apply `action` to `packet`; returns the egress port, or nullopt if
   /// the packet should be dropped.
@@ -244,35 +242,10 @@ class LookupTablePrimitive {
   std::size_t n_entries_ = 0;         // total across shards
   std::size_t entries_per_shard_ = 0;
 
-  // Outstanding READs are keyed by (shard, psn): PSN spaces are
-  // per-channel.
-  struct ShardPsn {
-    std::size_t shard;
-    roce::Psn psn;
-    bool operator==(const ShardPsn&) const = default;
-  };
-  struct ShardPsnHash {
-    std::size_t operator()(const ShardPsn& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.shard) << 32) | k.psn.raw());
-    }
-  };
-  // Bounce mode: outstanding READs and when they were posted.
-  std::unordered_map<ShardPsn, sim::Time, ShardPsnHash> inflight_;
-  // Recirculate mode: held originals keyed by READ key.
-  struct Held {
-    net::Packet packet;
-    sim::Time sent_at = 0;
-  };
-  std::unordered_map<ShardPsn, Held, ShardPsnHash> pending_;
-  sim::EventId timeout_;
-  /// Per-shard adaptive deadline estimators (used when
-  /// adaptive_rto.enabled).
-  std::vector<AdaptiveRto> rto_;
-  [[nodiscard]] sim::Time shard_timeout(std::size_t shard) const {
-    return config_.adaptive_rto.enabled ? rto_[shard].rto()
-                                        : config_.lookup_timeout;
-  }
+  /// Outstanding READs. Each op is the held original in recirculate
+  /// mode, and an empty packet in bounce mode (the original was deposited
+  /// in the entry and comes back with it).
+  InflightTable<net::Packet> inflight_;
 
   Stats stats_;
 };

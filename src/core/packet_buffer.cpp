@@ -1,10 +1,9 @@
 #include "core/packet_buffer.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <vector>
 
-#include "core/primitive.hpp"
 #include "net/bytes.hpp"
 #include "sim/log.hpp"
 
@@ -18,27 +17,20 @@ PacketBufferPrimitive::PacketBufferPrimitive(
     std::vector<control::RdmaChannelConfig> channels, Config config)
     : switch_(&sw),
       channels_(sw, std::move(channels), config.health),
-      config_(config) {
-  assert(config_.watch_port >= 0);
-  assert(config_.entry_bytes >= 4 + net::kEthernetMinFrame);
-
-  const std::size_t region_bytes = channels_.at(0).config().region_bytes;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    assert(channels_.at(i).config().region_bytes == region_bytes &&
-           "stripes must be equally sized");
-    assert(config_.entry_bytes <= channels_.at(i).config().path_mtu &&
-           "entries must fit one READ response segment");
+      config_(config),
+      inflight_(sw.simulator(), channels_.size(), config_.read_timeout,
+                config_.adaptive_rto, [this]() { on_timeout(); }) {
+  if (config_.watch_port < 0) {
+    throw std::invalid_argument("PacketBuffer: watch_port must be >= 0");
   }
-  per_channel_slots_ = region_bytes / config_.entry_bytes;
+  if (config_.entry_bytes < 4 + net::kEthernetMinFrame) {
+    throw std::invalid_argument(
+        "PacketBuffer: entry_bytes must hold a length word and a minimum "
+        "Ethernet frame");
+  }
+  per_channel_slots_ = channels_.slots_per_shard(config_.entry_bytes);
   capacity_ = per_channel_slots_ * channels_.size();
-  assert(capacity_ > 0);
-  inflight_per_channel_.assign(channels_.size(), 0);
-  rto_.reserve(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    AdaptiveRtoConfig rc = config_.adaptive_rto;
-    rc.jitter_seed ^= i * 0x2545f4914f6cdd1dULL;  // per-stripe jitter stream
-    rto_.emplace_back(rc);
-  }
+  reads_per_stripe_.assign(channels_.size(), 0);
   channels_.set_health_fn([this](std::size_t shard, ChannelSet::Health h) {
     on_health_change(shard, h);
   });
@@ -90,15 +82,11 @@ void PacketBufferPrimitive::set_load_enabled(bool enabled) {
 }
 
 void PacketBufferPrimitive::on_ingress(PipelineContext& ctx) {
-  if (auto msg = roce_view(ctx)) {
-    if (auto shard = channels_.owner_of(*msg)) {
-      if (!channels_.maybe_cnp(*shard, *msg) &&
-          !channels_.maybe_probe_response(*shard, *msg)) {
-        handle_response(*shard, *msg);
-      }
-      ctx.consume();
-    }
-    return;  // RoCE for someone else: leave it alone
+  if (channels_.intercept(ctx, [this](std::size_t shard,
+                                      const roce::RoceMessage& msg) {
+        handle_response(shard, msg);
+      })) {
+    return;
   }
 
   // Ordinary traffic: is it bound for the protected queue?
@@ -158,10 +146,8 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
     const roce::Psn psn = channels_.at(*stripe).post_write(
         slot_va(head_), entry, /*ack_req=*/true);
     unacked_slots_.insert(head_);
-    inflight_writes_.emplace(
-        InflightKey{*stripe, psn},
-        PendingWrite{head_, std::move(entry), switch_->simulator().now()});
-    arm_timeout();
+    inflight_.add(*stripe, psn, {head_, true, std::move(entry)});
+    inflight_.arm();
   } else {
     channels_.at(*stripe).post_write(slot_va(head_), entry);
   }
@@ -201,41 +187,39 @@ void PacketBufferPrimitive::maybe_issue_reads() {
       punched_hole = true;
       continue;
     }
-    if (inflight_per_channel_[chan] >= config_.read_pipeline_depth) break;
+    if (reads_per_stripe_[chan] >= config_.read_pipeline_depth) break;
     const roce::Psn psn = channels_.at(chan).post_read(
         slot_va(next_read_slot_),
         static_cast<std::uint32_t>(config_.entry_bytes));
-    inflight_.emplace(
-        InflightKey{chan, psn},
-        InflightRead{next_read_slot_, switch_->simulator().now(), false});
-    ++inflight_per_channel_[chan];
+    inflight_.add(chan, psn, {next_read_slot_, false, {}});
+    ++reads_per_stripe_[chan];
     ++next_read_slot_;
     // Reliable mode uses the timer to retransmit; unreliable mode uses it
     // as a scavenger so a lost final response cannot wedge the drain.
-    arm_timeout();
+    inflight_.arm();
   }
   if (punched_hole) drain_reorder_buffer();
+}
+
+std::optional<std::uint64_t> PacketBufferPrimitive::complete(
+    std::size_t stripe, roce::Psn psn, bool write) {
+  const Inflight::Entry* t = inflight_.find(stripe, psn);
+  if (t == nullptr || t->op.write != write) {
+    ++stats_.duplicate_responses;  // stale or duplicated delivery
+    return std::nullopt;
+  }
+  return inflight_.complete(stripe, psn)->op.slot;
 }
 
 void PacketBufferPrimitive::handle_response(std::size_t channel_index,
                                             const roce::RoceMessage& msg) {
   const roce::Opcode op = msg.opcode();
   if (roce::is_read_response(op)) {
-    auto it = inflight_.find(InflightKey{channel_index, msg.bth.psn});
-    if (it == inflight_.end()) {
-      ++stats_.duplicate_responses;  // stale or duplicated delivery
-      return;
-    }
-    const std::uint64_t slot = it->second.slot;
-    // Karn's rule, both halves: no RTT sample from a retransmitted READ,
-    // and no backoff reset either (only a clean sample may end a backoff
-    // episode, or an undersized RTO would storm forever).
-    if (!it->second.retransmitted) {
-      rto_[channel_index].sample(switch_->simulator().now() -
-                                 it->second.sent_at);
-    }
-    inflight_.erase(it);
-    --inflight_per_channel_[channel_index];
+    const auto slot = complete(channel_index, msg.bth.psn, /*write=*/false);
+    if (!slot) return;
+    // Bookkeeping before note_ok(): it may run the up-transition
+    // recovery synchronously, which must see this READ as done.
+    --reads_per_stripe_[channel_index];
     last_read_progress_ = switch_->simulator().now();
     channels_.note_ok(channel_index);
     channels_.at(channel_index).trace_complete(msg.bth.psn);
@@ -248,10 +232,10 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
       net::Packet packet(
           std::vector<std::uint8_t>(frame.begin(), frame.end()));
       packet.meta().from_remote_buffer = true;
-      reorder_.emplace(slot, std::move(packet));
+      reorder_.emplace(*slot, std::move(packet));
     } catch (const net::BufferError&) {
       ++stats_.lost_loads;  // corrupt entry: count and move on
-      reorder_.emplace(slot, net::Packet{});
+      reorder_.emplace(*slot, net::Packet{});
     }
     drain_reorder_buffer();
     maybe_issue_reads();
@@ -261,18 +245,9 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
   if (op == roce::Opcode::kAcknowledge &&
       (!msg.aeth || !msg.aeth->is_nak())) {
     // Positive ACK: completes a reliable-store WRITE.
-    auto it = inflight_writes_.find(InflightKey{channel_index, msg.bth.psn});
-    if (it == inflight_writes_.end()) {
-      ++stats_.duplicate_responses;  // stale or duplicated delivery
-      return;
-    }
-    const std::uint64_t slot = it->second.slot;
-    if (!it->second.retransmitted) {  // Karn: no sample, no backoff reset
-      rto_[channel_index].sample(switch_->simulator().now() -
-                                 it->second.sent_at);
-    }
-    inflight_writes_.erase(it);
-    unacked_slots_.erase(slot);
+    const auto slot = complete(channel_index, msg.bth.psn, /*write=*/true);
+    if (!slot) return;
+    unacked_slots_.erase(*slot);
     last_read_progress_ = switch_->simulator().now();
     channels_.note_ok(channel_index);
     channels_.at(channel_index).trace_complete(msg.bth.psn);
@@ -283,14 +258,11 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
   if ((op == roce::Opcode::kAcknowledge) && msg.aeth && msg.aeth->is_nak()) {
     // Duplicated NAK frames must not double-count naks or the health
     // streak.
-    if (!nak_dedup_.first_time(DedupWindow::key(
-            channel_index, msg.bth.psn, msg.aeth->msn,
-            static_cast<std::uint8_t>(msg.aeth->syndrome)))) {
+    if (!channels_.note_nak_once(channel_index, msg)) {
       ++stats_.duplicate_responses;
       return;
     }
     ++stats_.naks;
-    channels_.note_nak(channel_index, msg.aeth->syndrome);
     // The op's span stays open — either the timeout retransmits it
     // (reliable) or the scavenger closes it as "lost" (best-effort).
     channels_.at(channel_index).trace_annotate(
@@ -301,7 +273,7 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
 void PacketBufferPrimitive::reconnect(std::size_t stripe,
                                       control::RdmaChannelConfig config) {
   channels_.reconnect(stripe, std::move(config));
-  rto_[stripe].reset();  // RTTs to the old incarnation are meaningless
+  inflight_.reset_rto(stripe);  // RTTs to the old incarnation are meaningless
   // Any request in flight across the crash may have been lost, but the
   // stripe's DRAM survived and duplicates are idempotent at the
   // responder (WRITEs re-execute, READs re-serve), so rerun the
@@ -318,86 +290,73 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
   if (health == ChannelSet::Health::kUp) {
     if (config_.reliable_stores) {
       // Unacknowledged WRITEs may or may not have landed before the
-      // stripe died; repost them (original PSN — the responder
-      // re-executes duplicates of self-contained writes idempotently)
-      // in PSN order, not hash order, so the wire replays identically.
-      std::vector<InflightKey> writes;
-      for (const auto& [key, w] : inflight_writes_) {
-        if (key.channel == shard) writes.push_back(key);
-      }
-      std::sort(writes.begin(), writes.end(), [](const InflightKey& a,
-                                                 const InflightKey& b) {
-        return a.psn.raw() < b.psn.raw();
+      // stripe died; repost them in PSN order (original PSN — the
+      // responder re-executes duplicates of self-contained writes
+      // idempotently).
+      inflight_.for_each(shard, [&](Inflight::Entry& t) {
+        if (t.op.write) repost(shard, t);
       });
-      for (const InflightKey& key : writes) {
-        PendingWrite& w = inflight_writes_.at(key);
-        w.retransmitted = true;
-        channels_.at(shard).repost_write(slot_va(w.slot), w.entry, key.psn);
-        ++stats_.write_retries;
-      }
       // Post the entries that were parked while the stripe was down.
       std::vector<std::uint64_t> posted;
       for (auto& [slot, entry] : deferred_stores_) {
         if (channel_of(slot) != shard) continue;
         const roce::Psn psn = channels_.at(shard).post_write(
             slot_va(slot), entry, /*ack_req=*/true);
-        inflight_writes_.emplace(
-            InflightKey{shard, psn},
-            PendingWrite{slot, std::move(entry),
-                         switch_->simulator().now()});
+        inflight_.add(shard, psn, {slot, true, std::move(entry)});
         ++stats_.stored;
         posted.push_back(slot);
       }
       for (const std::uint64_t slot : posted) deferred_stores_.erase(slot);
-      if (!posted.empty()) arm_timeout();
+      if (!posted.empty()) inflight_.arm();
     }
     if (config_.reliable_loads) {
       // The stripe is back and its DRAM still holds our frames:
-      // re-request everything that was outstanding when it died, in
-      // PSN order so the recovery wire traffic is replayable.
-      std::vector<InflightKey> reads;
-      for (const auto& [key, f] : inflight_) {
-        if (key.channel == shard) reads.push_back(key);
-      }
-      std::sort(reads.begin(), reads.end(), [](const InflightKey& a,
-                                               const InflightKey& b) {
-        return a.psn.raw() < b.psn.raw();
+      // re-request everything that was outstanding when it died.
+      inflight_.for_each(shard, [&](Inflight::Entry& t) {
+        if (!t.op.write) repost(shard, t);
       });
-      for (const InflightKey& key : reads) {
-        InflightRead& f = inflight_.at(key);
-        f.retransmitted = true;
-        channels_.at(shard).repost_read(
-            slot_va(f.slot), static_cast<std::uint32_t>(config_.entry_bytes),
-            key.psn);
-        ++stats_.read_retries;
-      }
     }
     maybe_issue_reads();
     return;
   }
   if (config_.reliable_loads) return;  // hold in-flight state for recovery
   // Best-effort down transition: in-flight READs on this stripe will
-  // never answer — hole their slots now so the drain moves on.
-  std::vector<InflightKey> keys;
-  for (const auto& [key, f] : inflight_) {
-    if (key.channel == shard) keys.push_back(key);
-  }
-  // Hole the slots in PSN order: reorder-buffer updates and traces must
-  // not inherit hash order.
-  std::sort(keys.begin(), keys.end(), [](const InflightKey& a,
-                                         const InflightKey& b) {
-    return a.psn.raw() < b.psn.raw();
-  });
-  for (const InflightKey& key : keys) {
-    const std::uint64_t slot = inflight_.at(key).slot;
-    inflight_.erase(key);
-    --inflight_per_channel_[shard];
-    reorder_.emplace(slot, net::Packet{});
+  // never answer — hole their slots now, in PSN order, so the drain
+  // moves on.
+  const auto reads = inflight_.keys(
+      [&](std::size_t s, const Inflight::Entry& t) {
+        return s == shard && !t.op.write;
+      });
+  for (const auto& key : reads) {
+    const auto t = inflight_.erase(shard, key.psn);
+    --reads_per_stripe_[shard];
+    reorder_.emplace(t->op.slot, net::Packet{});
     ++stats_.lost_loads;
     channels_.at(shard).trace_complete(key.psn, "failover");
   }
   drain_reorder_buffer();
   maybe_issue_reads();
+}
+
+void PacketBufferPrimitive::repost(std::size_t stripe, Inflight::Entry& t) {
+  t.retransmitted = true;  // Karn: its eventual RTT is unusable
+  if (t.op.write) {
+    channels_.at(stripe).repost_write(slot_va(t.op.slot), t.op.entry, t.psn);
+    ++stats_.write_retries;
+  } else {
+    channels_.at(stripe).repost_read(
+        slot_va(t.op.slot), static_cast<std::uint32_t>(config_.entry_bytes),
+        t.psn);
+    ++stats_.read_retries;
+  }
+}
+
+bool PacketBufferPrimitive::read_in_flight(std::uint64_t slot) {
+  bool found = false;
+  inflight_.for_each(channel_of(slot), [&](const Inflight::Entry& t) {
+    found = found || (!t.op.write && t.op.slot == slot);
+  });
+  return found;
 }
 
 void PacketBufferPrimitive::drain_reorder_buffer() {
@@ -426,15 +385,8 @@ void PacketBufferPrimitive::drain_reorder_buffer() {
       ++tail_;
       continue;
     }
-    const bool requested = tail_ < next_read_slot_;
-    bool inflight = false;
-    for (const auto& [key, f] : inflight_) {
-      if (f.slot == tail_) {
-        inflight = true;
-        break;
-      }
-    }
-    if (!config_.reliable_loads && requested && !inflight) {
+    if (!config_.reliable_loads && tail_ < next_read_slot_ &&
+        !read_in_flight(tail_)) {
       // The READ (or its response) was lost and we do not recover:
       // the original packet is gone — exactly the paper's best-effort
       // failure mode.
@@ -445,111 +397,67 @@ void PacketBufferPrimitive::drain_reorder_buffer() {
     break;  // waiting on an outstanding or not-yet-issued READ
   }
 
-  if (tail_ == head_ && inflight_.empty()) {
+  if (tail_ == head_ &&
+      std::ranges::all_of(reads_per_stripe_, [](int n) { return n == 0; })) {
     diverting_ = false;  // ring fully drained; back to the fast path
   }
 }
 
-void PacketBufferPrimitive::arm_timeout() {
-  if (timeout_.pending()) return;
-  sim::Time delay = config_.read_timeout;
-  if (config_.adaptive_rto.enabled) {
-    // Fire at the earliest stripe deadline; the handler judges overall
-    // progress against that same deadline.
-    delay = rto_[0].rto();
-    for (std::size_t i = 1; i < rto_.size(); ++i) {
-      delay = std::min(delay, rto_[i].rto());
-    }
-  }
-  timeout_ =
-      switch_->simulator().schedule_in(delay, [this]() { on_timeout(); });
-}
-
 void PacketBufferPrimitive::on_timeout() {
-  if (inflight_.empty() && inflight_writes_.empty()) return;
-  const sim::Time now = switch_->simulator().now();
-  sim::Time deadline = config_.read_timeout;
-  if (config_.adaptive_rto.enabled) {
-    deadline = rto_[0].rto();
-    for (std::size_t i = 1; i < rto_.size(); ++i) {
-      deadline = std::min(deadline, rto_[i].rto());
+  // Progress is judged set-wide, against the earliest stripe deadline.
+  if (switch_->simulator().now() - last_read_progress_ <
+      inflight_.min_timeout()) {
+    return;
+  }
+  // Snapshot what was stalled *before* reporting: note_timeout() can
+  // trip a down transition whose handler reclaims entries and posts
+  // fresh READs, and those must not be swept up below.
+  const auto stale =
+      inflight_.keys([](std::size_t, const Inflight::Entry&) { return true; });
+  std::vector<bool> stalled(channels_.size());
+  for (std::size_t chan = 0; chan < stalled.size(); ++chan) {
+    stalled[chan] = inflight_.size(chan) > 0;
+  }
+  // One timeout observation per stripe with stalled ops: this is what
+  // eventually trips a dead stripe's health state. The adaptive
+  // estimator backs off alongside, so the next silent round waits
+  // longer instead of re-flooding a congested path.
+  for (std::size_t chan = 0; chan < stalled.size(); ++chan) {
+    if (stalled[chan]) {
+      channels_.note_timeout(chan);
+      inflight_.note_timeout(chan);
     }
   }
-  if (now - last_read_progress_ >= deadline) {
-    // Snapshot what was stalled *before* reporting: note_timeout() can
-    // trip a down transition whose handler reclaims entries and posts
-    // fresh READs, and those must not be swept up below.
-    std::vector<InflightKey> stale;
-    std::vector<InflightKey> stale_writes;
-    std::vector<bool> stalled(channels_.size(), false);
-    for (const auto& [key, f] : inflight_) {
-      stale.push_back(key);
-      stalled[key.channel] = true;
-    }
-    for (const auto& [key, w] : inflight_writes_) {
-      stale_writes.push_back(key);
-      stalled[key.channel] = true;
-    }
-    // Retransmissions below follow these vectors: order them by
-    // (channel, PSN) so recovery traffic replays identically.
-    const auto drain_order = [](const InflightKey& a, const InflightKey& b) {
-      return a.channel != b.channel ? a.channel < b.channel
-                                    : a.psn.raw() < b.psn.raw();
-    };
-    std::sort(stale.begin(), stale.end(), drain_order);
-    std::sort(stale_writes.begin(), stale_writes.end(), drain_order);
-    // One timeout observation per stripe with stalled ops: this is
-    // what eventually trips a dead stripe's health state. The adaptive
-    // estimator backs off alongside, so the next silent round waits
-    // longer instead of re-flooding a congested path.
-    for (std::size_t chan = 0; chan < stalled.size(); ++chan) {
-      if (stalled[chan]) {
-        channels_.note_timeout(chan);
-        rto_[chan].note_timeout();
-      }
-    }
-    // Retransmit unacknowledged entry WRITEs on live stripes (original
-    // PSN; duplicates are re-executed idempotently at the responder).
-    for (const InflightKey& key : stale_writes) {
-      auto it = inflight_writes_.find(key);
-      if (it == inflight_writes_.end() || !channels_.is_up(key.channel)) {
+  // Retransmit on live stripes with the original PSN — unacknowledged
+  // entry WRITEs first (duplicates re-execute idempotently), then, in
+  // reliable mode, every outstanding READ (the responder re-serves
+  // duplicates and executes fresh PSNs, so this is safe whether the
+  // request or the response was lost). Stripes that just failed over
+  // hold their slots until recovery.
+  for (const bool writes : {true, false}) {
+    if (!writes && !config_.reliable_loads) break;
+    for (const auto& key : stale) {
+      Inflight::Entry* t = inflight_.find(key.shard, key.psn);
+      if (t == nullptr || t->op.write != writes ||
+          !channels_.is_up(key.shard)) {
         continue;
       }
-      it->second.retransmitted = true;
-      channels_.at(key.channel).repost_write(slot_va(it->second.slot),
-                                             it->second.entry, key.psn);
-      ++stats_.write_retries;
-    }
-    if (config_.reliable_loads) {
-      // Re-request every outstanding slot with its original PSN: the
-      // responder re-serves duplicates and executes fresh PSNs, so this
-      // is safe whether the request or the response was lost. Stripes
-      // that just failed over hold their slots until recovery.
-      for (const InflightKey& key : stale) {
-        auto it = inflight_.find(key);
-        if (it == inflight_.end() || !channels_.is_up(key.channel)) continue;
-        it->second.retransmitted = true;
-        channels_.at(key.channel).repost_read(
-            slot_va(it->second.slot),
-            static_cast<std::uint32_t>(config_.entry_bytes), key.psn);
-        ++stats_.read_retries;
-      }
-    } else {
-      // Best-effort: give up on the stalled READs so the drain keeps
-      // moving; their packets are lost (counted in the drain loop). A
-      // down transition above may already have reclaimed some of them.
-      for (const InflightKey& key : stale) {
-        auto it = inflight_.find(key);
-        if (it == inflight_.end()) continue;
-        channels_.at(key.channel).trace_complete(key.psn, "lost");
-        inflight_.erase(it);
-        --inflight_per_channel_[key.channel];
-      }
-      drain_reorder_buffer();
-      maybe_issue_reads();
+      repost(key.shard, *t);
     }
   }
-  arm_timeout();
+  if (config_.reliable_loads) return;
+  // Best-effort: give up on the stalled READs so the drain keeps moving;
+  // their packets are lost (counted in the drain loop). A down
+  // transition above may already have reclaimed some of them.
+  for (const auto& key : stale) {
+    const Inflight::Entry* t = inflight_.find(key.shard, key.psn);
+    if (t == nullptr || t->op.write) continue;
+    channels_.at(key.shard).trace_complete(key.psn, "lost");
+    inflight_.erase(key.shard, key.psn);
+    --reads_per_stripe_[key.shard];
+  }
+  drain_reorder_buffer();
+  maybe_issue_reads();
 }
 
 }  // namespace xmem::core

@@ -25,13 +25,13 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
-#include "core/dedup_window.hpp"
+#include "core/inflight.hpp"
 #include "switchsim/switch.hpp"
 
 namespace xmem::core {
@@ -111,7 +111,8 @@ class PacketBufferPrimitive {
 
   /// Striped over `channels` (at least one). Registers an ingress stage
   /// and a traffic-manager watcher on `sw`. Every channel's region must
-  /// be writable+readable and all regions must be equally sized.
+  /// be writable+readable and all regions must be equally sized. Throws
+  /// std::invalid_argument on an invalid channel list or config.
   PacketBufferPrimitive(switchsim::ProgrammableSwitch& sw,
                         std::vector<control::RdmaChannelConfig> channels,
                         Config config);
@@ -131,7 +132,7 @@ class PacketBufferPrimitive {
   [[nodiscard]] std::size_t stripe_width() const { return channels_.size(); }
   /// The stripe's RTT estimator (meaningful only with adaptive_rto on).
   [[nodiscard]] const AdaptiveRto& rto(std::size_t stripe) const {
-    return rto_[stripe];
+    return inflight_.rto(stripe);
   }
   /// Entries currently resident in remote memory.
   [[nodiscard]] std::int64_t ring_depth() const {
@@ -145,7 +146,7 @@ class PacketBufferPrimitive {
   /// fully drained, every store was acknowledged and no READ or
   /// deferred entry is pending.
   [[nodiscard]] bool quiescent() const {
-    return tail_ == head_ && inflight_.empty() && inflight_writes_.empty() &&
+    return tail_ == head_ && inflight_.size() == 0 &&
            deferred_stores_.empty();
   }
 
@@ -168,6 +169,15 @@ class PacketBufferPrimitive {
   void reconnect(std::size_t stripe, control::RdmaChannelConfig config);
 
  private:
+  /// One slot transfer in flight: a READ awaiting its response, or (with
+  /// reliable_stores) an entry WRITE awaiting its ACK.
+  struct Transfer {
+    std::uint64_t slot = 0;
+    bool write = false;
+    std::vector<std::uint8_t> entry;  // WRITE bytes, kept for retransmission
+  };
+  using Inflight = InflightTable<Transfer>;
+
   void on_ingress(switchsim::PipelineContext& ctx);
   void on_queue_event(switchsim::QueueEvent event, int port,
                       std::int64_t depth_bytes);
@@ -178,8 +188,16 @@ class PacketBufferPrimitive {
   void store_packet(const net::Packet& packet);
   void maybe_issue_reads();
   void drain_reorder_buffer();
-  void arm_timeout();
   void on_timeout();
+  /// Complete the transfer a response answers: READ responses complete
+  /// only READs, ACKs only WRITEs. Returns its slot, or nullopt (counted
+  /// as a duplicate) for a stale or duplicated delivery.
+  std::optional<std::uint64_t> complete(std::size_t stripe, roce::Psn psn,
+                                        bool write);
+  /// Retransmit `t` with its original PSN.
+  void repost(std::size_t stripe, Inflight::Entry& t);
+  /// True when a READ of `slot` is in flight.
+  [[nodiscard]] bool read_in_flight(std::uint64_t slot);
 
   [[nodiscard]] std::size_t channel_of(std::uint64_t slot) const {
     return static_cast<std::size_t>(slot % channels_.size());
@@ -201,56 +219,22 @@ class PacketBufferPrimitive {
   std::uint64_t tail_ = 0;             // next slot to re-inject (monotonic)
   bool diverting_ = false;
 
-  // Outstanding READ bookkeeping.
-  struct InflightKey {
-    std::size_t channel;
-    roce::Psn psn;
-    bool operator==(const InflightKey&) const = default;
-  };
-  struct InflightKeyHash {
-    std::size_t operator()(const InflightKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.channel) << 32) | k.psn.raw());
-    }
-  };
   std::uint64_t next_read_slot_ = 0;  // next slot to request (monotonic)
-  struct InflightRead {
-    std::uint64_t slot = 0;
-    sim::Time sent_at = 0;
-    bool retransmitted = false;  // Karn: its RTT must not feed the estimator
-  };
-  std::unordered_map<InflightKey, InflightRead, InflightKeyHash>
-      inflight_;                              // (chan, psn) -> read
-  std::vector<int> inflight_per_channel_;
 
-  // Reliable-store bookkeeping (all empty unless reliable_stores).
-  struct PendingWrite {
-    std::uint64_t slot = 0;
-    std::vector<std::uint8_t> entry;  // kept for retransmission
-    sim::Time sent_at = 0;
-    bool retransmitted = false;
-  };
-  std::unordered_map<InflightKey, PendingWrite, InflightKeyHash>
-      inflight_writes_;                       // (chan, psn) -> write
+  /// Transfers in flight, per stripe, and the READs among them.
+  Inflight inflight_;
+  std::vector<int> reads_per_stripe_;
+
   /// Slots whose entry WRITE is not yet acknowledged (or still
   /// deferred); READs for them are gated.
   std::unordered_set<std::uint64_t> unacked_slots_;
   /// slot -> entry bytes parked while the slot's stripe is down.
   std::map<std::uint64_t, std::vector<std::uint8_t>> deferred_stores_;
-  /// Duplicate NAK frames have no inflight entry to no-op against.
-  DedupWindow nak_dedup_;
   /// slot -> recovered frame; an empty Packet is a *hole* (that slot's
   /// data is known lost — dead stripe or unrecovered READ) that the
   /// drain skips over.
   std::map<std::uint64_t, net::Packet> reorder_;
   sim::Time last_read_progress_ = 0;
-  sim::EventId timeout_;
-  /// Per-stripe adaptive RTO estimators (used when adaptive_rto.enabled).
-  std::vector<AdaptiveRto> rto_;
-  [[nodiscard]] sim::Time stripe_timeout(std::size_t stripe) const {
-    return config_.adaptive_rto.enabled ? rto_[stripe].rto()
-                                        : config_.read_timeout;
-  }
 
   Stats stats_;
 };

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
-#include "core/primitive.hpp"
 #include "net/flow.hpp"
 
 namespace xmem::core {
@@ -16,25 +16,18 @@ StateStorePrimitive::StateStorePrimitive(
     std::vector<control::RdmaChannelConfig> channels, Config config)
     : switch_(&sw),
       channels_(sw, std::move(channels), config.health),
-      config_(std::move(config)) {
-  assert(config_.max_outstanding > 0);
-  assert(config_.combining_window >= 1);
-  const std::size_t region_bytes = channels_.at(0).config().region_bytes;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    assert(channels_.at(i).config().region_bytes == region_bytes &&
-           "shards must be equal size");
+      config_(std::move(config)),
+      inflight_(sw.simulator(), channels_.size(), config_.retransmit_timeout,
+                config_.adaptive_rto, [this]() { on_timeout(); }) {
+  if (config_.max_outstanding <= 0) {
+    throw std::invalid_argument("StateStore: max_outstanding must be > 0");
   }
-  n_counters_ = (region_bytes / 8) * channels_.size();
-  assert(n_counters_ > 0);
-  outstanding_.assign(channels_.size(), 0);
+  if (config_.combining_window < 1) {
+    throw std::invalid_argument("StateStore: combining_window must be >= 1");
+  }
+  n_counters_ = channels_.slots_per_shard(8) * channels_.size();
   last_progress_.assign(channels_.size(), 0);
   eligible_.resize(channels_.size());
-  rto_.reserve(channels_.size());
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    AdaptiveRtoConfig rc = config_.adaptive_rto;
-    rc.jitter_seed ^= i * 0x2545f4914f6cdd1dULL;  // per-shard jitter stream
-    rto_.emplace_back(rc);
-  }
   channels_.set_health_fn([this](std::size_t shard, ChannelSet::Health h) {
     on_health_change(shard, h);
   });
@@ -84,25 +77,15 @@ void StateStorePrimitive::attach_telemetry(
   channels_.attach_telemetry(registry, tracer, prefix);
 }
 
-int StateStorePrimitive::outstanding() const {
-  int n = 0;
-  for (const int o : outstanding_) n += o;
-  return n;
-}
-
 std::uint64_t StateStorePrimitive::unflushed() const {
   return unflushed_total_;
 }
 
 void StateStorePrimitive::on_ingress(PipelineContext& ctx) {
-  if (auto msg = roce_view(ctx)) {
-    if (auto shard = channels_.owner_of(*msg)) {
-      if (!channels_.maybe_cnp(*shard, *msg) &&
-          !channels_.maybe_probe_response(*shard, *msg)) {
-        handle_response(*shard, *msg);
-      }
-      ctx.consume();
-    }
+  if (channels_.intercept(ctx, [this](std::size_t shard,
+                                      const roce::RoceMessage& msg) {
+        handle_response(shard, msg);
+      })) {
     return;
   }
 
@@ -139,7 +122,8 @@ void StateStorePrimitive::issue_from_accumulators() {
     // the window-full backpressure path doing double duty as the
     // failover degraded mode — until the shard is marked up again.
     if (!channels_.is_up(shard)) continue;
-    while (outstanding_[shard] < config_.max_outstanding &&
+    while (inflight_.size(shard) <
+               static_cast<std::size_t>(config_.max_outstanding) &&
            !eligible_[shard].empty()) {
       const std::uint64_t index = eligible_[shard].front();
       eligible_[shard].pop_front();
@@ -160,16 +144,12 @@ void StateStorePrimitive::issue(std::uint64_t index, std::uint64_t add) {
   assert(shard && "issue() only runs against healthy shards");
   const roce::Psn psn =
       channels_.at(*shard).post_fetch_add(counter_va(index), add);
-  ++outstanding_[*shard];
+  inflight_.add(*shard, psn, {index, add});
   ++stats_.fetch_adds_sent;
-  if (static_cast<std::uint64_t>(outstanding_[*shard]) >
-      stats_.max_outstanding_seen) {
-    stats_.max_outstanding_seen =
-        static_cast<std::uint64_t>(outstanding_[*shard]);
-  }
-  inflight_.emplace(ShardPsn{*shard, psn},
-                    Inflight{index, add, switch_->simulator().now()});
-  arm_timeout();
+  stats_.max_outstanding_seen =
+      std::max<std::uint64_t>(stats_.max_outstanding_seen,
+                              inflight_.size(*shard));
+  inflight_.arm();
 }
 
 void StateStorePrimitive::handle_response(std::size_t shard,
@@ -177,22 +157,12 @@ void StateStorePrimitive::handle_response(std::size_t shard,
   RdmaChannel& channel = channels_.at(shard);
   const roce::Opcode op = msg.opcode();
   if (op == roce::Opcode::kAtomicAcknowledge) {
-    auto it = inflight_.find(ShardPsn{shard, msg.bth.psn});
-    if (it == inflight_.end()) {
+    if (!inflight_.complete(shard, msg.bth.psn)) {
       ++stats_.duplicate_responses;  // already completed: duplicate/stale
       return;
     }
-    const sim::Time rtt = switch_->simulator().now() - it->second.sent_at;
-    const bool retransmitted = it->second.retransmitted;
-    inflight_.erase(it);
-    --outstanding_[shard];
     ++stats_.acks_received;
     last_progress_[shard] = switch_->simulator().now();
-    // Karn's rule, both halves: a retransmitted op's RTT is ambiguous, and
-    // its ACK must not collapse the backoff either — resetting here would
-    // let an undersized RTO re-arm at its old value and storm forever.
-    // Only a clean sample (which resets backoff itself) ends the episode.
-    if (!retransmitted) rto_[shard].sample(rtt);
     channels_.note_ok(shard);
     channel.trace_complete(msg.bth.psn);
     issue_from_accumulators();
@@ -201,25 +171,19 @@ void StateStorePrimitive::handle_response(std::size_t shard,
   if (op == roce::Opcode::kAcknowledge && msg.aeth && msg.aeth->is_nak()) {
     // A duplicated NAK frame must not double-count naks_received or the
     // shard's health streak, and must not trigger a second repost round.
-    if (!nak_dedup_.first_time(DedupWindow::key(
-            shard, msg.bth.psn, msg.aeth->msn,
-            static_cast<std::uint8_t>(msg.aeth->syndrome)))) {
+    if (!channels_.note_nak_once(shard, msg)) {
       ++stats_.duplicate_responses;
       return;
     }
     ++stats_.naks_received;
-    channels_.note_nak(shard, msg.aeth->syndrome);
     const std::string nak_status =
         std::string("nak:") + roce::to_string(msg.aeth->syndrome);
     if (!config_.reliable) {
       // No recovery: this NAK is the op's final word — close the span and
       // reclaim the window slot now; the count it carried is lost.
       channel.trace_complete(msg.bth.psn, nak_status);
-      auto it = inflight_.find(ShardPsn{shard, msg.bth.psn});
-      if (it != inflight_.end()) {
-        stats_.counts_in_flight_lost += it->second.add;
-        inflight_.erase(it);
-        --outstanding_[shard];
+      if (const auto f = inflight_.erase(shard, msg.bth.psn)) {
+        stats_.counts_in_flight_lost += f->op.add;
         issue_from_accumulators();
       }
       return;
@@ -228,14 +192,11 @@ void StateStorePrimitive::handle_response(std::size_t shard,
     if (msg.aeth->syndrome == roce::AckSyndrome::kNakInvalidRequest) {
       // A retransmitted atomic whose replay-cache entry has expired: the
       // responder executed it long ago, it just cannot replay the
-      // original value. Counting-wise the op is complete.
-      auto it = inflight_.find(ShardPsn{shard, msg.bth.psn});
-      if (it != inflight_.end()) {
-        inflight_.erase(it);
-        --outstanding_[shard];
+      // original value. Counting-wise the op is complete; its RTT is
+      // Karn-ambiguous, so it is erased, not completed. (An op the
+      // network duplicated is not marked retransmitted either way.)
+      if (inflight_.erase(shard, msg.bth.psn)) {
         last_progress_[shard] = switch_->simulator().now();
-        // The op was by definition retransmitted: Karn says no sample and
-        // no backoff reset.
         channel.trace_complete(msg.bth.psn, nak_status);
         issue_from_accumulators();
       }
@@ -257,28 +218,11 @@ void StateStorePrimitive::handle_response(std::size_t shard,
     // that consumed a PSN while the shard was down, or an op reclaimed
     // at reconnect(). Fill it with a no-op READ so the responder's
     // sequence check can walk past it; the real reposts follow.
-    if (!inflight_.contains(ShardPsn{shard, msg.bth.psn})) {
+    if (inflight_.find(shard, msg.bth.psn) == nullptr) {
       channel.repost_read(channel.config().base_va, 8, msg.bth.psn);
       ++stats_.retransmits;
     }
-
-    std::vector<roce::Psn> psns;
-    psns.reserve(inflight_.size());
-    for (const auto& [key, op_state] : inflight_) {
-      if (key.shard == shard &&
-          roce::psn_distance(msg.bth.psn, key.psn) >= 0) {
-        psns.push_back(key.psn);
-      }
-    }
-    std::sort(psns.begin(), psns.end(), [&](roce::Psn a, roce::Psn b) {
-      return roce::psn_lt(a, b);
-    });
-    for (const roce::Psn psn : psns) {
-      auto& f = inflight_.at(ShardPsn{shard, psn});
-      f.retransmitted = true;  // Karn: its eventual RTT is unusable
-      channel.repost_fetch_add(counter_va(f.index), f.add, psn);
-      ++stats_.retransmits;
-    }
+    replay_window(shard, msg.bth.psn);
   }
 }
 
@@ -315,22 +259,19 @@ void StateStorePrimitive::on_health_change(std::size_t shard,
   if (!config_.reliable) reclaim_shard(shard);
 }
 
-void StateStorePrimitive::replay_window(std::size_t shard) {
-  std::vector<roce::Psn> psns;
-  for (const auto& [key, f] : inflight_) {
-    if (key.shard == shard) psns.push_back(key.psn);
-  }
-  if (psns.empty()) return;
+void StateStorePrimitive::replay_window(std::size_t shard,
+                                        std::optional<roce::Psn> from) {
+  if (inflight_.size(shard) == 0) return;
   last_goback_ = switch_->simulator().now();
-  std::sort(psns.begin(), psns.end(), [](roce::Psn a, roce::Psn b) {
-    return roce::psn_lt(a, b);
-  });
-  for (const roce::Psn psn : psns) {
-    auto& f = inflight_.at(ShardPsn{shard, psn});
-    f.retransmitted = true;
-    channels_.at(shard).repost_fetch_add(counter_va(f.index), f.add, psn);
-    ++stats_.retransmits;
-  }
+  RdmaChannel& channel = channels_.at(shard);
+  inflight_.for_each(
+      shard,
+      [&](auto& f) {
+        f.retransmitted = true;  // Karn: its eventual RTT is unusable
+        channel.repost_fetch_add(counter_va(f.op.index), f.op.add, f.psn);
+        ++stats_.retransmits;
+      },
+      from);
 }
 
 void StateStorePrimitive::reconnect(std::size_t shard,
@@ -347,57 +288,28 @@ void StateStorePrimitive::reconnect(std::size_t shard,
   // trigger an immediate replay round against the fresh epoch. RTT
   // history from the old server says nothing about the new one.
   last_progress_[shard] = switch_->simulator().now();
-  rto_[shard].reset();
+  inflight_.reset_rto(shard);
   issue_from_accumulators();
 }
 
 void StateStorePrimitive::reclaim_shard(std::size_t shard) {
-  std::vector<ShardPsn> keys;
-  for (const auto& [key, f] : inflight_) {
-    if (key.shard == shard) keys.push_back(key);
-  }
-  // Reclaim in PSN order (numeric, one shard): trace completion and
-  // accumulator re-arming must replay identically run to run.
-  std::sort(keys.begin(), keys.end(), [](const ShardPsn& a,
-                                         const ShardPsn& b) {
-    return a.psn.raw() < b.psn.raw();
-  });
-  for (const ShardPsn& key : keys) {
-    const Inflight f = inflight_.at(key);
-    inflight_.erase(key);
-    --outstanding_[shard];
+  // PSN order: trace completion and accumulator re-arming replay
+  // identically run to run, and re-issue follows the original order.
+  for (const auto& f : inflight_.take(shard)) {
     if (config_.reliable) {
-      accumulators_[f.index] += f.add;
-      unflushed_total_ += f.add;
-      stats_.failover_reissues += f.add;
-      make_eligible(f.index);
-      channels_.at(shard).trace_complete(key.psn, "failover");
+      accumulators_[f.op.index] += f.op.add;
+      unflushed_total_ += f.op.add;
+      stats_.failover_reissues += f.op.add;
+      make_eligible(f.op.index);
+      channels_.at(shard).trace_complete(f.psn, "failover");
     } else {
-      stats_.counts_in_flight_lost += f.add;
-      channels_.at(shard).trace_complete(key.psn, "lost");
+      stats_.counts_in_flight_lost += f.op.add;
+      channels_.at(shard).trace_complete(f.psn, "lost");
     }
   }
-}
-
-void StateStorePrimitive::arm_timeout() {
-  if (timeout_.pending()) return;
-  sim::Time delay = config_.retransmit_timeout;
-  if (config_.adaptive_rto.enabled) {
-    // One timer serves all shards: fire at the earliest deadline and let
-    // on_timeout() judge each shard against its own (backed-off) RTO.
-    delay = rto_[0].rto();
-    for (std::size_t i = 1; i < rto_.size(); ++i) {
-      delay = std::min(delay, rto_[i].rto());
-    }
-  }
-  timeout_ =
-      switch_->simulator().schedule_in(delay, [this]() { on_timeout(); });
 }
 
 void StateStorePrimitive::on_timeout() {
-  if (inflight_.empty()) {
-    return;  // all settled; timer re-arms on the next issue
-  }
   const sim::Time now = switch_->simulator().now();
   if (config_.reliable) {
     // Replay each silent shard's whole window in PSN order (an unordered
@@ -406,12 +318,10 @@ void StateStorePrimitive::on_timeout() {
     // not mask a dead one — and every silent replay round is one timeout
     // observation against that shard, which eventually flips a dead
     // shard's health even in reliable mode.
-    std::vector<std::uint64_t> window(channels_.size(), 0);
-    for (const auto& [key, f] : inflight_) ++window[key.shard];
-    for (std::size_t shard = 0; shard < window.size(); ++shard) {
-      if (window[shard] == 0) continue;
-      if (now - last_progress_[shard] < shard_timeout(shard)) continue;
-      rto_[shard].note_timeout();  // the next replay round waits longer
+    for (std::size_t shard = 0; shard < channels_.size(); ++shard) {
+      if (inflight_.size(shard) == 0) continue;
+      if (now - last_progress_[shard] < inflight_.timeout(shard)) continue;
+      inflight_.note_timeout(shard);  // the next replay round waits longer
       channels_.note_timeout(shard);
       // Replay even while the shard is marked down: the held window is
       // exactly what the responder's sequence check is waiting on, and
@@ -419,40 +329,30 @@ void StateStorePrimitive::on_timeout() {
       // advanced past it.
       replay_window(shard);
     }
-  } else {
-    // Unreliable mode: reclaim leaked window slots so the primitive keeps
-    // working; the in-flight counts are simply lost, which is the
-    // accuracy degradation the paper's §7 discussion anticipates. Each
-    // expiry is a timeout observation against its shard's health.
-    std::vector<ShardPsn> stale;
-    for (const auto& [key, f] : inflight_) {
-      if (now - f.sent_at >= shard_timeout(key.shard)) stale.push_back(key);
-    }
-    // Expire in (shard, PSN) order, not hash order: the trace stream
-    // and per-shard health observations are part of the replay.
-    std::sort(stale.begin(), stale.end(), [](const ShardPsn& a,
-                                             const ShardPsn& b) {
-      return a.shard != b.shard ? a.shard < b.shard
-                                : a.psn.raw() < b.psn.raw();
-    });
-    std::vector<bool> shard_expired(channels_.size(), false);
-    for (const ShardPsn& key : stale) {
-      auto it = inflight_.find(key);
-      if (it == inflight_.end()) continue;  // reclaimed by a down transition
-      stats_.counts_in_flight_lost += it->second.add;
-      inflight_.erase(it);
-      --outstanding_[key.shard];
-      channels_.at(key.shard).trace_complete(key.psn, "lost");
-      channels_.note_timeout(key.shard);
-      shard_expired[key.shard] = true;
-    }
-    // One backoff step per shard per round, however many ops expired.
-    for (std::size_t shard = 0; shard < shard_expired.size(); ++shard) {
-      if (shard_expired[shard]) rto_[shard].note_timeout();
-    }
-    issue_from_accumulators();
+    return;
   }
-  arm_timeout();
+  // Unreliable mode: reclaim leaked window slots so the primitive keeps
+  // working; the in-flight counts are simply lost, which is the accuracy
+  // degradation the paper's §7 discussion anticipates. Each expiry is a
+  // timeout observation against its shard's health, and may trip a down
+  // transition that reclaims the rest of the shard: act on a snapshot.
+  const auto stale = inflight_.keys([&](std::size_t shard, const auto& f) {
+    return now - f.sent_at >= inflight_.timeout(shard);
+  });
+  std::vector<bool> shard_expired(channels_.size(), false);
+  for (const auto& key : stale) {
+    const auto f = inflight_.erase(key.shard, key.psn);
+    if (!f) continue;  // reclaimed by a down transition
+    stats_.counts_in_flight_lost += f->op.add;
+    channels_.at(key.shard).trace_complete(key.psn, "lost");
+    channels_.note_timeout(key.shard);
+    shard_expired[key.shard] = true;
+  }
+  // One backoff step per shard per round, however many ops expired.
+  for (std::size_t shard = 0; shard < shard_expired.size(); ++shard) {
+    if (shard_expired[shard]) inflight_.note_timeout(shard);
+  }
+  issue_from_accumulators();
 }
 
 }  // namespace xmem::core

@@ -32,13 +32,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
-#include "core/dedup_window.hpp"
+#include "core/inflight.hpp"
 #include "core/rdma_channel.hpp"
 #include "switchsim/switch.hpp"
 
@@ -96,6 +97,7 @@ class StateStorePrimitive {
   };
 
   /// Sharded over `channels` (at least one; all regions equally sized).
+  /// Throws std::invalid_argument on an invalid channel list or config.
   StateStorePrimitive(switchsim::ProgrammableSwitch& sw,
                       std::vector<control::RdmaChannelConfig> channels,
                       Config config);
@@ -115,12 +117,14 @@ class StateStorePrimitive {
   [[nodiscard]] std::size_t shard_count() const { return channels_.size(); }
   /// The shard's RTT estimator (meaningful only with adaptive_rto on).
   [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return rto_[shard];
+    return inflight_.rto(shard);
   }
   /// Counter slots available across all shards.
   [[nodiscard]] std::uint64_t counters() const { return n_counters_; }
   /// Total in-flight atomics across shards.
-  [[nodiscard]] int outstanding() const;
+  [[nodiscard]] int outstanding() const {
+    return static_cast<int>(inflight_.size());
+  }
   /// Counts recorded locally but not yet flushed (accumulators + any
   /// combining residue).
   [[nodiscard]] std::uint64_t unflushed() const;
@@ -153,12 +157,13 @@ class StateStorePrimitive {
   void record(std::uint64_t index);
   void issue(std::uint64_t index, std::uint64_t add);
   void issue_from_accumulators();
-  void arm_timeout();
   void on_timeout();
   void on_health_change(std::size_t shard, ChannelSet::Health health);
   void reclaim_shard(std::size_t shard);
-  /// Repost a shard's whole held window in PSN order (reliable mode).
-  void replay_window(std::size_t shard);
+  /// Repost a shard's held window in PSN order, from `from` on (the
+  /// whole window when nullopt).
+  void replay_window(std::size_t shard,
+                     std::optional<roce::Psn> from = std::nullopt);
   void make_eligible(std::uint64_t index);
 
   [[nodiscard]] std::size_t shard_of(std::uint64_t index) const {
@@ -174,7 +179,6 @@ class StateStorePrimitive {
   Config config_;
   std::uint64_t n_counters_ = 0;  // total across shards
 
-  std::vector<int> outstanding_;  // per shard
   /// Local accumulators (index -> pending count); indices whose count
   /// reached the combining window queue per home shard in eligible_
   /// awaiting a free outstanding slot on a healthy shard.
@@ -186,44 +190,15 @@ class StateStorePrimitive {
   std::vector<std::deque<std::uint64_t>> eligible_;  // per shard
   std::unordered_set<std::uint64_t> eligible_set_;
 
-  /// Reliability bookkeeping: (shard, PSN) -> (counter index, add value).
-  struct ShardPsn {
-    std::size_t shard;
-    roce::Psn psn;
-    bool operator==(const ShardPsn&) const = default;
-  };
-  struct ShardPsnHash {
-    std::size_t operator()(const ShardPsn& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.shard) << 32) | k.psn.raw());
-    }
-  };
-  struct Inflight {
+  /// One F&A in flight: the counts it carries, for re-issue or replay.
+  struct PendingAdd {
     std::uint64_t index = 0;
     std::uint64_t add = 0;
-    sim::Time sent_at = 0;
-    /// Karn's rule: a response to an op that was ever retransmitted may
-    /// answer either transmission, so its RTT must not feed the
-    /// estimator.
-    bool retransmitted = false;
   };
-  std::unordered_map<ShardPsn, Inflight, ShardPsnHash> inflight_;
-  /// NAKs have no inflight entry to make their second delivery a no-op,
-  /// so duplicate NAK frames are filtered explicitly before they can
-  /// double-count naks_received or the health streaks.
-  DedupWindow nak_dedup_;
-  sim::EventId timeout_;
+  InflightTable<PendingAdd> inflight_;
   /// Per-shard: a healthy shard's ACK stream must not mask a silent one,
   /// so replay rounds and timeout observations are gated per shard.
   std::vector<sim::Time> last_progress_;
-  /// Per-shard adaptive RTO estimators (used when adaptive_rto.enabled).
-  std::vector<AdaptiveRto> rto_;
-  /// The shard's current retransmission deadline: adaptive when enabled,
-  /// the fixed retransmit_timeout otherwise.
-  [[nodiscard]] sim::Time shard_timeout(std::size_t shard) const {
-    return config_.adaptive_rto.enabled ? rto_[shard].rto()
-                                        : config_.retransmit_timeout;
-  }
   sim::Time last_goback_ = -sim::kSecond;  // NAK-repost rate limiter
 
   Stats stats_;

@@ -208,5 +208,68 @@ TEST_F(StateStoreTest, FlushIsIdempotent) {
   EXPECT_EQ(before, 10u);
 }
 
+// A window that straddles the 24-bit PSN wrap is reclaimed in issue
+// order. The RNIC hangs with 16 F&As in flight on PSNs 0xfffff8..7; after
+// restart() + reconnect() the reclaimed counts are re-issued, and the
+// re-issued F&As must target the counters in the order their originals
+// were sent, not in numeric PSN order (which would put 0..7 first).
+TEST_F(StateStoreTest, ReclaimAcrossPsnWrapReissuesInIssueOrder) {
+  ChannelController::ChannelSpec spec;
+  spec.region_bytes = 4096;
+  spec.tolerate_psn_gaps = false;  // strict RC
+  spec.initial_psn = roce::Psn(0xfffff8);
+  auto channel =
+      tb_.controller().setup_channel(tb_.host(2), tb_.port_of(2), spec);
+  auto next = std::make_shared<std::uint64_t>(0);
+  StateStorePrimitive ss(
+      tb_.tor(), channel,
+      {.max_outstanding = 16,
+       .sample_fn = [next](const net::Packet& p)
+           -> std::optional<std::uint64_t> {
+         auto tuple = net::extract_five_tuple(p);
+         if (!tuple || tuple->dst_port == net::kRoceV2Port) {
+           return std::nullopt;
+         }
+         return (*next)++;  // one counter per packet
+       },
+       .reliable = true});
+
+  std::vector<std::uint64_t> targets;  // counter index of each F&A sent
+  tb_.link_of(2).set_tap([&](const net::Packet& frame, sim::Time, int) {
+    const auto msg = roce::parse_roce_packet(frame);
+    if (msg && msg->opcode() == roce::Opcode::kFetchAdd && msg->atomic_eth) {
+      targets.push_back((msg->atomic_eth->va - channel.base_va) / 8);
+    }
+  });
+
+  rnic::Rnic& nic = tb_.host(2).rnic();
+  nic.set_alive(false);
+  host::CbrTrafficGen gen(tb_.host(0), {.dst_mac = tb_.host(1).mac(),
+                                        .dst_ip = tb_.host(1).ip(),
+                                        .src_port = 7000,
+                                        .dst_port = 9000,
+                                        .frame_size = 128,
+                                        .rate = sim::gbps(10),
+                                        .packet_limit = 16});
+  gen.start();
+  tb_.sim().run_until(sim::microseconds(20));
+  ASSERT_EQ(ss.outstanding(), 16);
+  ASSERT_EQ(targets.size(), 16u);
+
+  nic.restart();
+  spec.initial_psn = ss.channel().next_psn();
+  targets.clear();
+  channel = tb_.controller().reconnect(tb_.host(2), channel, spec);
+  ss.reconnect(0, channel);
+  tb_.sim().run_until(tb_.sim().now() + sim::microseconds(20));
+  std::vector<std::uint64_t> expected(16);
+  for (std::uint64_t i = 0; i < 16; ++i) expected[i] = i;
+  EXPECT_EQ(targets, expected);
+  EXPECT_EQ(ss.stats().failover_reissues, 16u);
+
+  settle(ss);
+  for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(counter(channel, i), 1u);
+}
+
 }  // namespace
 }  // namespace xmem::core
