@@ -4,7 +4,8 @@
 # UndefinedBehaviorSanitizer (-DXMEM_SANITIZE).
 #
 #   $ scripts/check.sh             # both passes (local pre-merge default)
-#   $ scripts/check.sh --tier1     # Release build + tier-1 ctest only,
+#   $ scripts/check.sh --tier1     # Release build (warnings as errors)
+#                                  # + tier-1 ctest only,
 #                                  # plus the xmem_bench correctness
 #                                  # smoke (bench/xmem_bench, Release,
 #                                  # in build-bench)
@@ -126,8 +127,11 @@ while [[ $# -gt 0 ]]; do
 done
 
 if [[ "$run_tier1" == 1 ]]; then
-  echo "== tier-1: Release build + ctest =="
-  cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
+  # Both tier-1 builds must be warning-free: every warning is an error
+  # here (CMake >= 3.24), so a new one fails the gate at its source line.
+  echo "== tier-1: Release build (warnings as errors) + ctest =="
+  cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "$repo/build" -j "$jobs"
   ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
   # The benchmark is a CMake package of its own. Its smoke test runs every
@@ -136,7 +140,7 @@ if [[ "$run_tier1" == 1 ]]; then
   # across runs and changes with the seed.
   echo "== tier-1: xmem_bench correctness smoke =="
   cmake -B "$repo/build-bench" -S "$repo/bench/xmem_bench" \
-        -DCMAKE_BUILD_TYPE=Release
+        -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "$repo/build-bench" --target xmem_bench -j "$jobs"
   ctest --test-dir "$repo/build-bench" -R '^xmem_bench_smoke$' \
     --output-on-failure

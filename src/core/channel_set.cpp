@@ -57,7 +57,7 @@ std::size_t ChannelSet::slots_per_shard(std::size_t slot_bytes) const {
           "ChannelSet: a slot must fit one path MTU");
     }
   }
-  if (slot_bytes == 0 || region_bytes / slot_bytes == 0) {
+  if (slot_bytes == 0 || slot_bytes > region_bytes) {
     throw std::invalid_argument(
         "ChannelSet: every shard must hold at least one slot");
   }

@@ -2,10 +2,11 @@
 //
 // The network may deliver the same ACK/NAK/response frame more than once
 // (duplication faults, or a retransmitted request answered twice). For
-// completions keyed by an inflight map, the map erase makes the second
+// completions, removing the op from the in-flight table makes the second
 // delivery a no-op — but paths that act on a response *without* an
-// inflight entry (NAK accounting, health streaks) need an explicit "have
-// I seen this exact frame before?" test. DedupWindow is that test: a
+// in-flight entry (NAK accounting, health streaks) need an explicit "have
+// I seen this exact frame before?" test. DedupWindow is that test (held
+// by ChannelSet, see note_nak_once()): a
 // FIFO-evicted set of 64-bit identities sized like a data-plane register
 // array (a few hundred entries), so it is implementable in switch SRAM.
 #pragma once

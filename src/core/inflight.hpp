@@ -70,16 +70,18 @@ class InflightTable {
       shards_[i].rto = AdaptiveRto(rc);
     }
   }
+  // The timer callback captures `this`.
+  InflightTable(const InflightTable&) = delete;
+  InflightTable& operator=(const InflightTable&) = delete;
 
   /// Record an op just posted on `shard` with `psn`, sent now. PSNs on a
   /// shard only grow, so this appends. Does not arm the timer.
-  Op& add(std::size_t shard, roce::Psn psn, Op op) {
+  void add(std::size_t shard, roce::Psn psn, Op op) {
     std::deque<Entry>& ops = shards_[shard].ops;
     assert((ops.empty() || roce::psn_lt(ops.back().psn, psn)) &&
            "ops must be added in PSN order");
     ops.push_back(Entry{psn, sim_->now(), false, std::move(op)});
     ++size_;
-    return ops.back().op;
   }
 
   [[nodiscard]] Entry* find(std::size_t shard, roce::Psn psn) {

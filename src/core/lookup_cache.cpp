@@ -313,8 +313,9 @@ void LookupCache::clear() {
   std::vector<const Key*> keys;
   keys.reserve(map_.size());
   for (auto& [key, node] : map_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const Key* a, const Key* b) { return *a < *b; });
+  std::sort(keys.begin(), keys.end(), [](const Key* a, const Key* b) {
+    return std::ranges::lexicographical_compare(*a, *b);
+  });
   for (const Key* key : keys) eviction_->on_erase(map_.at(*key));
   map_.clear();
 }

@@ -326,7 +326,7 @@ void LookupTablePrimitive::reconnect(std::size_t shard,
   // alias it): reclaim them now instead of waiting for the scavenger.
   reclaim_shard(shard);
   channels_.reconnect(shard, std::move(config));
-  inflight_.reset_rto(shard);  // RTTs to the old server say nothing about the new
+  inflight_.reset_rto(shard);  // old-server RTTs say nothing about the new
 }
 
 void LookupTablePrimitive::reclaim_shard(std::size_t shard) {

@@ -9,8 +9,9 @@
 namespace xmem::core {
 
 /// Parse the packet in `ctx` as RoCE, cheaply rejecting non-RoCE frames
-/// first. Primitives call this at the top of their stage to recognize
-/// responses from their memory server.
+/// first. ChannelSet::intercept() calls this at the top of every
+/// primitive's stage; stages that drive a channel directly call it
+/// themselves to recognize responses from their memory server.
 [[nodiscard]] inline std::optional<roce::RoceMessage> roce_view(
     const switchsim::PipelineContext& ctx) {
   if (!ctx.headers || !ctx.headers->is_roce_v2()) return std::nullopt;

@@ -192,9 +192,10 @@ void StateStorePrimitive::handle_response(std::size_t shard,
     if (msg.aeth->syndrome == roce::AckSyndrome::kNakInvalidRequest) {
       // A retransmitted atomic whose replay-cache entry has expired: the
       // responder executed it long ago, it just cannot replay the
-      // original value. Counting-wise the op is complete; its RTT is
-      // Karn-ambiguous, so it is erased, not completed. (An op the
-      // network duplicated is not marked retransmitted either way.)
+      // original value. Counting-wise the op is complete. It is erased,
+      // not completed: its RTT is ambiguous, and when the duplicate came
+      // from the network rather than a repost the op is not marked
+      // retransmitted, so complete() would take the sample.
       if (inflight_.erase(shard, msg.bth.psn)) {
         last_progress_[shard] = switch_->simulator().now();
         channel.trace_complete(msg.bth.psn, nak_status);

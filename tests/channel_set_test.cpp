@@ -362,5 +362,35 @@ TEST_F(ChannelSetTest, PacketBufferDropsTailOnDeadStripeAndKeepsDraining) {
   EXPECT_EQ(pb.ring_depth(), 0) << "drain must not wedge on the holes";
 }
 
+// Construction-time validation (not asserts, which compile out under
+// NDEBUG): the set and the slot layout every primitive derives from it.
+TEST_F(ChannelSetTest, RejectsInvalidConfigsAtConstruction) {
+  build(2);
+  const auto configs = pool(4096);
+  EXPECT_THROW(ChannelSet(tb_->tor(), {}), std::invalid_argument);
+  EXPECT_THROW(ChannelSet(tb_->tor(), configs, {.down_after_timeouts = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(ChannelSet(tb_->tor(), configs, {.down_after_naks = 0}),
+               std::invalid_argument);
+
+  // The slot layout every primitive derives from the set.
+  const ChannelSet set(tb_->tor(), configs);
+  EXPECT_EQ(set.slots_per_shard(8), 512u);
+  EXPECT_EQ(set.slots_per_shard(4096), 1u);
+  // A slot must come back in one READ response segment.
+  EXPECT_THROW((void)set.slots_per_shard(configs[0].path_mtu + 1),
+               std::invalid_argument);
+  // Regions of different sizes cannot share one slot layout.
+  auto uneven = configs;
+  uneven[1].region_bytes = 2048;
+  EXPECT_THROW(StateStorePrimitive(tb_->tor(), uneven, {}),
+               std::invalid_argument);
+  // Every shard must hold at least one slot (2 KiB entries, 1 KiB regions).
+  auto tiny = configs;
+  for (auto& cfg : tiny) cfg.region_bytes = 1024;
+  EXPECT_THROW(LookupTablePrimitive(tb_->tor(), tiny, {}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xmem::core

@@ -57,17 +57,15 @@ std::string postmortem_dir() {
 /// golden mismatch names the field that moved.
 class StatsText {
  public:
-  StatsText& line(const std::string& label) {
+  void line(const std::string& label) {
     if (!text_.empty()) text_ += '\n';
     text_ += label;
-    return *this;
   }
-  StatsText& operator()(const char* name, std::uint64_t value) {
+  void operator()(const char* name, std::uint64_t value) {
     text_ += ' ';
     text_ += name;
     text_ += '=';
     text_ += std::to_string(value);
-    return *this;
   }
   [[nodiscard]] const std::string& str() const { return text_; }
 
@@ -79,10 +77,14 @@ void add_shard_stats(StatsText& out, const std::string& prefix,
                      const core::ChannelSet& set) {
   for (std::size_t i = 0; i < set.size(); ++i) {
     const core::ChannelSet::ShardStats& s = set.shard_stats(i);
-    out.line(prefix + "/shard" + std::to_string(i))("ops_routed", s.ops_routed)(
-        "routed_while_down", s.routed_while_down)("timeouts", s.timeouts)(
-        "naks", s.naks)("down_transitions", s.down_transitions)(
-        "up_transitions", s.up_transitions)("probes_sent", s.probes_sent);
+    out.line(prefix + "/shard" + std::to_string(i));
+    out("ops_routed", s.ops_routed);
+    out("routed_while_down", s.routed_while_down);
+    out("timeouts", s.timeouts);
+    out("naks", s.naks);
+    out("down_transitions", s.down_transitions);
+    out("up_transitions", s.up_transitions);
+    out("probes_sent", s.probes_sent);
   }
 }
 
@@ -380,42 +382,51 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
 
   StatsText out;
   const auto& sst = ss.stats();
-  out.line("ss")("sampled_packets", sst.sampled_packets)(
-            "fetch_adds_sent", sst.fetch_adds_sent)("acks_received",
-                                              sst.acks_received)(
-            "naks_received", sst.naks_received)("accumulated", sst.accumulated)(
-            "retransmits", sst.retransmits)("max_outstanding_seen",
-                                      sst.max_outstanding_seen)(
-            "counts_in_flight_lost", sst.counts_in_flight_lost)(
-            "failover_reissues", sst.failover_reissues)("duplicate_responses",
-                                                  sst.duplicate_responses);
+  out.line("ss");
+  out("sampled_packets", sst.sampled_packets);
+  out("fetch_adds_sent", sst.fetch_adds_sent);
+  out("acks_received", sst.acks_received);
+  out("naks_received", sst.naks_received);
+  out("accumulated", sst.accumulated);
+  out("retransmits", sst.retransmits);
+  out("max_outstanding_seen", sst.max_outstanding_seen);
+  out("counts_in_flight_lost", sst.counts_in_flight_lost);
+  out("failover_reissues", sst.failover_reissues);
+  out("duplicate_responses", sst.duplicate_responses);
   add_shard_stats(out, "ss", ss.channels());
   const auto& lst = lt.stats();
-  out.line("lt")("cache_hits", lst.cache_hits)("remote_lookups",
-                                               lst.remote_lookups)(
-            "applied", lst.applied)("no_entry_drops", lst.no_entry_drops)(
-            "collision_drops", lst.collision_drops)("cache_inserts",
-                                              lst.cache_inserts)(
-            "cache_evictions", lst.cache_evictions)("held_packets",
-                                              lst.held_packets)(
-            "lost_responses", lst.lost_responses)("oversized_drops",
-                                            lst.oversized_drops)(
-            "degraded_passthrough", lst.degraded_passthrough)(
-            "duplicate_responses", lst.duplicate_responses)(
-            "negative_cache_drops", lst.negative_cache_drops)(
-            "cache_hits_while_down", lst.cache_hits_while_down)(
-            "cache_stale_refetches", lst.cache_stale_refetches)(
-            "degraded_bypass", lst.degraded_bypass);
+  out.line("lt");
+  out("cache_hits", lst.cache_hits);
+  out("remote_lookups", lst.remote_lookups);
+  out("applied", lst.applied);
+  out("no_entry_drops", lst.no_entry_drops);
+  out("collision_drops", lst.collision_drops);
+  out("cache_inserts", lst.cache_inserts);
+  out("cache_evictions", lst.cache_evictions);
+  out("held_packets", lst.held_packets);
+  out("lost_responses", lst.lost_responses);
+  out("oversized_drops", lst.oversized_drops);
+  out("degraded_passthrough", lst.degraded_passthrough);
+  out("duplicate_responses", lst.duplicate_responses);
+  out("negative_cache_drops", lst.negative_cache_drops);
+  out("cache_hits_while_down", lst.cache_hits_while_down);
+  out("cache_stale_refetches", lst.cache_stale_refetches);
+  out("degraded_bypass", lst.degraded_bypass);
   add_shard_stats(out, "lt", lt.channels());
   const auto& pst = pb.stats();
-  out.line("pb")("stored", pst.stored)("loaded", pst.loaded)(
-            "ring_full_drops", pst.ring_full_drops)("lost_loads", pst.lost_loads)(
-            "read_retries", pst.read_retries)("write_retries", pst.write_retries)(
-            "deferred_stores", pst.deferred_stores)("naks", pst.naks)(
-            "ecn_marked", pst.ecn_marked)("dead_stripe_drops",
-                                    pst.dead_stripe_drops)(
-            "duplicate_responses", pst.duplicate_responses)(
-            "max_ring_depth", static_cast<std::uint64_t>(pst.max_ring_depth));
+  out.line("pb");
+  out("stored", pst.stored);
+  out("loaded", pst.loaded);
+  out("ring_full_drops", pst.ring_full_drops);
+  out("lost_loads", pst.lost_loads);
+  out("read_retries", pst.read_retries);
+  out("write_retries", pst.write_retries);
+  out("deferred_stores", pst.deferred_stores);
+  out("naks", pst.naks);
+  out("ecn_marked", pst.ecn_marked);
+  out("dead_stripe_drops", pst.dead_stripe_drops);
+  out("duplicate_responses", pst.duplicate_responses);
+  out("max_ring_depth", static_cast<std::uint64_t>(pst.max_ring_depth));
   add_shard_stats(out, "pb", pb.channels());
   outcome.stats = out.str();
   return outcome;

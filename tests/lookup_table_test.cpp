@@ -405,5 +405,18 @@ TEST_F(LookupTableTest, InstallEntryIsReadableByIndex) {
   EXPECT_EQ(parsed.dscp, 7);
 }
 
+TEST_F(LookupTableTest, RejectsInvalidConfigsAtConstruction) {
+  EXPECT_THROW(LookupTablePrimitive(
+                   tb_.tor(), channel_,
+                   {.entry_bytes = LookupTablePrimitive::kFrameOffset}),
+               std::invalid_argument);
+  // A 1 KiB region holds no 2 KiB entry: refused up front, where an
+  // assert-only build used to divide by zero on the first lookup.
+  const auto small = tb_.controller().setup_channel(
+      tb_.host(2), tb_.port_of(2), {.region_bytes = 1024});
+  EXPECT_THROW(LookupTablePrimitive(tb_.tor(), small, {}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xmem::core

@@ -254,5 +254,15 @@ TEST_F(PacketBufferTest, MaxRingDepthTracksBacklog) {
             static_cast<std::int64_t>(pb.ring_capacity()));
 }
 
+TEST_F(PacketBufferTest, RejectsInvalidConfigsAtConstruction) {
+  EXPECT_THROW(PacketBufferPrimitive(tb_.tor(), channels_, {}),
+               std::invalid_argument);  // no watched port
+  EXPECT_THROW(
+      PacketBufferPrimitive(tb_.tor(), channels_,
+                            {.watch_port = tb_.port_of(2),
+                             .entry_bytes = 4 + net::kEthernetMinFrame - 1}),
+      std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xmem::core

@@ -271,5 +271,14 @@ TEST_F(StateStoreTest, ReclaimAcrossPsnWrapReissuesInIssueOrder) {
   for (std::uint64_t i = 0; i < 16; ++i) EXPECT_EQ(counter(channel, i), 1u);
 }
 
+TEST_F(StateStoreTest, RejectsInvalidConfigsAtConstruction) {
+  const auto channel = make_channel();
+  EXPECT_THROW(StateStorePrimitive(tb_.tor(), channel, {.max_outstanding = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      StateStorePrimitive(tb_.tor(), channel, {.combining_window = 0}),
+      std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xmem::core
