@@ -165,12 +165,6 @@ class ChannelSet {
   [[nodiscard]] bool note_nak_once(std::size_t shard,
                                    const roce::RoceMessage& msg);
 
-  /// True when `msg` answers one of this set's health probes — the
-  /// caller should consume the packet and do nothing else. Flips a down
-  /// shard up.
-  [[nodiscard]] bool maybe_probe_response(std::size_t shard,
-                                          const roce::RoceMessage& msg);
-
   /// True when `msg` is a CNP: forwards it to the shard's rate machine
   /// and tells the caller to consume the packet. CNPs deliberately do
   /// NOT touch shard health — congestion is a fabric condition, not a
@@ -228,6 +222,11 @@ class ChannelSet {
     ShardStats stats;
   };
 
+  /// True when `msg` answers one of this set's health probes — the
+  /// caller should consume the packet and do nothing else. Flips a down
+  /// shard up.
+  [[nodiscard]] bool maybe_probe_response(std::size_t shard,
+                                          const roce::RoceMessage& msg);
   void mark_down(std::size_t shard);
   void mark_up(std::size_t shard);
   void schedule_probe();
