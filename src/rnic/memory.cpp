@@ -1,12 +1,60 @@
 #include "rnic/memory.hpp"
 
+#include <sanitizer/asan_interface.h>  // no-op macros without ASan
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
+#include <limits>
+#include <new>
+#include <stdexcept>
 
 namespace xmem::rnic {
 
+namespace {
+
+std::size_t page_bytes() {
+  return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+}  // namespace
+
+MemoryRegion::MemoryRegion(std::uint64_t base_va, std::uint32_t rkey,
+                           std::size_t length, Access access)
+    : base_va_(base_va), rkey_(rkey), access_(access), length_(length) {
+  const std::size_t page = page_bytes();
+  if (length > std::numeric_limits<std::size_t>::max() - 2 * page) {
+    throw std::bad_alloc();
+  }
+  const std::size_t data_pages_bytes = (length + page - 1) / page * page;
+  mapped_bytes_ = data_pages_bytes + page;
+  // MAP_NORESERVE: no swap is set aside, so a host that runs out of RAM
+  // fails on the first touch of a page, not here.
+  void* map = mmap(nullptr, mapped_bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<std::uint8_t*>(map);
+  if (mprotect(data_ + data_pages_bytes, page, PROT_NONE) != 0) {
+    munmap(map, mapped_bytes_);
+    throw std::bad_alloc();
+  }
+  // The guard page catches overruns of a whole page; under ASan the
+  // slack between the declared end and the guard is poisoned too, so
+  // every byte past the end is caught, as a heap redzone would.
+  ASAN_POISON_MEMORY_REGION(data_ + length_, data_pages_bytes - length_);
+}
+
+MemoryRegion::~MemoryRegion() {
+  ASAN_UNPOISON_MEMORY_REGION(data_ + length_,
+                              mapped_bytes_ - page_bytes() - length_);
+  munmap(data_, mapped_bytes_);
+}
+
 MemoryRegion& MemoryManager::register_region(std::size_t length,
                                              Access access) {
-  assert(length > 0);
+  if (length == 0) {
+    throw std::invalid_argument("register_region: length must be > 0");
+  }
   // Each region gets its own gigabyte-aligned arena slot; regions bigger
   // than one slot consume several.
   const std::uint64_t slots = (length + kArenaStride - 1) / kArenaStride;

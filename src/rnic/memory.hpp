@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 namespace xmem::rnic {
 
@@ -39,35 +38,43 @@ enum class MemStatus : std::uint8_t {
   kMisaligned,  // atomics must target 8-byte-aligned addresses
 };
 
-/// One registered region: owns its backing bytes.
+/// One registered region: owns its backing bytes, a private anonymous
+/// mapping the kernel zero-fills one page at a time on first touch, so
+/// registering is O(1) and host RAM follows the pages a run touches.
+/// One PROT_NONE guard page follows the last data page, so a write past
+/// the end faults instead of landing in unrelated memory.
 class MemoryRegion {
  public:
+  /// Throws std::bad_alloc if the mapping cannot be created.
   MemoryRegion(std::uint64_t base_va, std::uint32_t rkey, std::size_t length,
-               Access access)
-      : base_va_(base_va), rkey_(rkey), access_(access), data_(length, 0) {}
+               Access access);
+  ~MemoryRegion();
+  MemoryRegion(const MemoryRegion&) = delete;
+  MemoryRegion& operator=(const MemoryRegion&) = delete;
 
   [[nodiscard]] std::uint64_t base_va() const { return base_va_; }
   [[nodiscard]] std::uint32_t rkey() const { return rkey_; }
-  [[nodiscard]] std::size_t length() const { return data_.size(); }
+  [[nodiscard]] std::size_t length() const { return length_; }
   [[nodiscard]] Access access() const { return access_; }
   /// An invalidated region (after Rnic::restart) keeps its bytes but
   /// fails every remote-access check until re-registered.
   [[nodiscard]] bool valid() const { return valid_; }
 
   [[nodiscard]] bool contains(std::uint64_t va, std::size_t len) const {
-    return va >= base_va_ && va + len <= base_va_ + data_.size() &&
+    return va >= base_va_ && va + len <= base_va_ + length_ &&
            va + len >= va;  // overflow guard
   }
 
   /// Raw view for the owning host (local access needs no rights).
-  [[nodiscard]] std::span<std::uint8_t> bytes() { return data_; }
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return data_; }
+  [[nodiscard]] std::span<std::uint8_t> bytes() { return {data_, length_}; }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {data_, length_};
+  }
 
   /// Checked view of [va, va+len). Caller must have verified bounds.
   [[nodiscard]] std::span<std::uint8_t> window(std::uint64_t va,
                                                std::size_t len) {
-    return std::span<std::uint8_t>(data_).subspan(
-        static_cast<std::size_t>(va - base_va_), len);
+    return bytes().subspan(static_cast<std::size_t>(va - base_va_), len);
   }
 
  private:
@@ -77,15 +84,18 @@ class MemoryRegion {
   std::uint32_t rkey_;
   Access access_;
   bool valid_ = true;
-  std::vector<std::uint8_t> data_;
+  std::size_t length_;
+  std::size_t mapped_bytes_ = 0;  // whole data pages plus the guard page
+  std::uint8_t* data_ = nullptr;
 };
 
 /// The RNIC's table of registered regions.
 class MemoryManager {
  public:
-  /// Register a fresh region. Base virtual addresses are assigned
-  /// sequentially in a private 1 GiB-aligned arena so distinct regions
-  /// never overlap, and rkeys are never reused.
+  /// Register a fresh, all-zero region. Base virtual addresses are
+  /// assigned sequentially in a private 1 GiB-aligned arena so distinct
+  /// regions never overlap, and rkeys are never reused. Throws
+  /// std::invalid_argument if `length` is 0.
   MemoryRegion& register_region(std::size_t length, Access access);
 
   /// rkey -> region, or nullptr.
