@@ -4,6 +4,20 @@
 
 namespace xmem::host {
 
+bool SequenceSet::insert(std::uint64_t seq) {
+  const std::uint64_t key = seq >> kBlockShift;
+  if (last_ == nullptr || key != last_key_) {
+    last_ = &blocks_[key];  // a new block starts all zero
+    last_key_ = key;
+  }
+  const std::uint64_t bit = seq & ((std::uint64_t{1} << kBlockShift) - 1);
+  std::uint64_t& word = (*last_)[bit / 64];
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  if ((word & mask) != 0) return false;
+  word |= mask;
+  return true;
+}
+
 PacketSink::PacketSink(Host& host, bool install) : host_(&host) {
   if (install) {
     host.set_app([this](net::Packet&& packet, int) { accept(packet); });
@@ -27,7 +41,7 @@ void PacketSink::accept(const net::Packet& packet) {
   if (packet.size() >= overhead + ProbeHeader::kBytes) {
     const auto probe =
         ProbeHeader::read_from(packet.bytes().subspan(overhead));
-    if (seen_.insert(probe.sequence).second) ++packets_unique_;
+    if (seen_.insert(probe.sequence)) ++packets_unique_;
     if (probe.sequence < expected_next_) {
       ++reordered_;
     } else {

@@ -1,8 +1,9 @@
 // Packet sink with loss / reordering / latency accounting.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_set>
+#include <map>
 
 #include "host/host.hpp"
 #include "host/traffic_gen.hpp"
@@ -11,6 +12,31 @@
 #include "telemetry/int_collector.hpp"
 
 namespace xmem::host {
+
+/// A set of 64-bit sequence numbers stored as bitmaps of 4,096
+/// sequences, keyed by seq >> 12. Memory follows the sequences seen, not
+/// their values: a corrupted probe header can carry any 64-bit sequence.
+/// The last block used is cached, so in-order arrivals skip the lookup.
+class SequenceSet {
+ public:
+  SequenceSet() = default;
+  // Not copyable or movable: the cache points into blocks_.
+  SequenceSet(const SequenceSet&) = delete;
+  SequenceSet& operator=(const SequenceSet&) = delete;
+
+  /// Adds `seq`; true if it was not yet in the set.
+  bool insert(std::uint64_t seq);
+  /// Bitmap blocks allocated so far.
+  [[nodiscard]] std::size_t blocks() const { return blocks_.size(); }
+
+ private:
+  static constexpr unsigned kBlockShift = 12;
+  using Block = std::array<std::uint64_t, (std::size_t{1} << kBlockShift) / 64>;
+
+  std::map<std::uint64_t, Block> blocks_;
+  std::uint64_t last_key_ = 0;
+  Block* last_ = nullptr;
+};
 
 /// Install on a Host with set_app (or chain from another handler).
 /// Expects ProbeHeader-carrying UDP payloads from CbrTrafficGen.
@@ -64,7 +90,7 @@ class PacketSink {
   std::uint64_t max_seq_plus_one_ = 0;
   std::uint64_t reordered_ = 0;
   std::uint64_t expected_next_ = 0;
-  std::unordered_set<std::uint64_t> seen_;
+  SequenceSet seen_;
   stats::Histogram latency_us_;
   stats::RateMeter meter_;
   sim::Time first_arrival_ = -1;

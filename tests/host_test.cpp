@@ -85,6 +85,43 @@ TEST(PacketSink, DetectsLossAndPreservedOrder) {
   EXPECT_EQ(sink.reordered(), 0u);
 }
 
+TEST(PacketSink, SparseSequencesCountedOnceInBoundedMemory) {
+  Testbed tb;
+  PacketSink sink(tb.host(1), /*install=*/false);
+  auto deliver = [&](std::uint64_t seq) {
+    std::vector<std::uint8_t> payload(ProbeHeader::kBytes);
+    ProbeHeader{seq, 0}.write_to(payload);
+    sink.accept(net::build_udp_packet(tb.host(0).mac(), tb.host(1).mac(),
+                                      tb.host(0).ip(), tb.host(1).ip(), 7000,
+                                      9000, payload));
+  };
+  // 0..9 with 5 missing, 7 and 2 repeated, 3 arriving late.
+  for (std::uint64_t seq : {0, 1, 2, 4, 6, 7, 7, 3, 8, 9, 2}) deliver(seq);
+  EXPECT_EQ(sink.packets(), 11u);
+  EXPECT_EQ(sink.max_sequence_plus_one(), 10u);
+  EXPECT_EQ(sink.missing(), 1u);  // 5
+  EXPECT_EQ(sink.reordered(), 3u);  // the second 7, 3 and the second 2
+
+  // A corrupted header can carry any 64-bit sequence: counted once, at
+  // the cost of one 4,096-sequence block, not a bitmap up to 2^63.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 63;
+  deliver(kHuge);
+  deliver(kHuge);
+  EXPECT_EQ(sink.packets(), 13u);
+  EXPECT_EQ(sink.max_sequence_plus_one(), kHuge + 1);
+  EXPECT_EQ(sink.missing(), kHuge + 1 - 10);  // 9 low sequences + kHuge
+  EXPECT_EQ(sink.reordered(), 4u);
+
+  SequenceSet set;
+  for (std::uint64_t seq : {0, 4095, 4095}) set.insert(seq);
+  EXPECT_EQ(set.blocks(), 1u);
+  EXPECT_TRUE(set.insert(kHuge));
+  EXPECT_FALSE(set.insert(kHuge));
+  EXPECT_FALSE(set.insert(4095));
+  EXPECT_TRUE(set.insert(4096));
+  EXPECT_EQ(set.blocks(), 3u);
+}
+
 TEST(LatencyProbe, SerializedSamples) {
   Testbed tb;
   LatencyProbe probe(tb.host(0), tb.host(1),
