@@ -44,10 +44,17 @@ Packet build_pfc_frame(const PfcFrame& pfc) {
 
 std::optional<PfcFrame> parse_pfc_frame(const Packet& packet) {
   if (packet.size() < kEthernetHeaderBytes + 2 + 2 + 16) return std::nullopt;
+  // Almost every frame a host receives is not MAC control: read the
+  // EtherType in place before parsing (and copying) the whole header.
+  const auto bytes = packet.bytes();
+  const auto ether_type = static_cast<std::uint16_t>(
+      (bytes[kEthernetHeaderBytes - 2] << 8) | bytes[kEthernetHeaderBytes - 1]);
+  if (ether_type != static_cast<std::uint16_t>(EtherType::kFlowControl)) {
+    return std::nullopt;
+  }
   try {
-    ByteReader r(packet.bytes());
+    ByteReader r(bytes);
     const EthernetHeader eth = EthernetHeader::parse(r);
-    if (eth.type() != EtherType::kFlowControl) return std::nullopt;
     if (r.u16() != kMacControlOpcodePfc) return std::nullopt;
     PfcFrame f;
     f.src = eth.src;
