@@ -17,6 +17,7 @@
 #include "net/checksum.hpp"
 #include "net/flow.hpp"
 #include "net/packet.hpp"
+#include "rnic/memory.hpp"
 #include "roce/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -236,6 +237,19 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+/// Register a remote-memory region, then destroy it: t1 and the sweep
+/// benches pay this once per cell. Regions are demand-zero, so the cost
+/// should not grow with the length.
+void BM_RegisterRegion(benchmark::State& state) {
+  const auto length = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    rnic::MemoryManager memory;
+    auto& region = memory.register_region(length, rnic::Access::kAll);
+    benchmark::DoNotOptimize(region.bytes().data());
+  }
+}
+BENCHMARK(BM_RegisterRegion)->Arg(64 << 10)->Arg(16 << 20)->Arg(64 << 20);
 
 }  // namespace
 
