@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "sim/env.hpp"
 
 namespace xmem::core {
 
@@ -147,24 +144,6 @@ std::string_view LookupCache::policy_name(Policy policy) {
       return "lfu";
   }
   return "?";
-}
-
-std::optional<LookupCache::Policy> LookupCache::parse_policy(
-    std::string_view name) {
-  std::string lowered(name);
-  for (char& c : lowered) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (lowered == "fifo") return Policy::kFifo;
-  if (lowered == "lru") return Policy::kLru;
-  if (lowered == "lfu" || lowered == "slfu") return Policy::kLfu;
-  return std::nullopt;
-}
-
-LookupCache::Policy LookupCache::policy_from_env(Policy fallback) {
-  const std::optional<std::string> value = sim::env("XMEM_CACHE_POLICY");
-  if (!value.has_value()) return fallback;
-  return parse_policy(*value).value_or(fallback);
 }
 
 LookupCache::LookupCache(Config config) : config_(config) {

@@ -55,13 +55,6 @@ class LookupCache {
   enum class Policy : std::uint8_t { kFifo, kLru, kLfu };
 
   [[nodiscard]] static std::string_view policy_name(Policy policy);
-  /// Case-insensitive "fifo" / "lru" / "lfu" (also "slfu"); nullopt on
-  /// anything else.
-  [[nodiscard]] static std::optional<Policy> parse_policy(
-      std::string_view name);
-  /// XMEM_CACHE_POLICY environment override (the CI cache-matrix
-  /// passthrough); `fallback` when unset or unparseable.
-  [[nodiscard]] static Policy policy_from_env(Policy fallback);
 
   using Key = std::vector<std::uint8_t>;
 

@@ -27,8 +27,7 @@ LookupCache::Config cache_config_from(
     const LookupTablePrimitive::Config& config) {
   LookupCache::Config cc;
   cc.capacity = config.cache_capacity;
-  cc.policy = config.cache_policy.value_or(
-      LookupCache::policy_from_env(LookupCache::Policy::kLru));
+  cc.policy = config.cache_policy;
   cc.negative_ttl = config.negative_ttl;
   cc.lfu_protected_fraction = config.lfu_protected_fraction;
   return cc;

@@ -85,10 +85,8 @@ class LookupTablePrimitive {
     std::size_t entry_bytes = 2048;
     /// Local SRAM cache capacity in entries (0 disables caching).
     std::size_t cache_capacity = 0;
-    /// Eviction policy. nullopt resolves the XMEM_CACHE_POLICY
-    /// environment override (the CI cache-policy matrix) and falls back
-    /// to LRU; an explicit value always wins.
-    std::optional<LookupCache::Policy> cache_policy;
+    /// Eviction policy of the local cache.
+    LookupCache::Policy cache_policy = LookupCache::Policy::kLru;
     /// Remember absent-key READ verdicts locally for this long, so a
     /// stream of misses on the same dead key stops re-issuing remote
     /// READs. 0 disables negative caching.

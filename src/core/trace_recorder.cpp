@@ -1,6 +1,6 @@
 #include "core/trace_recorder.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "core/primitive.hpp"
 
@@ -40,10 +40,18 @@ TraceRecorderPrimitive::TraceRecorderPrimitive(
     switchsim::ProgrammableSwitch& sw, control::RdmaChannelConfig channel,
     Config config)
     : switch_(&sw), channel_(sw, std::move(channel)), config_(std::move(config)) {
-  assert(config_.batch >= 1);
-  assert(config_.batch * TraceRecord::kBytes <= channel_.config().path_mtu);
+  if (config_.batch < 1) {
+    throw std::invalid_argument("TraceRecorder: batch must be >= 1");
+  }
+  if (config_.batch * TraceRecord::kBytes > channel_.config().path_mtu) {
+    throw std::invalid_argument(
+        "TraceRecorder: one batch WRITE must fit one path MTU");
+  }
   capacity_ = channel_.config().region_bytes / TraceRecord::kBytes;
-  assert(capacity_ > 0);
+  if (capacity_ == 0) {
+    throw std::invalid_argument(
+        "TraceRecorder: the region must hold at least one record");
+  }
 
   if (!config_.filter) {
     config_.filter = [](const net::Packet& p) {

@@ -1,6 +1,7 @@
 #include "host/traffic_gen.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "net/packet.hpp"
 
@@ -33,8 +34,14 @@ ProbeHeader ProbeHeader::read_from(std::span<const std::uint8_t> payload) {
 
 CbrTrafficGen::CbrTrafficGen(Host& host, Config config)
     : host_(&host), config_(config) {
-  assert(config_.frame_size >= net::kEthernetMinFrame);
-  assert(config_.rate > 0);
+  if (config_.frame_size < net::kEthernetMinFrame) {
+    throw std::invalid_argument(
+        "CbrTrafficGen: frame_size must be at least a minimum Ethernet frame");
+  }
+  // transmission_time() divides by the rate.
+  if (config_.rate <= 0) {
+    throw std::invalid_argument("CbrTrafficGen: rate must be > 0");
+  }
   // Inter-departure spacing so that frame bits average to `rate`.
   interval_ = sim::transmission_time(
       static_cast<std::int64_t>(config_.frame_size), config_.rate);

@@ -7,6 +7,12 @@
 // on first read, so every later read in the process sees the same
 // value, and xmem-lint's env-read rule bans raw getenv() everywhere
 // else.
+//
+// The snapshot is unsynchronized: a first read inserts into a shared
+// map. Read it only at startup on the main thread (resolve_jobs() does,
+// before any worker exists), never from code that a SweepDriver replica
+// runs, including anything a replica constructs (primitives, caches,
+// channels). Resolve a setting up front and pass it down as config.
 #pragma once
 
 #include <optional>

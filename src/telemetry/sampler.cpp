@@ -1,12 +1,16 @@
 #include "telemetry/sampler.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace xmem::telemetry {
 
 Sampler::Sampler(sim::Simulator& simulator, OpTracer& tracer, Config config)
     : sim_(&simulator), tracer_(&tracer), config_(std::move(config)) {
-  assert(config_.period > 0);
+  // A non-positive period re-arms the tick at the same instant forever,
+  // so Simulator::run() would never return.
+  if (config_.period <= 0) {
+    throw std::invalid_argument("Sampler: period must be > 0");
+  }
 }
 
 void Sampler::add_gauge(const MetricsRegistry& registry,

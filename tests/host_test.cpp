@@ -2,6 +2,8 @@
 // latency), incast coordination, latency probe, CPU accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "control/testbed.hpp"
 #include "host/netpipe.hpp"
 #include "host/sink.hpp"
@@ -66,6 +68,14 @@ TEST(CbrTrafficGen, SmallFramesCarryProbe) {
   EXPECT_EQ(sink.packets(), 10u);
   EXPECT_EQ(sink.latency_us().count(), 10u);
   EXPECT_EQ(sink.max_sequence_plus_one(), 10u);
+}
+
+TEST(CbrTrafficGen, RejectsInvalidConfigsAtConstruction) {
+  Testbed tb;
+  EXPECT_THROW(CbrTrafficGen(tb.host(0), {.frame_size = 32}),
+               std::invalid_argument);
+  // A zero rate would make the inter-departure spacing infinite.
+  EXPECT_THROW(CbrTrafficGen(tb.host(0), {.rate = 0}), std::invalid_argument);
 }
 
 TEST(PacketSink, DetectsLossAndPreservedOrder) {

@@ -1,13 +1,19 @@
 // Integration tests for the remote lookup-table primitive: bounce mode
-// (the paper's design), the recirculate variant, local SRAM caching,
-// collision detection, and the DSCP-rewrite workload of Fig. 3a.
+// (the paper's design), the recirculate variant, local SRAM caching
+// under every eviction policy, collision detection, and the
+// DSCP-rewrite workload of Fig. 3a.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "control/testbed.hpp"
 #include "core/lookup_table.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
 #include "net/flow.hpp"
+#include "sim/env.hpp"
 
 namespace xmem::core {
 namespace {
@@ -74,6 +80,26 @@ class LookupTableTest : public ::testing::Test {
   std::unique_ptr<LookupTablePrimitive> primitive_;
 };
 
+/// Cache behaviour that must not depend on the eviction policy: every
+/// case runs once per policy.
+class LookupTableCacheTest
+    : public LookupTableTest,
+      public ::testing::WithParamInterface<LookupCache::Policy> {
+ protected:
+  LookupTablePrimitive& make_cached(LookupTablePrimitive::Config cfg) {
+    cfg.cache_policy = GetParam();
+    return make_primitive(std::move(cfg));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, LookupTableCacheTest,
+    ::testing::Values(LookupCache::Policy::kFifo, LookupCache::Policy::kLru,
+                      LookupCache::Policy::kLfu),
+    [](const ::testing::TestParamInfo<LookupCache::Policy>& p) {
+      return std::string(LookupCache::policy_name(p.param));
+    });
+
 TEST_F(LookupTableTest, BounceModeAppliesRemoteAction) {
   auto& lt = make_primitive({});
   install(flow_key(7000, 9000), dscp_forward_action(46));
@@ -103,8 +129,8 @@ TEST_F(LookupTableTest, MissingEntryDropsPacket) {
   EXPECT_EQ(lt.stats().no_entry_drops, 5u);
 }
 
-TEST_F(LookupTableTest, LocalCacheAbsorbsRepeatTraffic) {
-  auto& lt = make_primitive({.cache_capacity = 64});
+TEST_P(LookupTableCacheTest, LocalCacheAbsorbsRepeatTraffic) {
+  auto& lt = make_cached({.cache_capacity = 64});
   install(flow_key(7000, 9000), dscp_forward_action(10));
   host::PacketSink sink(tb_.host(1));
   // 100 Mb/s -> ~20 us between packets, far above the lookup RTT, so
@@ -118,8 +144,6 @@ TEST_F(LookupTableTest, LocalCacheAbsorbsRepeatTraffic) {
 }
 
 TEST_F(LookupTableTest, CacheEvictionIsFifo) {
-  // Explicit policy: the default is LRU (or the XMEM_CACHE_POLICY env
-  // override under the CI cache matrix), and this test pins FIFO.
   auto& lt = make_primitive(
       {.cache_capacity = 2, .cache_policy = LookupCache::Policy::kFifo});
   // Three distinct flows (distinct source ports), each with an entry.
@@ -134,6 +158,26 @@ TEST_F(LookupTableTest, CacheEvictionIsFifo) {
   EXPECT_EQ(lt.stats().cache_inserts, 3u);
   EXPECT_EQ(lt.stats().cache_evictions, 1u);
   EXPECT_EQ(lt.cache_size(), 2u);
+}
+
+TEST_F(LookupTableTest, CachePolicyComesFromConfigOnly) {
+  // Regression: an unset policy used to fall back to XMEM_CACHE_POLICY,
+  // read through the unsynchronized sim::env snapshot from every
+  // constructor, sweep worker threads included. The default is LRU.
+  sim::reset_env_for_test();
+  const std::optional<std::string> saved = sim::env("XMEM_CACHE_POLICY");
+  ::setenv("XMEM_CACHE_POLICY", "fifo", 1);
+  sim::reset_env_for_test();
+
+  auto& lt = make_primitive({.cache_capacity = 4});
+  EXPECT_EQ(lt.cache().policy(), LookupCache::Policy::kLru);
+
+  if (saved.has_value()) {
+    ::setenv("XMEM_CACHE_POLICY", saved->c_str(), 1);
+  } else {
+    ::unsetenv("XMEM_CACHE_POLICY");
+  }
+  sim::reset_env_for_test();
 }
 
 TEST_F(LookupTableTest, IndexCollisionIsDetectedAndDropped) {
@@ -279,8 +323,8 @@ TEST_F(LookupTableTest, OversizedPacketRefusedNotCorrupting) {
   EXPECT_EQ(lt.channel().stats().writes_sent, 0u);
 }
 
-TEST_F(LookupTableTest, CacheServesHitsWhileShardDown) {
-  auto& lt = make_primitive({.cache_capacity = 64});
+TEST_P(LookupTableCacheTest, CacheServesHitsWhileShardDown) {
+  auto& lt = make_cached({.cache_capacity = 64});
   install(flow_key(7000, 9000), dscp_forward_action(12));
   host::PacketSink sink(tb_.host(1));
 
@@ -309,8 +353,8 @@ TEST_F(LookupTableTest, CacheServesHitsWhileShardDown) {
   EXPECT_EQ(lt.stats().degraded_passthrough, 4u);
 }
 
-TEST_F(LookupTableTest, DegradedBypassSkipsCacheWhileShardDown) {
-  auto& lt = make_primitive(
+TEST_P(LookupTableCacheTest, DegradedBypassSkipsCacheWhileShardDown) {
+  auto& lt = make_cached(
       {.cache_capacity = 64,
        .degraded_cache = LookupTablePrimitive::DegradedCacheMode::kBypass});
   install(flow_key(7000, 9000), dscp_forward_action(12));
@@ -329,8 +373,8 @@ TEST_F(LookupTableTest, DegradedBypassSkipsCacheWhileShardDown) {
   EXPECT_EQ(lt.stats().degraded_passthrough, 10u);
 }
 
-TEST_F(LookupTableTest, WriteThroughInvalidationRefetchesNewAction) {
-  auto& lt = make_primitive({.cache_capacity = 64});
+TEST_P(LookupTableCacheTest, WriteThroughInvalidationRefetchesNewAction) {
+  auto& lt = make_cached({.cache_capacity = 64});
   install(flow_key(7000, 9000), dscp_forward_action(10));
   host::PacketSink sink(tb_.host(1));
   std::uint8_t seen_dscp = 0;
@@ -354,8 +398,8 @@ TEST_F(LookupTableTest, WriteThroughInvalidationRefetchesNewAction) {
   EXPECT_EQ(lt.cache().stats().invalidations, 1u);
 }
 
-TEST_F(LookupTableTest, NegativeCacheSuppressesRepeatMissReads) {
-  auto& lt = make_primitive(
+TEST_P(LookupTableCacheTest, NegativeCacheSuppressesRepeatMissReads) {
+  auto& lt = make_cached(
       {.cache_capacity = 64, .negative_ttl = sim::milliseconds(10)});
   // No entry installed for this flow at all.
   host::PacketSink sink(tb_.host(1));

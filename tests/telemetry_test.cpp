@@ -259,6 +259,13 @@ TEST(SamplerTest, GaugeNameValidatedUpFront) {
   EXPECT_THROW(sampler.add_gauge(reg, "missing"), std::out_of_range);
 }
 
+TEST(SamplerTest, RejectsNonPositivePeriod) {
+  // A zero period would re-arm the tick at the same instant forever.
+  sim::Simulator sim;
+  OpTracer tracer(sim);
+  EXPECT_THROW(Sampler(sim, tracer, {.period = 0}), std::invalid_argument);
+}
+
 // --- Integration: primitives under telemetry ------------------------------
 
 class TelemetryIntegrationTest : public ::testing::Test {

@@ -1,7 +1,9 @@
 // Tests for the remote trace recorder: record round trip, field
-// fidelity, batching arithmetic, ring wrap, capture mode, and the
-// zero-CPU property.
+// fidelity, batching arithmetic, ring wrap, capture mode, the
+// zero-CPU property, and construction-time config checks.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "control/testbed.hpp"
 #include "core/trace_recorder.hpp"
@@ -184,6 +186,21 @@ TEST_F(TraceRecorderTest, FilterExcludesTraffic) {
   send_packets(10, 7000);
   send_packets(4, 7005);
   EXPECT_EQ(rec.stats().records_captured, 4u);
+}
+
+TEST_F(TraceRecorderTest, RejectsInvalidConfigsAtConstruction) {
+  EXPECT_THROW(TraceRecorderPrimitive(tb_.tor(), channel_, {.batch = 0}),
+               std::invalid_argument);
+  // One batch ships as one WRITE, so it must fit one path MTU.
+  const std::size_t too_many = channel_.path_mtu / TraceRecord::kBytes + 1;
+  EXPECT_THROW(TraceRecorderPrimitive(tb_.tor(), channel_, {.batch = too_many}),
+               std::invalid_argument);
+  // A region smaller than one record leaves no slot; ring mode would
+  // divide by zero on the first packet.
+  const auto tiny = tb_.controller().setup_channel(
+      tb_.host(2), tb_.port_of(2), {.region_bytes = TraceRecord::kBytes - 1});
+  EXPECT_THROW(TraceRecorderPrimitive(tb_.tor(), tiny, {.batch = 1}),
+               std::invalid_argument);
 }
 
 }  // namespace
