@@ -13,14 +13,19 @@
 //      queue grows for the whole run and p50 climbs into milliseconds;
 //      a 1%-capacity cache absorbs the hot head of the Zipf
 //      distribution, keeps the miss stream under link capacity, and p50
-//      stays in microseconds. The >= 10x p50 ratio is the pinned claim.
+//      stays in microseconds, at least 500x apart.
 //   3. Churn: a control plane rewriting random entries (write-through
 //      invalidate + refetch) erodes the hit rate gracefully.
 //
 // Plus a policy shoot-out (FIFO vs LRU vs segmented LFU) at the cliff
 // operating point. All runs are deterministic (seeded Zipf, seeded
-// workload), so every JSON metric is safe to pin in BENCH_PR5.json.
+// workload), so the verdicts hold the hit rates to analytic models for
+// independent Zipf lookups (Che's approximation for LRU) and the cliff
+// to fixed bars.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -222,6 +227,42 @@ std::string pct(double frac) {
   return buf;
 }
 
+/// Hit rate of a `capacity`-entry cache under independent Zipf(alpha)
+/// lookups of kFlows flows. LFU holds the most popular flows. LRU is
+/// Che's approximation: flow p is cached with probability 1 - exp(-p T),
+/// T set so the expected occupancy is `capacity`; FIFO uses p T / (1 + p T).
+double model_hit_rate(core::LookupCache::Policy policy, double alpha,
+                      std::size_t capacity) {
+  std::vector<double> p(kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    p[i] = std::pow(static_cast<double>(i + 1), -alpha);
+  }
+  const double norm = std::accumulate(p.begin(), p.end(), 0.0);
+  for (double& x : p) x /= norm;
+  if (policy == core::LookupCache::Policy::kLfu) {
+    return std::accumulate(p.begin(), p.begin() + static_cast<long>(capacity),
+                           0.0);
+  }
+  // Expected occupancy (hits = false) or hit rate (hits = true) at t.
+  auto total = [&](double t, bool hits) {
+    double sum = 0;
+    for (const double x : p) {
+      const double in = policy == core::LookupCache::Policy::kLru
+                            ? 1.0 - std::exp(-x * t)
+                            : x * t / (1.0 + x * t);
+      sum += (hits ? x : 1.0) * in;
+    }
+    return sum;
+  };
+  double lo = 0;
+  double hi = 1e12;
+  for (int i = 0; i < 200; ++i) {
+    const double mid = (lo + hi) / 2;
+    (total(mid, false) < static_cast<double>(capacity) ? lo : hi) = mid;
+  }
+  return total(hi, true);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -299,13 +340,25 @@ int main(int argc, char** argv) {
   // --- 1. Miss-rate curves: capacity x skew ---------------------------
   stats::TablePrinter curve({"cache (entries)", "alpha=0.6", "alpha=0.9",
                              "alpha=0.99", "alpha=1.2"});
+  auto grid = [&](std::size_t si, std::size_t ai) -> const RunResult& {
+    return res[si * skews.size() + ai];
+  };
+  bool grid_monotone = true;
+  double grid_worst_dev = 0;
   for (std::size_t si = 0; si < sizes.size(); ++si) {
     const std::size_t size = sizes[si];
     std::vector<std::string> row = {std::to_string(size) + " (" +
                                     pct(static_cast<double>(size) / kFlows) +
                                     ")"};
     for (std::size_t ai = 0; ai < skews.size(); ++ai) {
-      const RunResult& r = res[si * skews.size() + ai];
+      const RunResult& r = grid(si, ai);
+      if ((si > 0 && r.hit_rate <= grid(si - 1, ai).hit_rate) ||
+          (ai > 0 && r.hit_rate <= grid(si, ai - 1).hit_rate)) {
+        grid_monotone = false;
+      }
+      const double che = model_hit_rate(core::LookupCache::Policy::kLru,
+                                        skews[ai], size);
+      grid_worst_dev = std::max(grid_worst_dev, std::abs(r.hit_rate / che - 1));
       row.push_back(pct(r.miss_rate));
       char metric[64];
       std::snprintf(metric, sizeof(metric), "hit_rate/a%.2f/c%zu", skews[ai],
@@ -353,22 +406,56 @@ int main(int argc, char** argv) {
   churn_tbl.print("hit rate under control-plane churn (1% cache, alpha=0.99)");
 
   // --- 4. Policy shoot-out at the cliff operating point ---------------
-  stats::TablePrinter pol_tbl({"policy", "hit rate", "p50 (us)"});
+  stats::TablePrinter pol_tbl({"policy", "hit rate", "model", "p50 (us)"});
+  double policy_worst_ratio = 1.0;
   for (std::size_t pi = 0; pi < policies.size(); ++pi) {
     const RunResult& r = res[policy_at + pi];
     const std::string name(core::LookupCache::policy_name(policies[pi]));
-    pol_tbl.add_row({name, pct(r.hit_rate),
+    const double model =
+        model_hit_rate(policies[pi], 0.99, cliff_cached.cache_capacity);
+    policy_worst_ratio = std::min(policy_worst_ratio, r.hit_rate / model);
+    pol_tbl.add_row({name, pct(r.hit_rate), pct(model),
                      stats::TablePrinter::num(r.p50_us)});
     results.add("policy/" + name + "_hit_rate", r.hit_rate, "ratio");
   }
   pol_tbl.print("eviction policy comparison (1% cache, alpha=0.99)");
 
+  results.verdict(grid_monotone && grid_worst_dev < 0.15,
+                  "LRU hit rate rises with cache size and with alpha in all "
+                  "16 cells, each within 15% of Che's approximation for "
+                  "independent Zipf lookups");
+
+  // The latency cliff: the uncached RX backlog grows for the whole run,
+  // so its p50 lands in milliseconds; the cached miss stream stays under
+  // the NIC's capacity, so its p50 stays at a few microseconds.
   char claim[200];
   std::snprintf(claim, sizeof(claim),
                 "1%% cache cuts p50 %.0fx (%.0f us -> %.1f us) at "
-                "alpha=0.99, hit rate %.0f%%",
+                "alpha=0.99, hit rate %.0f%% (bar: uncached 1-4 ms, cached "
+                "< 5 us, >= 500x)",
                 speedup, nocache.p50_us, cached.p50_us,
                 cached.hit_rate * 100.0);
-  bench::verdict(speedup >= 10.0, claim);
-  return speedup >= 10.0 ? 0 : 1;
+  results.verdict(nocache.p50_us >= 1000.0 && nocache.p50_us <= 4000.0 &&
+                      cached.p50_us < 5.0 && speedup >= 500.0,
+                  claim);
+
+  // The churn-free run repeats the grid's 10-entry, alpha=0.99 cell.
+  bool churn_lowers = res[churn_at].hit_rate == grid(1, 2).hit_rate;
+  for (std::size_t ci = churn_at + 1; ci < policy_at; ++ci) {
+    churn_lowers = churn_lowers && res[ci].hit_rate < res[ci - 1].hit_rate;
+  }
+  results.verdict(churn_lowers && res[policy_at - 1].hit_rate >=
+                                      0.85 * res[churn_at].hit_rate,
+                  "churn lowers the hit rate gracefully: monotone in the "
+                  "rewrite rate, >= 85% of churn-free at 200k rewrites/s");
+
+  // At 2.3 M lookups/s a repeat that arrives while its flow's miss is in
+  // flight misses too, so every policy lands somewhat below its model.
+  const double fifo = res[policy_at].hit_rate;
+  const double lru = res[policy_at + 1].hit_rate;
+  const double lfu = res[policy_at + 2].hit_rate;
+  results.verdict(lfu > lru && lru > fifo && policy_worst_ratio >= 0.75,
+                  "at alpha=0.99, LFU > LRU > FIFO, each at >= 75% of its "
+                  "model");
+  return results.finish();
 }

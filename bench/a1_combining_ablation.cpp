@@ -76,7 +76,8 @@ Row run(std::uint64_t window) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("A1 (§7 ablation)", "combining Fetch-and-Add updates",
                 "batching counter updates cuts the F&A bandwidth "
                 "proportionally, at the cost of update delay");
@@ -102,7 +103,7 @@ int main() {
   std::snprintf(claim, sizeof(claim),
                 "window 64 cuts F&A bandwidth %.1fx vs per-packet updates",
                 bw_at_1 / bw_at_64);
-  bench::verdict(bw_at_64 < bw_at_1 / 4, claim);
-  bench::verdict(always_exact, "accuracy stays exact at every window");
-  return 0;
+  results.verdict(bw_at_64 < bw_at_1 / 4, claim);
+  results.verdict(always_exact, "accuracy stays exact at every window");
+  return results.finish();
 }

@@ -76,7 +76,8 @@ Row run(core::LookupTablePrimitive::Mode mode, std::size_t frame_size) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("A2 (§7 ablation)", "bounce vs recirculate lookup",
                 "recirculating saves the original packet's round trip to "
                 "remote memory at the cost of holding it in the switch");
@@ -108,11 +109,11 @@ int main() {
   }
   table.print("A2: remote-memory bandwidth and latency per lookup");
 
-  bench::verdict(recirc_saves_bandwidth,
-                 "recirculate cuts memory-link traffic (no packet deposit, "
-                 "action-only READ)");
-  bench::verdict(bounce_holds_nothing,
-                 "bounce holds zero per-packet switch state; recirculate "
-                 "must hold the originals");
-  return 0;
+  results.verdict(recirc_saves_bandwidth,
+                  "recirculate cuts memory-link traffic (no packet deposit, "
+                  "action-only READ)");
+  results.verdict(bounce_holds_nothing,
+                  "bounce holds zero per-packet switch state; recirculate "
+                  "must hold the originals");
+  return results.finish();
 }

@@ -91,7 +91,8 @@ BufferRow buffer_under_loss(double loss, bool reliable) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("A3 (§7 ablation)", "loss on the RDMA channel",
                 "drops cost state accuracy; ACK/NAK handling makes the "
                 "remote counter reliable");
@@ -128,11 +129,11 @@ int main() {
   }
   buffer.print("A3-b: packet buffer under READ-response loss");
 
-  bench::verdict(besteffort_degrades,
-                 "without reliability, loss shows up as counting error "
-                 "(the paper's §7 concern)");
-  bench::verdict(reliable_exact,
-                 "with ACK/NAK handling + replay cache, counts stay exact "
-                 "at every loss rate");
-  return 0;
+  results.verdict(besteffort_degrades,
+                  "without reliability, loss shows up as counting error "
+                  "(the paper's §7 concern)");
+  results.verdict(reliable_exact,
+                  "with ACK/NAK handling + replay cache, counts stay exact "
+                  "at every loss rate");
+  return results.finish();
 }

@@ -96,7 +96,8 @@ Outcome run(Design design) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner(
       "A4 (§2.1/§7 ablation)", "PFC vs remote packet buffer",
       "PFC avoids drops but 'leads to other serious problems'; the remote "
@@ -121,15 +122,15 @@ int main() {
   row("remote packet buffer (2 servers)", remote);
   table.print("A4: incast handling vs collateral damage on a victim flow");
 
-  bench::verdict(droptail.incast_loss_pct > 5.0,
-                 "drop-tail loses incast traffic");
-  bench::verdict(pfc.incast_loss_pct == 0.0 && pfc.pauses > 0,
-                 "PFC makes the incast lossless");
-  bench::verdict(pfc.victim_p99_us > 5 * droptail.victim_p99_us,
-                 "...but head-of-line blocks the innocent victim flow");
-  bench::verdict(remote.incast_loss_pct == 0.0,
-                 "the remote buffer also makes the incast lossless");
-  bench::verdict(remote.victim_p99_us < 2 * droptail.victim_p99_us,
-                 "...while leaving the victim flow untouched (no caveats)");
-  return 0;
+  results.verdict(droptail.incast_loss_pct > 5.0,
+                  "drop-tail loses incast traffic");
+  results.verdict(pfc.incast_loss_pct == 0.0 && pfc.pauses > 0,
+                  "PFC makes the incast lossless");
+  results.verdict(pfc.victim_p99_us > 5 * droptail.victim_p99_us,
+                  "...but head-of-line blocks the innocent victim flow");
+  results.verdict(remote.incast_loss_pct == 0.0,
+                  "the remote buffer also makes the incast lossless");
+  results.verdict(remote.victim_p99_us < 2 * droptail.victim_p99_us,
+                  "...while leaving the victim flow untouched (no caveats)");
+  return results.finish();
 }

@@ -91,7 +91,8 @@ Outcome run(double stored_fraction) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("A5 (§2.2 application)", "NetCache-style KV acceleration",
                 "the switch answers GETs from remote memory; the software "
                 "slow path is eliminated or minimized");
@@ -116,12 +117,12 @@ int main() {
               "collisions: two keys sharing a slot evict each other from "
               "the direct-indexed store and fall back to the CPU safely — "
               "the same §7 data-structure limitation as the lookup table.");
-  bench::verdict(
+  results.verdict(
       full.hit_pct == 100.0 &&
           full.backend_cpu < kRequests / 20,
       "fully-populated store: the switch answers everything except a "
       "small collision tail (<5% of GETs reach the backend CPU)");
-  bench::verdict(full.hit_p50_us < run(0.25).miss_p50_us,
-                 "switch-answered GETs are faster than the CPU slow path");
-  return 0;
+  results.verdict(full.hit_p50_us < run(0.25).miss_p50_us,
+                  "switch-answered GETs are faster than the CPU slow path");
+  return results.finish();
 }

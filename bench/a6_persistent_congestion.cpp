@@ -101,7 +101,8 @@ Outcome run(bool with_dctcp) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner(
       "A6 (§2.1 ablation)", "persistent overload needs the ECN backstop",
       "bursts are absorbed by remote DRAM; persistent congestion must be "
@@ -132,12 +133,12 @@ int main() {
               "buffer hides the backlog from normal queue-based ECN, so "
               "the primitive itself must surface it for the paper's "
               "backstop to engage.");
-  bench::verdict(open_loop.ring_drops > 0,
-                 "open-loop senders eventually overflow the finite ring");
-  bench::verdict(closed_loop.ring_drops == 0 && closed_loop.tm_drops == 0 &&
-                     closed_loop.delivered == 2 * kPacketsPerSender,
-                 "with the ECN backstop the same overload is lossless");
-  bench::verdict(closed_loop.min_sender_gbps < 25.0,
-                 "DCTCP pulled the senders toward the 20 Gb/s fair share");
-  return 0;
+  results.verdict(open_loop.ring_drops > 0,
+                  "open-loop senders eventually overflow the finite ring");
+  results.verdict(closed_loop.ring_drops == 0 && closed_loop.tm_drops == 0 &&
+                      closed_loop.delivered == 2 * kPacketsPerSender,
+                  "with the ECN backstop the same overload is lossless");
+  results.verdict(closed_loop.min_sender_gbps < 25.0,
+                  "DCTCP pulled the senders toward the 20 Gb/s fair share");
+  return results.finish();
 }

@@ -8,9 +8,8 @@
 // completed-F&A throughput: each server enforces its own outstanding
 // window and atomic execution rate, so the aggregate should scale close
 // to linearly until demand is met, while counting stays exact.
+#include <algorithm>
 #include <cstdio>
-
-#include <chrono>
 
 #include "bench_util.hpp"
 #include "control/testbed.hpp"
@@ -22,10 +21,6 @@
 using namespace xmem;
 
 namespace {
-
-// Engine events across every Testbed this bench creates; main() folds
-// the total and an events/sec rate into the --json output.
-std::uint64_t g_sim_events = 0;
 
 constexpr std::uint64_t kCounters = 64;
 
@@ -86,8 +81,6 @@ Result run(int servers) {
     }
   }
 
-  g_sim_events += tb.sim().queue().scheduled_count();
-
   Result r;
   r.mops = static_cast<double>(completed_in_window) /
            (static_cast<double>(window) / sim::kSecond) / 1e6;
@@ -103,7 +96,6 @@ Result run(int servers) {
 
 int main(int argc, char** argv) {
   bench::BenchResults results(argc, argv);
-  const auto wall_start = std::chrono::steady_clock::now();
   bench::banner("A7", "sharded state store scale-out (1/2/4/8 servers)",
                 "single-server atomics cap at a few Mops; pooling servers "
                 "multiplies the cap (§2.1/§2.2 multi-server deployments)");
@@ -111,13 +103,13 @@ int main(int argc, char** argv) {
   stats::TablePrinter table({"mem_servers", "fetch_add_Mops", "speedup",
                              "accuracy"});
   double base_mops = 0;
-  double speedup4 = 0;
+  double worst_efficiency = 1.0;
   double worst_accuracy = 1.0;
   for (int servers : {1, 2, 4, 8}) {
     const Result r = run(servers);
     if (servers == 1) base_mops = r.mops;
     const double speedup = base_mops > 0 ? r.mops / base_mops : 0;
-    if (servers == 4) speedup4 = speedup;
+    worst_efficiency = std::min(worst_efficiency, speedup / servers);
     if (r.accuracy < worst_accuracy) worst_accuracy = r.accuracy;
     table.add_row({std::to_string(servers),
                    stats::TablePrinter::num(r.mops, 2),
@@ -130,16 +122,15 @@ int main(int argc, char** argv) {
   }
   table.print("A7: F&A throughput vs memory-server pool size");
 
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-  results.add("sim_events", static_cast<double>(g_sim_events), "events");
-  results.add("sim_events_per_sec",
-              wall > 0 ? static_cast<double>(g_sim_events) / wall : 0,
-              "events/s");
-  bench::verdict(speedup4 > 3.0,
-                 "4-server pool delivers >3x single-server F&A throughput");
-  bench::verdict(worst_accuracy == 1.0,
-                 "counting stays exact at every pool size");
-  return 0;
+  // The paper's ~2.1 Gb/s F&A stream (Fig. 3b) is the single RNIC's
+  // atomic cap: at 110 wire bytes per request that is ~2.4 Mops.
+  results.verdict(base_mops > 1.9 && base_mops < 2.9,
+                  "one memory server completes the paper's ~2.1 Gb/s of "
+                  "110 B F&A requests (1.9-2.9 Mops)");
+  results.verdict(worst_efficiency >= 0.9,
+                  "F&A throughput scales near-linearly: a pool of K servers "
+                  "delivers >= 0.9K x one server");
+  results.verdict(worst_accuracy == 1.0,
+                  "counting stays exact at every pool size");
+  return results.finish();
 }

@@ -171,13 +171,12 @@ int main(int argc, char** argv) {
   }
   table.print("A8: reliable state store, uniform vs burst loss");
 
-  bench::verdict(all_exact,
-                 "exactly-once counting holds under uniform AND burst loss "
-                 "at every rate");
-  bench::verdict(burst_trips_failover && uniform_never_down,
-                 "bursts reach the health thresholds and register a "
-                 "measurable failover outage; uniform loss at the same "
-                 "mean rate never does");
-  results.write();
-  return 0;
+  results.verdict(all_exact,
+                  "exactly-once counting holds under uniform AND burst loss "
+                  "at every rate");
+  results.verdict(burst_trips_failover && uniform_never_down,
+                  "bursts reach the health thresholds and register a "
+                  "measurable failover outage; uniform loss at the same "
+                  "mean rate never does");
+  return results.finish();
 }

@@ -54,10 +54,8 @@ int main(int argc, char** argv) {
                 "live sampling shows the outage dip and the post-reconnect "
                 "recovery; reliable counters stay exact throughout");
   bench::BenchResults results(argc, argv);
-  std::string ts_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--timeseries") ts_path = argv[i + 1];
-  }
+  const std::string ts_path =
+      bench::flag_value(argc, argv, "--timeseries");
 
   control::Testbed tb({.hosts = 3, .memory_servers = 1});
 
@@ -201,19 +199,19 @@ int main(int argc, char** argv) {
                   static_cast<double>(sampled),
               "%");
 
-  bench::verdict(counted == sampled && sampled > 0,
-                 "reliable counters stayed exact across the RNIC restart");
-  bench::verdict(sched.stats().rnic_hangs == 1 &&
-                     sched.stats().rnic_restarts == 1 &&
-                     tb.memory_server(0).rnic().epoch() == 1,
-                 "fault plan executed: one hang, one restart, new NIC epoch");
-  bench::verdict(dip_ratio < 0.25,
-                 "goodput series shows the outage (dip below 25% of "
-                 "pre-fault)");
-  bench::verdict(recovery_ratio > 0.75,
-                 "goodput series shows the recovery (back above 75% of "
-                 "pre-fault)");
-  bench::verdict(flight.total_recorded() >= 2,
-                 "flight recorder captured the fault actions");
-  return 0;
+  results.verdict(counted == sampled && sampled > 0,
+                  "reliable counters stayed exact across the RNIC restart");
+  results.verdict(sched.stats().rnic_hangs == 1 &&
+                      sched.stats().rnic_restarts == 1 &&
+                      tb.memory_server(0).rnic().epoch() == 1,
+                  "fault plan executed: one hang, one restart, new NIC epoch");
+  results.verdict(dip_ratio < 0.25,
+                  "goodput series shows the outage (dip below 25% of "
+                  "pre-fault)");
+  results.verdict(recovery_ratio > 0.75,
+                  "goodput series shows the recovery (back above 75% of "
+                  "pre-fault)");
+  results.verdict(flight.total_recorded() >= 2,
+                  "flight recorder captured the fault actions");
+  return results.finish();
 }

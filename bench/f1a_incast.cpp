@@ -109,7 +109,8 @@ std::string pct(std::uint64_t part, std::uint64_t whole) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner(
       "F1a (§2.1)", "last-hop incast absorption",
       "8x40G senders, 50 MB burst, 12 MB buffer: buffer full in ~0.34 ms "
@@ -143,13 +144,13 @@ int main() {
       "absorbing the full 320 Gb/s arrival needs ceil(320/34) = 10 "
       "servers - a deployment detail the paper's arithmetic leaves out.");
 
-  bench::verdict(base.first_drop_ms > 0.25 && base.first_drop_ms < 0.5,
-                 "baseline buffer exhausts in ~0.34 ms (paper arithmetic)");
-  bench::verdict(base.dropped > 0, "baseline drop-tail switch loses packets");
-  bench::verdict(remote.dropped == 0,
-                 "remote packet buffer delivers the burst losslessly");
-  bench::verdict(remote.completion_ms > 9.5 && remote.completion_ms < 14.0,
-                 "burst drains in ~10 ms (50 MB at 40 Gb/s)");
-  bench::verdict(remote.server_cpu == 0, "zero server CPU involvement");
-  return 0;
+  results.verdict(base.first_drop_ms > 0.25 && base.first_drop_ms < 0.5,
+                  "baseline buffer exhausts in ~0.34 ms (paper arithmetic)");
+  results.verdict(base.dropped > 0, "baseline drop-tail switch loses packets");
+  results.verdict(remote.dropped == 0,
+                  "remote packet buffer delivers the burst losslessly");
+  results.verdict(remote.completion_ms > 9.5 && remote.completion_ms < 14.0,
+                  "burst drains in ~10 ms (50 MB at 40 Gb/s)");
+  results.verdict(remote.server_cpu == 0, "zero server CPU involvement");
+  return results.finish();
 }

@@ -176,7 +176,8 @@ Row run_remote(std::uint64_t vips, bool with_cache, sim::Bandwidth rate) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner(
       "F1b (§2.2)", "virtual-to-physical tables beyond switch SRAM",
       "vswitch tables are >=10x switch SRAM; a remote table removes the "
@@ -228,9 +229,9 @@ int main() {
                 "beyond SRAM, remote table p99 %.1f us vs CPU slow path "
                 "p99 %.1f us",
                 big_remote_p99, big_cpu_p99);
-  bench::verdict(remote_beats_cpu_at_scale, claim);
-  bench::verdict(cache_restores_fast_path,
-                 "SRAM cache in front of the remote table restores "
-                 "near-baseline median latency");
-  return 0;
+  results.verdict(remote_beats_cpu_at_scale, claim);
+  results.verdict(cache_restores_fast_path,
+                  "SRAM cache in front of the remote table restores "
+                  "near-baseline median latency");
+  return results.finish();
 }

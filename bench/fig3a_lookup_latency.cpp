@@ -110,6 +110,6 @@ int main(int argc, char** argv) {
   std::snprintf(claim, sizeof(claim),
                 "remote lookup adds %.2f-%.2f us (paper: 1-2 us band)",
                 min_overhead, max_overhead);
-  bench::verdict(all_in_band, claim);
-  return 0;
+  results.verdict(all_in_band, claim);
+  return results.finish();
 }

@@ -4,14 +4,12 @@
 // encode/decode, ICRC, table lookups, the event engine and the hash
 // functions are the per-packet costs every simulated experiment pays.
 //
-// The EventQueue* and Packet* benches are the perf-gate's pinned hot
-// paths: schedule/fire, schedule/cancel churn at three dead fractions,
-// clone, clone+truncate-to-64B and parse. scripts/bench.sh runs them
-// with `--json <path>` (translated below into google-benchmark's JSON
-// reporter) and bench/perf_gate folds the numbers into BENCH_*.json.
+// A developer tool with no gate: run it by hand, with google-benchmark's
+// own flags (--benchmark_filter, --benchmark_out=<path>). Host-perf
+// gating belongs to bench/xmem_bench, which compares whole workloads
+// against the parent commit.
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
 #include "net/checksum.hpp"
@@ -253,26 +251,4 @@ BENCHMARK(BM_RegisterRegion)->Arg(64 << 10)->Arg(16 << 20)->Arg(64 << 20);
 
 }  // namespace
 
-/// Custom main instead of BENCHMARK_MAIN(): the repo-wide bench flag
-/// `--json <path>` is translated into google-benchmark's JSON reporter
-/// so perf_gate consumes one flag convention across all benches.
-int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      args.push_back(std::string("--benchmark_out=") + argv[i + 1]);
-      args.emplace_back("--benchmark_out_format=json");
-      ++i;
-      continue;
-    }
-    args.emplace_back(argv[i]);
-  }
-  std::vector<char*> argp;
-  argp.reserve(args.size());
-  for (auto& a : args) argp.push_back(a.data());
-  int n = static_cast<int>(argp.size());
-  benchmark::Initialize(&n, argp.data());
-  if (benchmark::ReportUnrecognizedArguments(n, argp.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -14,8 +14,6 @@
 #include <cstdio>
 #include <functional>
 
-#include <chrono>
-
 #include "bench_util.hpp"
 #include "control/testbed.hpp"
 #include "core/packet_buffer.hpp"
@@ -26,10 +24,6 @@
 using namespace xmem;
 
 namespace {
-
-// Engine events across every Testbed this bench creates; main() folds
-// the total and an events/sec rate into the --json output.
-std::uint64_t g_sim_events = 0;
 
 constexpr std::size_t kFrame = 1500;
 
@@ -58,7 +52,6 @@ bool store_lossless_at(sim::Bandwidth rate) {
   tb.sim().run_until(sim::milliseconds(2));
   gen.stop();
   tb.sim().run();
-  g_sim_events += tb.sim().queue().scheduled_count();
   const auto& nic = tb.host(2).rnic().stats();
   return nic.requests_dropped_overflow == 0 &&
          pb.stats().ring_full_drops == 0 &&
@@ -115,7 +108,6 @@ double load_forward_gbps(std::uint64_t packets) {
   if (sink.packets() != packets || pb.stats().lost_loads != 0) {
     std::fprintf(stderr, "drain lost packets\n");
   }
-  g_sim_events += tb.sim().queue().scheduled_count();
   const sim::Time elapsed = sink.last_arrival() - start;
   return sim::to_gbps(
       sim::achieved_rate(static_cast<std::int64_t>(packets * kFrame), elapsed));
@@ -165,7 +157,6 @@ double native_gbps(bool use_read, std::size_t message_bytes) {
   stop = true;
   const double gbps = sim::to_gbps(sim::achieved_rate(completed_bytes, window));
   tb.sim().run();
-  g_sim_events += tb.sim().queue().scheduled_count();
   return gbps;
 }
 
@@ -173,7 +164,6 @@ double native_gbps(bool use_read, std::size_t message_bytes) {
 
 int main(int argc, char** argv) {
   bench::BenchResults results(argc, argv);
-  const auto wall_start = std::chrono::steady_clock::now();
   bench::banner(
       "T1 (§5)", "packet-buffer primitive throughput",
       "store at 34.1 Gb/s, load+forward at 37.4 Gb/s, both lossless; "
@@ -207,20 +197,14 @@ int main(int argc, char** argv) {
               baseline_advantage);
   results.add("native_advantage", baseline_advantage, "%");
 
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-  results.add("sim_events", static_cast<double>(g_sim_events), "events");
-  results.add("sim_events_per_sec",
-              wall > 0 ? static_cast<double>(g_sim_events) / wall : 0,
-              "events/s");
-  bench::verdict(store > 32.0 && store < 36.0,
-                 "store ceiling lands near the paper's 34.1 Gb/s");
-  bench::verdict(forward > 36.0 && forward < 39.0,
-                 "load+forward lands near the paper's 37.4 Gb/s");
-  bench::verdict(store < forward && forward < native_best,
-                 "ordering holds: store < load+forward < native RDMA");
-  bench::verdict(baseline_advantage > 2.0 && baseline_advantage < 8.0,
-                 "native advantage is a few percent (paper: 4.4%)");
-  return 0;
+  results.verdict(store > 32.0 && store < 36.0,
+                  "store ceiling lands near the paper's 34.1 Gb/s");
+  results.verdict(forward > 36.0 && forward < 39.0,
+                  "load+forward lands near the paper's 37.4 Gb/s");
+  results.verdict(store < forward && forward < native_write &&
+                      forward < native_read,
+                  "ordering holds: store < load+forward < both native verbs");
+  results.verdict(baseline_advantage > 2.9 && baseline_advantage < 5.9,
+                  "native advantage is within 1.5 points of the paper's 4.4%");
+  return results.finish();
 }

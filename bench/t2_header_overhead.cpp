@@ -39,7 +39,8 @@ std::size_t frame_bytes(roce::Opcode op, std::size_t payload,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("T2 (§4)", "RoCE header overhead per operation",
                 "40 B (RoCEv2) / 52 B (RoCEv1) of routing+transport headers "
                 "plus 16 B (WRITE/READ) or 28 B (Fetch-and-Add)");
@@ -86,12 +87,12 @@ int main() {
       frame_bytes(roce::Opcode::kFetchAdd, 0, roce::RoceVersion::kV2) -
       net::kEthernetHeaderBytes - roce::kIcrcBytes;
 
-  bench::verdict(v2_write == 40 + 16,
-                 "RoCEv2 WRITE adds 40 B routing/transport + 16 B RETH");
-  bench::verdict(v1_write == 52 + 16,
-                 "RoCEv1 WRITE adds 52 B routing/transport + 16 B RETH");
-  bench::verdict(v2_atomic == 40 + 28,
-                 "RoCEv2 Fetch-and-Add adds 40 B + 28 B AtomicETH");
+  results.verdict(v2_write == 40 + 16,
+                  "RoCEv2 WRITE adds 40 B routing/transport + 16 B RETH");
+  results.verdict(v1_write == 52 + 16,
+                  "RoCEv1 WRITE adds 52 B routing/transport + 16 B RETH");
+  results.verdict(v2_atomic == 40 + 28,
+                  "RoCEv2 Fetch-and-Add adds 40 B + 28 B AtomicETH");
 
   // Effective goodput tax when storing packets of various sizes.
   stats::TablePrinter tax({"stored frame (B)", "wire bytes/op (v2)",
@@ -106,5 +107,5 @@ int main() {
                  stats::TablePrinter::num(overhead) + "%"});
   }
   tax.print("T2-b: bandwidth tax of storing a packet remotely");
-  return 0;
+  return results.finish();
 }

@@ -109,7 +109,8 @@ CpuRow vswitch_cpu() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchResults results(argc, argv);
   bench::banner("T3 (§5)", "CPU involvement audit",
                 "\"All the primitives have zero CPU overhead\" — the server "
                 "CPU acts only at channel initialization");
@@ -131,13 +132,13 @@ int main() {
                  std::to_string(vs.server_cpu)});
   table.print("T3: packets handled by the memory server's CPU");
 
-  bench::verdict(pb.server_cpu == 0 && pb.rdma_ops > 0,
-                 "packet buffer: thousands of RDMA ops, zero CPU packets");
-  bench::verdict(lt.server_cpu == 0 && lt.rdma_ops > 0,
-                 "lookup table: zero CPU packets");
-  bench::verdict(ss.server_cpu == 0 && ss.rdma_ops > 0,
-                 "state store: zero CPU packets");
-  bench::verdict(vs.server_cpu >= 2000,
-                 "the software alternative burns CPU on every packet");
-  return 0;
+  results.verdict(pb.server_cpu == 0 && pb.rdma_ops > 0,
+                  "packet buffer: thousands of RDMA ops, zero CPU packets");
+  results.verdict(lt.server_cpu == 0 && lt.rdma_ops > 0,
+                  "lookup table: zero CPU packets");
+  results.verdict(ss.server_cpu == 0 && ss.rdma_ops > 0,
+                  "state store: zero CPU packets");
+  results.verdict(vs.server_cpu >= 2000,
+                  "the software alternative burns CPU on every packet");
+  return results.finish();
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "sim/time.hpp"
 #include "sim/units.hpp"
@@ -51,8 +52,12 @@ struct DcqcnConfig {
 
 class DcqcnRateController {
  public:
+  /// Throws std::invalid_argument on a config the timers or the pacer
+  /// cannot run: g = 0 keeps alpha at 1 so the alpha timer re-arms
+  /// forever, a non-positive timer re-arms at the same instant, and a
+  /// zero rate divides by zero in sim::transmission_time.
   explicit DcqcnRateController(DcqcnConfig config)
-      : config_(config),
+      : config_(validated(config)),
         current_(config.line_rate),
         target_(config.line_rate) {}
 
@@ -119,6 +124,23 @@ class DcqcnRateController {
   }
 
  private:
+  static DcqcnConfig validated(const DcqcnConfig& c) {
+    if (c.line_rate <= 0) {
+      throw std::invalid_argument("DcqcnConfig: line_rate must be > 0");
+    }
+    if (c.min_rate <= 0 || c.min_rate > c.line_rate) {
+      throw std::invalid_argument(
+          "DcqcnConfig: need 0 < min_rate <= line_rate");
+    }
+    if (!(c.g > 0.0 && c.g <= 1.0)) {
+      throw std::invalid_argument("DcqcnConfig: need 0 < g <= 1");
+    }
+    if (c.alpha_timer <= 0 || c.rate_timer <= 0) {
+      throw std::invalid_argument("DcqcnConfig: timers must be > 0");
+    }
+    return c;
+  }
+
   void increase_step() {
     const std::uint32_t fastest = std::max(timer_rounds_, byte_rounds_);
     const std::uint32_t slowest = std::min(timer_rounds_, byte_rounds_);

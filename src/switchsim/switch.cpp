@@ -1,6 +1,7 @@
 #include "switchsim/switch.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "net/bytes.hpp"
 #include "net/pause.hpp"
@@ -61,8 +62,14 @@ void ProgrammableSwitch::enable_pfc(std::int64_t xoff_bytes,
                                     std::int64_t xon_bytes,
                                     int priority_class) {
   assert(ready() && "enable_pfc before setup()");
-  assert(xon_bytes < xoff_bytes);
-  assert(priority_class >= 0 && priority_class < 8);
+  // An inverted band would never XON; net::pfc_xoff masks the class with
+  // & 7, so class 8 would silently pause class 0.
+  if (xon_bytes < 0 || xon_bytes >= xoff_bytes) {
+    throw std::invalid_argument("enable_pfc: need 0 <= xon < xoff bytes");
+  }
+  if (priority_class < 0 || priority_class > 7) {
+    throw std::invalid_argument("enable_pfc: priority class must be 0..7");
+  }
   pfc_enabled_ = true;
   pfc_xoff_bytes_ = xoff_bytes;
   pfc_xon_bytes_ = xon_bytes;

@@ -71,7 +71,8 @@ class ProgrammableSwitch : public topo::Node {
   /// tenants. Note the inherent head-of-line blocking either way: the
   /// port MAC model pauses the whole transmitter, victims included — the
   /// behaviour bench/a4 quantifies and Port::hol_blocked_packets()
-  /// counts.
+  /// counts. Throws std::invalid_argument unless 0 <= xon < xoff and the
+  /// class is in 0..7.
   void enable_pfc(std::int64_t xoff_bytes, std::int64_t xon_bytes,
                   int priority_class = 0);
   [[nodiscard]] bool pfc_paused() const { return pfc_paused_; }

@@ -1,7 +1,5 @@
 #include "switchsim/table.hpp"
 
-#include <algorithm>
-
 #include "net/flow.hpp"
 
 namespace xmem::switchsim {
@@ -38,54 +36,6 @@ const Action* ExactMatchTable::lookup(
 bool ExactMatchTable::erase(std::span<const std::uint8_t> key) {
   const Key k(key.begin(), key.end());
   return entries_.erase(k) > 0;
-}
-
-void LpmTable::insert(std::uint32_t prefix, int prefix_len, Action action) {
-  const std::uint32_t mask =
-      prefix_len == 0 ? 0 : ~std::uint32_t{0} << (32 - prefix_len);
-  by_length_[prefix_len][prefix & mask] = action;
-}
-
-const Action* LpmTable::lookup(std::uint32_t key) const {
-  for (const auto& [len, table] : by_length_) {
-    const std::uint32_t mask =
-        len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
-    auto it = table.find(key & mask);
-    if (it != table.end()) return &it->second;
-  }
-  return nullptr;
-}
-
-std::size_t LpmTable::size() const {
-  std::size_t n = 0;
-  for (const auto& [len, table] : by_length_) n += table.size();
-  return n;
-}
-
-bool TernaryTable::insert(Key value, Key mask, int priority, Action action) {
-  if (entries_.size() >= capacity_) return false;
-  if (value.size() != mask.size()) return false;
-  Entry e{std::move(value), std::move(mask), priority, action};
-  auto pos = std::lower_bound(
-      entries_.begin(), entries_.end(), e,
-      [](const Entry& a, const Entry& b) { return a.priority > b.priority; });
-  entries_.insert(pos, std::move(e));
-  return true;
-}
-
-const Action* TernaryTable::lookup(std::span<const std::uint8_t> key) const {
-  for (const auto& e : entries_) {
-    if (e.value.size() != key.size()) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < key.size(); ++i) {
-      if ((key[i] & e.mask[i]) != (e.value[i] & e.mask[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return &e.action;
-  }
-  return nullptr;
 }
 
 }  // namespace xmem::switchsim

@@ -1,13 +1,9 @@
-// Match-action tables: exact, longest-prefix and ternary matching, with
-// capacity limits that model the scarce on-chip SRAM/TCAM the paper's
-// whole premise revolves around.
+// Exact-match tables, with a capacity limit that models the scarce
+// on-chip SRAM the paper's whole premise revolves around.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -49,42 +45,6 @@ class ExactMatchTable {
   std::size_t capacity_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
-};
-
-/// Longest-prefix-match table over 32-bit keys (IPv4 routing).
-class LpmTable {
- public:
-  void insert(std::uint32_t prefix, int prefix_len, Action action);
-  [[nodiscard]] const Action* lookup(std::uint32_t key) const;
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  // One exact-match map per prefix length, searched longest-first.
-  std::map<int, std::unordered_map<std::uint32_t, Action>, std::greater<>>
-      by_length_;
-};
-
-/// Ternary (value/mask + priority) table, i.e. TCAM.
-class TernaryTable {
- public:
-  explicit TernaryTable(std::size_t capacity = SIZE_MAX)
-      : capacity_(capacity) {}
-
-  /// Higher `priority` wins. Returns false when full.
-  bool insert(Key value, Key mask, int priority, Action action);
-
-  [[nodiscard]] const Action* lookup(std::span<const std::uint8_t> key) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    Key value;
-    Key mask;
-    int priority;
-    Action action;
-  };
-  std::vector<Entry> entries_;  // kept sorted by descending priority
-  std::size_t capacity_;
 };
 
 }  // namespace xmem::switchsim

@@ -6,6 +6,8 @@
 // bit-deterministic.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "control/testbed.hpp"
 #include "core/adaptive_rto.hpp"
 #include "core/dcqcn.hpp"
@@ -129,6 +131,30 @@ TEST(DcqcnRateControllerTest, SustainedCnpsNeverCutBelowMinRate) {
   for (int i = 0; i < 200; ++i) cc.on_cnp();
   EXPECT_EQ(cc.rate(), cfg.min_rate);
   EXPECT_GT(cc.rate(), 0);
+}
+
+TEST(DcqcnRateControllerTest, RejectsConfigsThePacerOrTimersCannotRun) {
+  auto make = [](auto edit) {
+    DcqcnConfig cfg;
+    edit(cfg);
+    return DcqcnRateController(cfg);
+  };
+  using C = DcqcnConfig;
+  // A zero rate divides by zero in sim::transmission_time.
+  EXPECT_THROW(make([](C& c) { c.line_rate = 0; }), std::invalid_argument);
+  EXPECT_THROW(make([](C& c) { c.min_rate = 0; }), std::invalid_argument);
+  EXPECT_THROW(make([](C& c) { c.min_rate = c.line_rate + 1; }),
+               std::invalid_argument);
+  // g = 0 pins alpha at 1, so the alpha timer would re-arm forever.
+  EXPECT_THROW(make([](C& c) { c.g = 0; }), std::invalid_argument);
+  EXPECT_THROW(make([](C& c) { c.g = 1.5; }), std::invalid_argument);
+  // A non-positive period re-arms at the same instant.
+  EXPECT_THROW(make([](C& c) { c.alpha_timer = 0; }), std::invalid_argument);
+  EXPECT_THROW(make([](C& c) { c.rate_timer = -1; }), std::invalid_argument);
+  EXPECT_NO_THROW(make([](C& c) {
+    c.g = 1.0;
+    c.min_rate = c.line_rate;
+  }));
 }
 
 // --- AdaptiveRto unit tests ------------------------------------------------
@@ -350,6 +376,13 @@ TEST(DcqcnLoopTest, WithoutCcCnpsAreCountedButIgnored) {
   EXPECT_EQ(loop.channel_->stats().paced_deferrals, 0u) << "no CC, no pacing";
   EXPECT_EQ(loop.channel_->rate_controller(), nullptr);
   EXPECT_EQ(loop.responses_.size(), 100u);
+}
+
+TEST(DcqcnLoopTest, ChannelRejectsInvalidConfigAndStaysUncontrolled) {
+  DcqcnLoop loop;
+  EXPECT_THROW(loop.channel_->enable_congestion_control({.g = 0}),
+               std::invalid_argument);
+  EXPECT_EQ(loop.channel_->rate_controller(), nullptr);
 }
 
 TEST(DcqcnLoopTest, CongestionEpisodeIsDeterministic) {

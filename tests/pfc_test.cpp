@@ -3,6 +3,8 @@
 // packet buffer avoids.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "control/testbed.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
@@ -106,6 +108,23 @@ TEST(PfcSwitch, IncastBecomesLossless) {
   EXPECT_GT(tb.tor().stats().pfc_xon_sent, 0u);
   EXPECT_GT(tb.host(0).pfc_frames(), 0u);
   EXPECT_FALSE(tb.tor().pfc_paused()) << "resumed by the end";
+}
+
+TEST(PfcSwitch, RejectsInvertedThresholdsAndOutOfRangeClass) {
+  Testbed tb;
+  auto& tor = tb.tor();
+  constexpr std::int64_t kXoff = 40 * 1500;
+  constexpr std::int64_t kXon = 15 * 1500;
+  EXPECT_THROW(tor.enable_pfc(kXon, kXoff), std::invalid_argument)
+      << "xon above xoff";
+  EXPECT_THROW(tor.enable_pfc(kXoff, kXoff), std::invalid_argument)
+      << "xon equal to xoff";
+  EXPECT_THROW(tor.enable_pfc(kXoff, -1), std::invalid_argument)
+      << "negative xon";
+  EXPECT_THROW(tor.enable_pfc(kXoff, kXon, 8), std::invalid_argument)
+      << "class 8 would be masked to class 0";
+  EXPECT_THROW(tor.enable_pfc(kXoff, kXon, -1), std::invalid_argument);
+  EXPECT_NO_THROW(tor.enable_pfc(kXoff, 0, 7));
 }
 
 TEST(PfcSwitch, VictimFlowSuffersHeadOfLineBlocking) {

@@ -41,45 +41,6 @@ TEST(ExactMatchTable, CapacityModelsSram) {
   EXPECT_EQ(t.size(), 2u);
 }
 
-TEST(LpmTable, LongestPrefixWins) {
-  LpmTable t;
-  t.insert(0x0a000000, 8, Action{Action::Kind::kForward, 0, 1, {}, {}});
-  t.insert(0x0a0a0000, 16, Action{Action::Kind::kForward, 0, 2, {}, {}});
-  t.insert(0x0a0a0a00, 24, Action{Action::Kind::kForward, 0, 3, {}, {}});
-  EXPECT_EQ(t.lookup(0x0a0a0a05)->port, 3);
-  EXPECT_EQ(t.lookup(0x0a0a0505)->port, 2);
-  EXPECT_EQ(t.lookup(0x0a050505)->port, 1);
-  EXPECT_EQ(t.lookup(0x0b000000), nullptr);
-  EXPECT_EQ(t.size(), 3u);
-}
-
-TEST(LpmTable, DefaultRouteMatchesEverything) {
-  LpmTable t;
-  t.insert(0, 0, Action{Action::Kind::kForward, 0, 9, {}, {}});
-  EXPECT_EQ(t.lookup(0xffffffff)->port, 9);
-}
-
-TEST(TernaryTable, PriorityAndMasking) {
-  TernaryTable t;
-  // Match any key whose first byte is 0x0a, low priority.
-  t.insert({0x0a, 0x00}, {0xff, 0x00}, 1,
-           Action{Action::Kind::kForward, 0, 1, {}, {}});
-  // Exact two-byte match, higher priority.
-  t.insert({0x0a, 0x05}, {0xff, 0xff}, 10,
-           Action{Action::Kind::kForward, 0, 2, {}, {}});
-  const std::vector<std::uint8_t> exact{0x0a, 0x05};
-  const std::vector<std::uint8_t> wild{0x0a, 0x77};
-  EXPECT_EQ(t.lookup(exact)->port, 2);
-  EXPECT_EQ(t.lookup(wild)->port, 1);
-  const std::vector<std::uint8_t> miss{0x0b, 0x05};
-  EXPECT_EQ(t.lookup(miss), nullptr);
-}
-
-TEST(TernaryTable, SizeMismatchRejected) {
-  TernaryTable t;
-  EXPECT_FALSE(t.insert({1, 2}, {0xff}, 0, Action{}));
-}
-
 TEST(Registers, ReadWriteUpdateBounds) {
   RegisterArray<std::uint32_t> regs(4, 7);
   EXPECT_EQ(regs.read(0), 7u);
