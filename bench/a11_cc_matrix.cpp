@@ -173,7 +173,7 @@ CellResult run_cell(Design design, Workload workload,
   std::uint64_t completed = 0;
   tb.tor().add_ingress_stage(
       "a11-capture", [&](switchsim::PipelineContext& ctx) {
-        auto msg = core::roce_view(ctx);
+        const auto* msg = core::roce_view(ctx);
         if (!msg) return;
         auto shard = set.owner_of(*msg);
         if (!shard) return;

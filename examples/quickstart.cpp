@@ -34,7 +34,7 @@ int main() {
   //    capture stage plays the role of a primitive's response handler.
   core::RdmaChannel channel(tb.tor(), config);
   tb.tor().add_ingress_stage("capture", [&](switchsim::PipelineContext& ctx) {
-    if (auto msg = core::roce_view(ctx); msg && channel.owns(*msg)) {
+    if (const auto* msg = core::roce_view(ctx); msg && channel.owns(*msg)) {
       if (roce::is_read_response(msg->opcode())) {
         std::printf("  <- READ response, %zu bytes: \"%.*s\"\n",
                     msg->payload.size(), static_cast<int>(msg->payload.size()),

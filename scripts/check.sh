@@ -64,10 +64,14 @@ run_report=0
 mode="tier1 + sanitize"  # named in the final verdict line
 usage() {
   echo "usage: $0 [--tier1|--sanitize|--tsan|--lint|--format|--tidy|--bench|--report]" >&2
+  echo "(at most one flag; run one mode per call)" >&2
   exit 2
 }
+# One mode per call: a second flag would silently switch the first one's
+# passes off (`--tier1 --sanitize` used to build nothing and pass).
+[[ $# -le 1 ]] || usage
 solo() { run_tier1=0; run_sanitize=0; mode=$1; }
-while [[ $# -gt 0 ]]; do
+if [[ $# -eq 1 ]]; then
   case "$1" in
     --tier1) run_sanitize=0; mode=tier1 ;;
     --sanitize) run_tier1=0; mode=sanitize ;;
@@ -79,8 +83,7 @@ while [[ $# -gt 0 ]]; do
     --report) solo report; run_report=1 ;;
     *) usage ;;
   esac
-  shift
-done
+fi
 
 if [[ "$run_tier1" == 1 ]]; then
   # Both tier-1 builds must be warning-free: every warning is an error

@@ -52,7 +52,7 @@ std::int64_t CountSketchApp::sign_of(std::size_t row,
 }
 
 void CountSketchApp::on_ingress(PipelineContext& ctx) {
-  if (auto msg = core::roce_view(ctx)) {
+  if (const auto* msg = core::roce_view(ctx)) {
     if (channel_.owns(*msg)) {
       handle_response(*msg);
       ctx.consume();

@@ -91,7 +91,7 @@ void KvAcceleratorApp::store_entry(std::span<std::uint8_t> region,
 }
 
 void KvAcceleratorApp::on_ingress(PipelineContext& ctx) {
-  if (auto msg = core::roce_view(ctx)) {
+  if (const auto* msg = core::roce_view(ctx)) {
     if (channel_.owns(*msg)) {
       handle_response(*msg);
       ctx.consume();

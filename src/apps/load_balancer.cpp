@@ -35,7 +35,7 @@ std::uint64_t L4LoadBalancer::conn_check(const net::FiveTuple& tuple) const {
 }
 
 void L4LoadBalancer::on_ingress(PipelineContext& ctx) {
-  if (auto msg = core::roce_view(ctx)) {
+  if (const auto* msg = core::roce_view(ctx)) {
     if (channel_.owns(*msg)) {
       handle_response(*msg);
       ctx.consume();

@@ -247,19 +247,19 @@ void ChannelSet::attach_telemetry(telemetry::MetricsRegistry* registry,
     shards_[i].channel->attach_telemetry(registry, tracer, shard_prefix);
     if (registry == nullptr) continue;
     ShardStats* st = &shards_[i].stats;
-    auto counter = [&](const char* field, const std::uint64_t* value,
-                       const char* unit) {
-      registry->register_counter(
-          shard_prefix + "/" + field,
-          [value]() { return static_cast<std::int64_t>(*value); }, unit);
-    };
-    counter("ops_routed", &st->ops_routed, "ops");
-    counter("routed_while_down", &st->routed_while_down, "ops");
-    counter("timeouts", &st->timeouts, "ops");
-    counter("naks", &st->naks, "ops");
-    counter("down_transitions", &st->down_transitions, "transitions");
-    counter("up_transitions", &st->up_transitions, "transitions");
-    counter("probes_sent", &st->probes_sent, "ops");
+    registry->register_counter(shard_prefix + "/ops_routed",
+                               &st->ops_routed, "ops");
+    registry->register_counter(shard_prefix + "/routed_while_down",
+                               &st->routed_while_down, "ops");
+    registry->register_counter(shard_prefix + "/timeouts",
+                               &st->timeouts, "ops");
+    registry->register_counter(shard_prefix + "/naks", &st->naks, "ops");
+    registry->register_counter(shard_prefix + "/down_transitions",
+                               &st->down_transitions, "transitions");
+    registry->register_counter(shard_prefix + "/up_transitions",
+                               &st->up_transitions, "transitions");
+    registry->register_counter(shard_prefix + "/probes_sent",
+                               &st->probes_sent, "ops");
     registry->register_gauge(
         shard_prefix + "/health",
         [this, i]() { return is_up(i) ? 1.0 : 0.0; }, "bool");

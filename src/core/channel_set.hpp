@@ -137,7 +137,7 @@ class ChannelSet {
   /// anyone else is left alone.
   template <class Fn>
   bool intercept(switchsim::PipelineContext& ctx, Fn&& on_response) {
-    const auto msg = roce_view(ctx);
+    const roce::RoceMessage* msg = roce_view(ctx);
     if (!msg) return false;
     if (const auto shard = owner_of(*msg)) {
       if (!maybe_cnp(*shard, *msg) && !maybe_probe_response(*shard, *msg)) {

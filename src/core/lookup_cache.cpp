@@ -307,22 +307,23 @@ void LookupCache::erase_node(Node& node) {
 void LookupCache::attach_telemetry(telemetry::MetricsRegistry* registry,
                                    const std::string& prefix) {
   if (registry == nullptr) return;
-  auto counter = [&](const char* field, const std::uint64_t* value,
-                     const char* unit) {
-    registry->register_counter(
-        prefix + "/" + field,
-        [value]() { return static_cast<std::int64_t>(*value); }, unit);
-  };
-  counter("hits", &stats_.hits, "lookups");
-  counter("misses", &stats_.misses, "lookups");
-  counter("inserts", &stats_.inserts, "entries");
-  counter("refreshes", &stats_.refreshes, "entries");
-  counter("evictions", &stats_.evictions, "entries");
-  counter("invalidations", &stats_.invalidations, "entries");
-  counter("negative_hits", &stats_.negative_hits, "lookups");
-  counter("negative_inserts", &stats_.negative_inserts, "entries");
-  counter("negative_expired", &stats_.negative_expired, "entries");
-  counter("promotions", &stats_.promotions, "entries");
+  registry->register_counter(prefix + "/hits", &stats_.hits, "lookups");
+  registry->register_counter(prefix + "/misses", &stats_.misses, "lookups");
+  registry->register_counter(prefix + "/inserts", &stats_.inserts, "entries");
+  registry->register_counter(prefix + "/refreshes",
+                             &stats_.refreshes, "entries");
+  registry->register_counter(prefix + "/evictions",
+                             &stats_.evictions, "entries");
+  registry->register_counter(prefix + "/invalidations",
+                             &stats_.invalidations, "entries");
+  registry->register_counter(prefix + "/negative_hits",
+                             &stats_.negative_hits, "lookups");
+  registry->register_counter(prefix + "/negative_inserts",
+                             &stats_.negative_inserts, "entries");
+  registry->register_counter(prefix + "/negative_expired",
+                             &stats_.negative_expired, "entries");
+  registry->register_counter(prefix + "/promotions",
+                             &stats_.promotions, "entries");
   registry->register_gauge(
       prefix + "/occupancy",
       [this]() { return static_cast<double>(map_.size()); }, "entries");

@@ -63,28 +63,37 @@ void LookupTablePrimitive::attach_telemetry(
     telemetry::MetricsRegistry* registry, telemetry::OpTracer* tracer,
     const std::string& prefix) {
   if (registry != nullptr) {
-    auto counter = [&](const char* field, const std::uint64_t* value,
-                       const char* unit) {
-      registry->register_counter(
-          prefix + "/" + field,
-          [value]() { return static_cast<std::int64_t>(*value); }, unit);
-    };
-    counter("cache_hits", &stats_.cache_hits, "lookups");
-    counter("remote_lookups", &stats_.remote_lookups, "lookups");
-    counter("applied", &stats_.applied, "packets");
-    counter("no_entry_drops", &stats_.no_entry_drops, "packets");
-    counter("collision_drops", &stats_.collision_drops, "packets");
-    counter("cache_inserts", &stats_.cache_inserts, "entries");
-    counter("cache_evictions", &stats_.cache_evictions, "entries");
-    counter("held_packets", &stats_.held_packets, "packets");
-    counter("lost_responses", &stats_.lost_responses, "ops");
-    counter("oversized_drops", &stats_.oversized_drops, "packets");
-    counter("duplicate_responses", &stats_.duplicate_responses, "ops");
-    counter("degraded_passthrough", &stats_.degraded_passthrough, "packets");
-    counter("negative_cache_drops", &stats_.negative_cache_drops, "packets");
-    counter("cache_hits_while_down", &stats_.cache_hits_while_down, "lookups");
-    counter("cache_stale_refetches", &stats_.cache_stale_refetches, "lookups");
-    counter("degraded_bypass", &stats_.degraded_bypass, "packets");
+    registry->register_counter(prefix + "/cache_hits",
+                               &stats_.cache_hits, "lookups");
+    registry->register_counter(prefix + "/remote_lookups",
+                               &stats_.remote_lookups, "lookups");
+    registry->register_counter(prefix + "/applied", &stats_.applied, "packets");
+    registry->register_counter(prefix + "/no_entry_drops",
+                               &stats_.no_entry_drops, "packets");
+    registry->register_counter(prefix + "/collision_drops",
+                               &stats_.collision_drops, "packets");
+    registry->register_counter(prefix + "/cache_inserts",
+                               &stats_.cache_inserts, "entries");
+    registry->register_counter(prefix + "/cache_evictions",
+                               &stats_.cache_evictions, "entries");
+    registry->register_counter(prefix + "/held_packets",
+                               &stats_.held_packets, "packets");
+    registry->register_counter(prefix + "/lost_responses",
+                               &stats_.lost_responses, "ops");
+    registry->register_counter(prefix + "/oversized_drops",
+                               &stats_.oversized_drops, "packets");
+    registry->register_counter(prefix + "/duplicate_responses",
+                               &stats_.duplicate_responses, "ops");
+    registry->register_counter(prefix + "/degraded_passthrough",
+                               &stats_.degraded_passthrough, "packets");
+    registry->register_counter(prefix + "/negative_cache_drops",
+                               &stats_.negative_cache_drops, "packets");
+    registry->register_counter(prefix + "/cache_hits_while_down",
+                               &stats_.cache_hits_while_down, "lookups");
+    registry->register_counter(prefix + "/cache_stale_refetches",
+                               &stats_.cache_stale_refetches, "lookups");
+    registry->register_counter(prefix + "/degraded_bypass",
+                               &stats_.degraded_bypass, "packets");
     registry->register_gauge(
         prefix + "/outstanding",
         [this]() { return static_cast<double>(outstanding()); }, "lookups");

@@ -9,9 +9,11 @@
 // action to the returned packet and forwards it. Optionally the action is
 // cached in local SRAM (core::LookupCache, FIFO/LRU/segmented-LFU).
 //
-// The §7 alternative is also implemented: kRecirculate holds the original
-// packet in the pipeline (recirculating) and READs only the 16-byte
-// action, saving the packet's round trip to remote memory.
+// The §7 alternative is also implemented: kRecirculate has the switch
+// hold the original packet (in the primitive's in-flight table) and READ
+// only the 16-byte action, saving the packet's round trip to remote
+// memory. No pipeline recirculation is modelled: the held packet leaves
+// when its action returns, with no second ingress pass.
 //
 // The local SRAM cache is a core::LookupCache (see lookup_cache.hpp):
 // bounded, with pluggable FIFO/LRU/segmented-LFU eviction, negative

@@ -46,23 +46,25 @@ void PacketBufferPrimitive::attach_telemetry(
     telemetry::MetricsRegistry* registry, telemetry::OpTracer* tracer,
     const std::string& prefix) {
   if (registry != nullptr) {
-    auto counter = [&](const char* field, const std::uint64_t* value,
-                       const char* unit) {
-      registry->register_counter(
-          prefix + "/" + field,
-          [value]() { return static_cast<std::int64_t>(*value); }, unit);
-    };
-    counter("stored", &stats_.stored, "packets");
-    counter("loaded", &stats_.loaded, "packets");
-    counter("ring_full_drops", &stats_.ring_full_drops, "packets");
-    counter("lost_loads", &stats_.lost_loads, "packets");
-    counter("read_retries", &stats_.read_retries, "ops");
-    counter("write_retries", &stats_.write_retries, "ops");
-    counter("deferred_stores", &stats_.deferred_stores, "packets");
-    counter("naks", &stats_.naks, "ops");
-    counter("ecn_marked", &stats_.ecn_marked, "packets");
-    counter("dead_stripe_drops", &stats_.dead_stripe_drops, "packets");
-    counter("duplicate_responses", &stats_.duplicate_responses, "ops");
+    registry->register_counter(prefix + "/stored", &stats_.stored, "packets");
+    registry->register_counter(prefix + "/loaded", &stats_.loaded, "packets");
+    registry->register_counter(prefix + "/ring_full_drops",
+                               &stats_.ring_full_drops, "packets");
+    registry->register_counter(prefix + "/lost_loads",
+                               &stats_.lost_loads, "packets");
+    registry->register_counter(prefix + "/read_retries",
+                               &stats_.read_retries, "ops");
+    registry->register_counter(prefix + "/write_retries",
+                               &stats_.write_retries, "ops");
+    registry->register_counter(prefix + "/deferred_stores",
+                               &stats_.deferred_stores, "packets");
+    registry->register_counter(prefix + "/naks", &stats_.naks, "ops");
+    registry->register_counter(prefix + "/ecn_marked",
+                               &stats_.ecn_marked, "packets");
+    registry->register_counter(prefix + "/dead_stripe_drops",
+                               &stats_.dead_stripe_drops, "packets");
+    registry->register_counter(prefix + "/duplicate_responses",
+                               &stats_.duplicate_responses, "ops");
     registry->register_counter(
         prefix + "/max_ring_depth",
         [this]() { return stats_.max_ring_depth; }, "entries");

@@ -79,31 +79,21 @@ void RdmaChannel::attach_telemetry(telemetry::MetricsRegistry* registry,
                                    telemetry::OpTracer* tracer,
                                    const std::string& prefix) {
   if (registry != nullptr) {
-    registry->register_counter(
-        prefix + "/writes_sent",
-        [this]() { return static_cast<std::int64_t>(stats_.writes_sent); },
-        "ops");
-    registry->register_counter(
-        prefix + "/reads_sent",
-        [this]() { return static_cast<std::int64_t>(stats_.reads_sent); },
-        "ops");
-    registry->register_counter(
-        prefix + "/atomics_sent",
-        [this]() { return static_cast<std::int64_t>(stats_.atomics_sent); },
-        "ops");
+    registry->register_counter(prefix + "/writes_sent",
+                               &stats_.writes_sent, "ops");
+    registry->register_counter(prefix + "/reads_sent",
+                               &stats_.reads_sent, "ops");
+    registry->register_counter(prefix + "/atomics_sent",
+                               &stats_.atomics_sent, "ops");
     registry->register_counter(
         prefix + "/request_bytes", [this]() { return stats_.request_bytes; },
         "bytes");
     registry->register_counter(
         prefix + "/payload_bytes", [this]() { return stats_.payload_bytes; },
         "bytes");
-    registry->register_counter(
-        prefix + "/cnp_rx",
-        [this]() { return static_cast<std::int64_t>(stats_.cnp_rx); }, "ops");
-    registry->register_counter(
-        prefix + "/paced_deferrals",
-        [this]() { return static_cast<std::int64_t>(stats_.paced_deferrals); },
-        "ops");
+    registry->register_counter(prefix + "/cnp_rx", &stats_.cnp_rx, "ops");
+    registry->register_counter(prefix + "/paced_deferrals",
+                               &stats_.paced_deferrals, "ops");
     // Allowed DCQCN rate; 0 means uncapped (congestion control is off).
     registry->register_gauge(
         prefix + "/current_rate_gbps",

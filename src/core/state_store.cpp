@@ -51,22 +51,26 @@ void StateStorePrimitive::attach_telemetry(
     telemetry::MetricsRegistry* registry, telemetry::OpTracer* tracer,
     const std::string& prefix) {
   if (registry != nullptr) {
-    auto counter = [&](const char* field, const std::uint64_t* value,
-                       const char* unit) {
-      registry->register_counter(
-          prefix + "/" + field,
-          [value]() { return static_cast<std::int64_t>(*value); }, unit);
-    };
-    counter("sampled_packets", &stats_.sampled_packets, "packets");
-    counter("fetch_adds_sent", &stats_.fetch_adds_sent, "ops");
-    counter("acks_received", &stats_.acks_received, "ops");
-    counter("naks_received", &stats_.naks_received, "ops");
-    counter("accumulated", &stats_.accumulated, "counts");
-    counter("retransmits", &stats_.retransmits, "ops");
-    counter("max_outstanding_seen", &stats_.max_outstanding_seen, "ops");
-    counter("counts_in_flight_lost", &stats_.counts_in_flight_lost, "counts");
-    counter("failover_reissues", &stats_.failover_reissues, "counts");
-    counter("duplicate_responses", &stats_.duplicate_responses, "ops");
+    registry->register_counter(prefix + "/sampled_packets",
+                               &stats_.sampled_packets, "packets");
+    registry->register_counter(prefix + "/fetch_adds_sent",
+                               &stats_.fetch_adds_sent, "ops");
+    registry->register_counter(prefix + "/acks_received",
+                               &stats_.acks_received, "ops");
+    registry->register_counter(prefix + "/naks_received",
+                               &stats_.naks_received, "ops");
+    registry->register_counter(prefix + "/accumulated",
+                               &stats_.accumulated, "counts");
+    registry->register_counter(prefix + "/retransmits",
+                               &stats_.retransmits, "ops");
+    registry->register_counter(prefix + "/max_outstanding_seen",
+                               &stats_.max_outstanding_seen, "ops");
+    registry->register_counter(prefix + "/counts_in_flight_lost",
+                               &stats_.counts_in_flight_lost, "counts");
+    registry->register_counter(prefix + "/failover_reissues",
+                               &stats_.failover_reissues, "counts");
+    registry->register_counter(prefix + "/duplicate_responses",
+                               &stats_.duplicate_responses, "ops");
     registry->register_gauge(
         prefix + "/outstanding",
         [this]() { return static_cast<double>(outstanding()); }, "ops");

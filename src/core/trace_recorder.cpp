@@ -69,18 +69,12 @@ void TraceRecorderPrimitive::attach_telemetry(
     telemetry::MetricsRegistry* registry, telemetry::OpTracer* tracer,
     const std::string& prefix) {
   if (registry != nullptr) {
-    registry->register_counter(
-        prefix + "/records_captured",
-        [this]() { return static_cast<std::int64_t>(stats_.records_captured); },
-        "records");
-    registry->register_counter(
-        prefix + "/writes_sent",
-        [this]() { return static_cast<std::int64_t>(stats_.writes_sent); },
-        "ops");
-    registry->register_counter(
-        prefix + "/dropped_log_full",
-        [this]() { return static_cast<std::int64_t>(stats_.dropped_log_full); },
-        "records");
+    registry->register_counter(prefix + "/records_captured",
+                               &stats_.records_captured, "records");
+    registry->register_counter(prefix + "/writes_sent",
+                               &stats_.writes_sent, "ops");
+    registry->register_counter(prefix + "/dropped_log_full",
+                               &stats_.dropped_log_full, "records");
     registry->register_gauge(
         prefix + "/unflushed",
         [this]() { return static_cast<double>(unflushed()); }, "records");
@@ -89,7 +83,7 @@ void TraceRecorderPrimitive::attach_telemetry(
 }
 
 void TraceRecorderPrimitive::on_ingress(PipelineContext& ctx) {
-  if (auto msg = roce_view(ctx)) {
+  if (const auto* msg = roce_view(ctx)) {
     if (channel_.owns(*msg)) ctx.consume();  // ACKs/NAKs: nothing to track
     return;
   }

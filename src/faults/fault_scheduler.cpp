@@ -117,21 +117,26 @@ void FaultScheduler::apply(const FaultEvent& event) {
 
 void FaultScheduler::register_metrics(telemetry::MetricsRegistry& registry,
                                       const std::string& prefix) {
-  auto counter = [&](const char* field, const std::uint64_t* value) {
-    registry.register_counter(
-        prefix + "/" + field,
-        [value]() { return static_cast<std::int64_t>(*value); }, "events");
-  };
-  counter("events_applied", &stats_.events_applied);
-  counter("link_loss_events", &stats_.link_loss_events);
-  counter("link_corrupt_events", &stats_.link_corrupt_events);
-  counter("link_duplicate_events", &stats_.link_duplicate_events);
-  counter("link_reorder_events", &stats_.link_reorder_events);
-  counter("link_jitter_events", &stats_.link_jitter_events);
-  counter("link_clear_events", &stats_.link_clear_events);
-  counter("rnic_hangs", &stats_.rnic_hangs);
-  counter("rnic_revives", &stats_.rnic_revives);
-  counter("rnic_restarts", &stats_.rnic_restarts);
+  registry.register_counter(prefix + "/events_applied",
+                            &stats_.events_applied, "events");
+  registry.register_counter(prefix + "/link_loss_events",
+                            &stats_.link_loss_events, "events");
+  registry.register_counter(prefix + "/link_corrupt_events",
+                            &stats_.link_corrupt_events, "events");
+  registry.register_counter(prefix + "/link_duplicate_events",
+                            &stats_.link_duplicate_events, "events");
+  registry.register_counter(prefix + "/link_reorder_events",
+                            &stats_.link_reorder_events, "events");
+  registry.register_counter(prefix + "/link_jitter_events",
+                            &stats_.link_jitter_events, "events");
+  registry.register_counter(prefix + "/link_clear_events",
+                            &stats_.link_clear_events, "events");
+  registry.register_counter(prefix + "/rnic_hangs",
+                            &stats_.rnic_hangs, "events");
+  registry.register_counter(prefix + "/rnic_revives",
+                            &stats_.rnic_revives, "events");
+  registry.register_counter(prefix + "/rnic_restarts",
+                            &stats_.rnic_restarts, "events");
 }
 
 }  // namespace xmem::faults

@@ -464,33 +464,36 @@ void Rnic::transmit_response(net::Packet&& frame) {
 
 void Rnic::register_metrics(telemetry::MetricsRegistry& registry,
                             const std::string& prefix) {
-  auto counter = [&](const char* field, const std::uint64_t* value,
-                     const char* unit) {
-    registry.register_counter(
-        prefix + "/" + field,
-        [value]() { return static_cast<std::int64_t>(*value); }, unit);
-  };
-  counter("requests_received", &stats_.requests_received, "ops");
-  counter("requests_dropped_overflow", &stats_.requests_dropped_overflow,
-          "ops");
-  counter("dead_dropped", &stats_.dead_dropped, "ops");
-  counter("corrupt_dropped", &stats_.corrupt_dropped, "ops");
-  counter("unknown_qp_dropped", &stats_.unknown_qp_dropped, "ops");
-  counter("writes", &stats_.writes, "ops");
-  counter("reads", &stats_.reads, "ops");
-  counter("atomics", &stats_.atomics, "ops");
-  counter("acks_sent", &stats_.acks_sent, "ops");
-  counter("naks_sent", &stats_.naks_sent, "ops");
-  counter("naks/rnr", &stats_.naks_rnr, "ops");
-  counter("naks/sequence_error", &stats_.naks_sequence_error, "ops");
-  counter("naks/invalid_request", &stats_.naks_invalid_request, "ops");
-  counter("naks/remote_access_error", &stats_.naks_remote_access_error,
-          "ops");
-  counter("naks/remote_op_error", &stats_.naks_remote_op_error, "ops");
-  counter("responses_dispatched", &stats_.responses_dispatched, "ops");
-  counter("restarts", &stats_.restarts, "restarts");
-  counter("ce_marked_rx", &stats_.ce_marked_rx, "ops");
-  counter("cnps_sent", &stats_.cnps_sent, "ops");
+  registry.register_counter(prefix + "/requests_received",
+                            &stats_.requests_received, "ops");
+  registry.register_counter(prefix + "/requests_dropped_overflow",
+                            &stats_.requests_dropped_overflow, "ops");
+  registry.register_counter(prefix + "/dead_dropped",
+                            &stats_.dead_dropped, "ops");
+  registry.register_counter(prefix + "/corrupt_dropped",
+                            &stats_.corrupt_dropped, "ops");
+  registry.register_counter(prefix + "/unknown_qp_dropped",
+                            &stats_.unknown_qp_dropped, "ops");
+  registry.register_counter(prefix + "/writes", &stats_.writes, "ops");
+  registry.register_counter(prefix + "/reads", &stats_.reads, "ops");
+  registry.register_counter(prefix + "/atomics", &stats_.atomics, "ops");
+  registry.register_counter(prefix + "/acks_sent", &stats_.acks_sent, "ops");
+  registry.register_counter(prefix + "/naks_sent", &stats_.naks_sent, "ops");
+  registry.register_counter(prefix + "/naks/rnr", &stats_.naks_rnr, "ops");
+  registry.register_counter(prefix + "/naks/sequence_error",
+                            &stats_.naks_sequence_error, "ops");
+  registry.register_counter(prefix + "/naks/invalid_request",
+                            &stats_.naks_invalid_request, "ops");
+  registry.register_counter(prefix + "/naks/remote_access_error",
+                            &stats_.naks_remote_access_error, "ops");
+  registry.register_counter(prefix + "/naks/remote_op_error",
+                            &stats_.naks_remote_op_error, "ops");
+  registry.register_counter(prefix + "/responses_dispatched",
+                            &stats_.responses_dispatched, "ops");
+  registry.register_counter(prefix + "/restarts", &stats_.restarts, "restarts");
+  registry.register_counter(prefix + "/ce_marked_rx",
+                            &stats_.ce_marked_rx, "ops");
+  registry.register_counter(prefix + "/cnps_sent", &stats_.cnps_sent, "ops");
   registry.register_counter(
       prefix + "/bytes_written", [this]() { return stats_.bytes_written; },
       "bytes");

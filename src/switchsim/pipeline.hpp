@@ -6,20 +6,20 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "roce/packet.hpp"
 #include "sim/time.hpp"
 
 namespace xmem::switchsim {
 
 inline constexpr int kNoPort = -1;
-/// Marker ingress port for recirculated packets.
-inline constexpr int kRecirculatePort = -2;
 
 class ProgrammableSwitch;
 
 struct PipelineContext {
   net::Packet packet;
-  /// Parsed header view; nullopt when the parser rejected the frame.
-  std::optional<net::ParsedPacket> headers;
+  /// The parser's RoCEv2 view, ICRC verified; nullopt for every other
+  /// frame. A RoCEv2 frame that fails the check never reaches a stage.
+  std::optional<roce::RoceMessage> roce;
   int ingress_port = kNoPort;
   int egress_port = kNoPort;
   sim::Time now = 0;

@@ -24,34 +24,31 @@ void ProgrammableSwitch::setup() {
 void ProgrammableSwitch::register_metrics(telemetry::MetricsRegistry& registry,
                                           const std::string& prefix) {
   assert(ready() && "register_metrics before setup()");
-  auto counter = [&](const char* field, const std::uint64_t* value,
-                     const char* unit) {
-    registry.register_counter(
-        prefix + "/" + field,
-        [value]() { return static_cast<std::int64_t>(*value); }, unit);
-  };
-  counter("received", &stats_.received, "packets");
-  counter("parse_errors", &stats_.parse_errors, "packets");
-  counter("forwarded", &stats_.forwarded, "packets");
-  counter("stage_drops", &stats_.stage_drops, "packets");
-  counter("consumed", &stats_.consumed, "packets");
-  counter("no_route_drops", &stats_.no_route_drops, "packets");
-  counter("buffer_drops", &stats_.buffer_drops, "packets");
-  counter("injected", &stats_.injected, "packets");
-  counter("recirculated", &stats_.recirculated, "packets");
-  counter("pfc_xoff_sent", &stats_.pfc_xoff_sent, "frames");
-  counter("pfc_xon_sent", &stats_.pfc_xon_sent, "frames");
+  registry.register_counter(prefix + "/received", &stats_.received, "packets");
+  registry.register_counter(prefix + "/parse_errors",
+                            &stats_.parse_errors, "packets");
+  registry.register_counter(prefix + "/corrupt_drops",
+                            &stats_.corrupt_drops, "packets");
+  registry.register_counter(prefix + "/forwarded",
+                            &stats_.forwarded, "packets");
+  registry.register_counter(prefix + "/stage_drops",
+                            &stats_.stage_drops, "packets");
+  registry.register_counter(prefix + "/consumed", &stats_.consumed, "packets");
+  registry.register_counter(prefix + "/no_route_drops",
+                            &stats_.no_route_drops, "packets");
+  registry.register_counter(prefix + "/buffer_drops",
+                            &stats_.buffer_drops, "packets");
+  registry.register_counter(prefix + "/injected", &stats_.injected, "packets");
+  registry.register_counter(prefix + "/pfc_xoff_sent",
+                            &stats_.pfc_xoff_sent, "frames");
+  registry.register_counter(prefix + "/pfc_xon_sent",
+                            &stats_.pfc_xon_sent, "frames");
   tm_->register_metrics(registry, prefix + "/tm");
 }
 
 void ProgrammableSwitch::add_ingress_stage(
     std::string name, std::function<void(PipelineContext&)> fn) {
   ingress_stages_.push_back(Stage{std::move(name), std::move(fn)});
-}
-
-void ProgrammableSwitch::add_egress_stage(
-    std::string name, std::function<void(PipelineContext&)> fn) {
-  egress_stages_.push_back(Stage{std::move(name), std::move(fn)});
 }
 
 void ProgrammableSwitch::set_l2_route(const net::MacAddress& mac, int port) {
@@ -107,35 +104,35 @@ void ProgrammableSwitch::pfc_broadcast(bool xoff) {
 void ProgrammableSwitch::receive(net::Packet&& packet, int port) {
   assert(ready() && "ProgrammableSwitch::setup() was not called");
   ++stats_.received;
+  // Only the frame and port ride the event (96 bytes, inside
+  // sim::InlineFunction's buffer); run_ingress builds the context.
+  sim_->schedule_in(config_.pipeline_latency,
+                    [this, p = std::move(packet), port]() mutable {
+                      run_ingress(std::move(p), port);
+                    });
+}
+
+void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {
   PipelineContext ctx;
   ctx.packet = std::move(packet);
   ctx.ingress_port = port;
-  sim_->schedule_in(config_.pipeline_latency,
-                    [this, c = std::move(ctx)]() mutable {
-                      c.now = sim_->now();
-                      run_ingress(std::move(c));
-                    });
-}
-
-void ProgrammableSwitch::recirculate(net::Packet&& packet) {
-  assert(ready());
-  ++stats_.recirculated;
-  PipelineContext ctx;
-  ctx.packet = std::move(packet);
-  ctx.ingress_port = kRecirculatePort;
-  sim_->schedule_in(config_.recirculate_latency,
-                    [this, c = std::move(ctx)]() mutable {
-                      c.now = sim_->now();
-                      run_ingress(std::move(c));
-                    });
-}
-
-void ProgrammableSwitch::run_ingress(PipelineContext ctx) {
+  ctx.now = sim_->now();
+  bool roce_v2 = false;
   try {
-    ctx.headers = net::parse_packet(ctx.packet);
+    roce_v2 = net::parse_packet(ctx.packet).is_roce_v2();
   } catch (const net::BufferError&) {
     ++stats_.parse_errors;
-    ctx.headers.reset();
+  }
+  // Every RoCE endpoint checks the ICRC, the switch included: a RoCEv2
+  // frame that fails it (or whose transport headers do not parse) is
+  // wire corruption, dropped here instead of reaching a stage as if it
+  // were tenant traffic.
+  if (roce_v2) {
+    ctx.roce = roce::parse_roce_packet(ctx.packet);
+    if (!ctx.roce) {
+      ++stats_.corrupt_drops;
+      return;
+    }
   }
 
   for (const auto& stage : ingress_stages_) {
@@ -208,30 +205,6 @@ void ProgrammableSwitch::service_port(int port_index) {
       rec.egress_ns = net::int_timestamp_ns(sim_->now());
       stack->push(rec);
     }
-  }
-
-  if (!egress_stages_.empty()) {
-    PipelineContext ctx;
-    ctx.packet = std::move(*packet);
-    ctx.egress_port = port_index;
-    ctx.now = sim_->now();
-    try {
-      ctx.headers = net::parse_packet(ctx.packet);
-    } catch (const net::BufferError&) {
-      ctx.headers.reset();
-    }
-    for (const auto& stage : egress_stages_) {
-      stage.fn(ctx);
-      if (ctx.finished()) break;
-    }
-    if (ctx.finished()) {
-      // Egress drop/consume: move on to the next queued packet.
-      if (ctx.dropped()) ++stats_.stage_drops;
-      if (ctx.consumed()) ++stats_.consumed;
-      service_port(port_index);
-      return;
-    }
-    packet = std::move(ctx.packet);
   }
 
   ++stats_.forwarded;

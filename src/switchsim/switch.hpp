@@ -1,7 +1,8 @@
 // The programmable switch: parser -> ingress stages -> traffic manager ->
-// egress stages -> port transmit, plus the packet operations
-// (inject / clone / truncate / recirculate) the remote-memory primitives
-// are built from.
+// port transmit, plus inject, the packet operation the remote-memory
+// primitives emit their RDMA requests with (clone and truncate are
+// net::Packet operations). The parser verifies every RoCEv2 frame's ICRC
+// once and hands the parsed message to the stages in the context.
 //
 // This is a behavioural Tofino-class model: stages execute in order with
 // a fixed pipeline latency budget rather than cycle-accurate timing; see
@@ -27,21 +28,21 @@ class ProgrammableSwitch : public topo::Node {
     /// Parser + ingress + deparser + egress latency, applied between
     /// frame arrival and traffic-manager enqueue.
     sim::Time pipeline_latency = sim::nanoseconds(700);
-    /// Delay for a recirculated packet to re-enter ingress.
-    sim::Time recirculate_latency = sim::nanoseconds(400);
     TrafficManager::Config tm;
   };
 
   struct Stats {
     std::uint64_t received = 0;
     std::uint64_t parse_errors = 0;
+    /// RoCEv2 frames whose ICRC or transport headers failed to parse,
+    /// dropped by the parser before any stage (wire corruption).
+    std::uint64_t corrupt_drops = 0;
     std::uint64_t forwarded = 0;
     std::uint64_t stage_drops = 0;
     std::uint64_t consumed = 0;
     std::uint64_t no_route_drops = 0;
     std::uint64_t buffer_drops = 0;
     std::uint64_t injected = 0;
-    std::uint64_t recirculated = 0;
     std::uint64_t pfc_xoff_sent = 0;
     std::uint64_t pfc_xon_sent = 0;
   };
@@ -57,8 +58,6 @@ class ProgrammableSwitch : public topo::Node {
   /// --- Pipeline programming ------------------------------------------
   void add_ingress_stage(std::string name,
                          std::function<void(PipelineContext&)> fn);
-  void add_egress_stage(std::string name,
-                        std::function<void(PipelineContext&)> fn);
 
   /// Built-in L2 forwarding, consulted when no stage picked a port.
   void set_l2_route(const net::MacAddress& mac, int port);
@@ -94,9 +93,6 @@ class ProgrammableSwitch : public topo::Node {
   /// --- Packet operations for primitives ------------------------------
   /// Enqueue a pipeline-crafted packet for egress on `port`.
   void inject(net::Packet&& packet, int port);
-  /// Re-run ingress for `packet` after the recirculation delay; its
-  /// ingress_port is kRecirculatePort.
-  void recirculate(net::Packet&& packet);
 
   /// --- Introspection --------------------------------------------------
   [[nodiscard]] TrafficManager& tm() { return *tm_; }
@@ -113,7 +109,7 @@ class ProgrammableSwitch : public topo::Node {
   void receive(net::Packet&& packet, int port) override;
 
  private:
-  void run_ingress(PipelineContext ctx);
+  void run_ingress(net::Packet&& packet, int port);
   void resolve_l2(PipelineContext& ctx);
   void enqueue_for_egress(net::Packet&& packet, int port);
   void service_port(int port);
@@ -122,7 +118,6 @@ class ProgrammableSwitch : public topo::Node {
 
   Config config_;
   std::vector<Stage> ingress_stages_;
-  std::vector<Stage> egress_stages_;
   std::unordered_map<net::MacAddress, int> l2_routes_;
   std::unique_ptr<TrafficManager> tm_;
   bool int_enabled_ = false;

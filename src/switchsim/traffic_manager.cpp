@@ -82,17 +82,9 @@ void TrafficManager::register_metrics(telemetry::MetricsRegistry& registry,
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     const std::string port = prefix + "/port" + std::to_string(i);
     const PortStats* st = &stats_[i];
-    registry.register_counter(
-        port + "/enqueued",
-        [st]() { return static_cast<std::int64_t>(st->enqueued); },
-        "packets");
-    registry.register_counter(
-        port + "/dequeued",
-        [st]() { return static_cast<std::int64_t>(st->dequeued); },
-        "packets");
-    registry.register_counter(
-        port + "/dropped",
-        [st]() { return static_cast<std::int64_t>(st->dropped); }, "packets");
+    registry.register_counter(port + "/enqueued", &st->enqueued, "packets");
+    registry.register_counter(port + "/dequeued", &st->dequeued, "packets");
+    registry.register_counter(port + "/dropped", &st->dropped, "packets");
     registry.register_counter(
         port + "/dropped_bytes", [st]() { return st->dropped_bytes; },
         "bytes");

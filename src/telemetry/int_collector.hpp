@@ -1,8 +1,8 @@
 // INT sink: pops per-packet hop stacks into histograms.
 //
-// A collector sits wherever tagged traffic terminates (host::PacketSink
-// for probe flows, core::RoceGuard for RDMA responses) and turns each
-// packet's IntStack into:
+// A collector sits wherever tagged traffic terminates (a
+// host::PacketSink, via its set_int_collector) and turns each packet's
+// IntStack into:
 //   - an aggregate and per-flow path-latency histogram (time from the
 //     first hop's ingress to arrival at the collector),
 //   - per-hop latency and queue-depth histograms keyed by hop id,

@@ -36,6 +36,14 @@ void MetricsRegistry::register_counter(std::string name, CounterFn fn,
   insert(std::move(name), std::move(m));
 }
 
+void MetricsRegistry::register_counter(std::string name,
+                                       const std::uint64_t* value,
+                                       std::string unit) {
+  register_counter(
+      std::move(name), [value]() { return static_cast<std::int64_t>(*value); },
+      std::move(unit));
+}
+
 void MetricsRegistry::register_gauge(std::string name, GaugeFn fn,
                                      std::string unit) {
   Metric m;

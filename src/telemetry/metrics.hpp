@@ -62,6 +62,11 @@ class MetricsRegistry {
   /// errors: two components claiming the same prefix).
   void register_counter(std::string name, CounterFn fn, std::string unit = "");
 
+  /// Bind `name` to a component's Stats field, read live through the
+  /// pointer (the field must outlive the registration).
+  void register_counter(std::string name, const std::uint64_t* value,
+                        std::string unit = "");
+
   /// Bind `name` to a gauge read callback.
   void register_gauge(std::string name, GaugeFn fn, std::string unit = "");
 

@@ -22,7 +22,7 @@ class ChannelTest : public ::testing::Test {
     channel_ = std::make_unique<RdmaChannel>(tb_.tor(), config_);
     // A capture stage standing in for a primitive's response handler.
     tb_.tor().add_ingress_stage("capture", [this](switchsim::PipelineContext& ctx) {
-      if (auto msg = roce_view(ctx)) {
+      if (const auto* msg = roce_view(ctx)) {
         if (channel_->owns(*msg)) {
           responses_.push_back(*msg);
           ctx.consume();

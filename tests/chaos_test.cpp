@@ -9,14 +9,13 @@
 //   - every lookup is request/response-matched or attributed to a drop,
 //   - the reliable packet buffer preserved FIFO order with no loss,
 //   - no tracer span is left open,
-// and corrupted-ICRC frames are provably dropped (counter in the
-// MetricsRegistry).
+// and corrupted-ICRC frames are provably dropped at the switch's parser
+// (counter in the MetricsRegistry).
 #include <gtest/gtest.h>
 
 #include "control/testbed.hpp"
 #include "core/lookup_table.hpp"
 #include "core/packet_buffer.hpp"
-#include "core/roce_guard.hpp"
 #include "core/state_store.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/fault_scheduler.hpp"
@@ -124,11 +123,10 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
       postmortem_dir() + "chaos_postmortem.json";
   std::remove(postmortem_path.c_str());
 
-  // ICRC enforcement ahead of every primitive stage.
-  core::RoceGuard guard(tb.tor());
-  guard.register_metrics(reg, "guard");
+  // The switch's parser drops corrupted-ICRC frames before any stage.
+  tb.tor().register_metrics(reg, "tor");
 
-  // --- Primitives (stage order: guard, state store, lookup, buffer) ----
+  // --- Primitives (stage order: state store, lookup, buffer) -----------
   ChannelController::ChannelSpec ss_spec;
   ss_spec.region_bytes = 4096;
   ss_spec.tolerate_psn_gaps = false;  // strict RC for exactly-once
@@ -317,8 +315,8 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   EXPECT_GT(tb.memory_server_link(1).dropped_frames(), 0u);
 
   // Corrupted-ICRC frames provably dropped, observed via the registry.
-  EXPECT_GT(reg.read("guard/corrupt_dropped"), 0.0);
-  EXPECT_GT(guard.stats().corrupt_dropped, 0u);
+  EXPECT_GT(reg.read("tor/corrupt_drops"), 0.0);
+  EXPECT_GT(tb.tor().stats().corrupt_drops, 0u);
 
   // The reliability machinery was exercised, not idle.
   EXPECT_GT(ss.stats().retransmits, 0u);

@@ -307,7 +307,7 @@ struct DcqcnLoop {
     channel_ = std::make_unique<RdmaChannel>(tb_.tor(), config_);
     tb_.tor().add_ingress_stage(
         "capture", [this](switchsim::PipelineContext& ctx) {
-          if (auto msg = roce_view(ctx)) {
+          if (const auto* msg = roce_view(ctx)) {
             if (channel_->owns(*msg)) {
               if (roce::is_cnp(msg->opcode())) {
                 cnps_.push_back(*msg);

@@ -8,7 +8,6 @@
 #include "control/testbed.hpp"
 #include "core/channel_set.hpp"
 #include "core/rdma_channel.hpp"
-#include "core/roce_guard.hpp"
 #include "core/state_store.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/fault_scheduler.hpp"
@@ -165,12 +164,11 @@ TEST_F(FaultInjectionTest, BurstLossTracksConfiguredMeanRate) {
   EXPECT_GT(sink.missing(), 0u);
 }
 
-TEST_F(FaultInjectionTest, CorruptedRoceFramesDropAtGuardAndRnic) {
+TEST_F(FaultInjectionTest, CorruptedRoceFramesDropAtSwitchAndRnic) {
   build(1);
   telemetry::MetricsRegistry reg;
   telemetry::OpTracer tracer(tb_->sim());
-  core::RoceGuard guard(tb_->tor());  // installed before the primitive
-  guard.register_metrics(reg, "guard");
+  tb_->tor().register_metrics(reg, "tor");
 
   auto configs = pool(4096, /*strict=*/true);
   StateStorePrimitive::Config cfg;
@@ -188,13 +186,14 @@ TEST_F(FaultInjectionTest, CorruptedRoceFramesDropAtGuardAndRnic) {
   settle(ss);
 
   // Corrupted requests die at the RNIC's ICRC check, corrupted responses
-  // at the switch's RoceGuard stage — and the guard counter is visible
-  // through the registry.
+  // at the switch's parser — and the switch counter is visible through
+  // the registry.
+  const auto& sw = tb_->tor().stats();
   EXPECT_GT(tb_->memory_server_link(0).corrupted_frames(), 0u);
   EXPECT_GT(tb_->memory_server(0).rnic().stats().corrupt_dropped, 0u);
-  EXPECT_GT(guard.stats().corrupt_dropped, 0u);
-  EXPECT_GT(guard.stats().checked, guard.stats().corrupt_dropped);
-  EXPECT_GT(reg.read("guard/corrupt_dropped"), 0.0);
+  EXPECT_GT(sw.corrupt_drops, 0u);
+  EXPECT_GT(sw.consumed, sw.corrupt_drops) << "most responses verified";
+  EXPECT_GT(reg.read("tor/corrupt_drops"), 0.0);
 
   // Reliable mode rides out the corruption loss: exactly-once counting.
   EXPECT_TRUE(ss.quiescent());
@@ -202,6 +201,30 @@ TEST_F(FaultInjectionTest, CorruptedRoceFramesDropAtGuardAndRnic) {
   EXPECT_EQ(region_total(0, configs[0]), ss.stats().sampled_packets);
   EXPECT_EQ(tracer.open_spans(), 0u);
   EXPECT_EQ(sink.packets(), 1500u) << "data traffic unaffected";
+}
+
+// A state store on the default sampler (any five-tuple) would count a
+// corrupted RoCE response as a tenant frame if one reached its stage.
+// With no other stage installed, the switch's parser drops them first,
+// so both counts are exactly the tenant traffic.
+TEST_F(FaultInjectionTest, DefaultSamplerCountsOnlyTenantFrames) {
+  build(1);
+  auto configs = pool(4096, /*strict=*/true);
+  StateStorePrimitive::Config cfg;
+  cfg.reliable = true;
+  StateStorePrimitive ss(tb_->tor(), configs, cfg);
+
+  topo::LinkFaultProfile profile;
+  profile.corrupt_rate = 0.02;
+  tb_->memory_server_link(0).set_fault_profile(profile, /*seed=*/11);
+
+  send_packets(1500);
+  settle(ss);
+
+  EXPECT_GT(tb_->tor().stats().corrupt_drops, 0u);
+  EXPECT_TRUE(ss.quiescent());
+  EXPECT_EQ(ss.stats().sampled_packets, 1500u);
+  EXPECT_EQ(region_total(0, configs[0]), 1500u);
 }
 
 // Satellite regression: duplicated ACK/NAK frames must not double-count

@@ -99,7 +99,7 @@ class CompareSwapTest : public ::testing::Test {
     channel_ = std::make_unique<core::RdmaChannel>(tb_.tor(), config_);
     tb_.tor().add_ingress_stage(
         "capture", [this](switchsim::PipelineContext& ctx) {
-          if (auto msg = core::roce_view(ctx);
+          if (const auto* msg = core::roce_view(ctx);
               msg && channel_->owns(*msg) && msg->atomic_ack) {
             originals_.push_back(msg->atomic_ack->original_value);
             ctx.consume();

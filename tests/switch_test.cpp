@@ -1,13 +1,13 @@
-// Programmable-switch tests: match-action tables, registers, traffic
-// manager (shared buffer, drops, ECN, watchers), pipeline stage
-// semantics, L2 forwarding, inject and recirculate.
+// Programmable-switch tests: match-action tables, traffic manager
+// (shared buffer, drops, ECN, watchers), the parser's RoCEv2 check,
+// pipeline stage semantics, L2 forwarding and inject.
 #include <gtest/gtest.h>
 
 #include "control/testbed.hpp"
 #include "host/host.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
-#include "switchsim/registers.hpp"
+#include "roce/packet.hpp"
 #include "switchsim/switch.hpp"
 #include "switchsim/table.hpp"
 
@@ -39,16 +39,6 @@ TEST(ExactMatchTable, CapacityModelsSram) {
   // Updating an existing key does not consume capacity.
   EXPECT_TRUE(t.insert({2}, Action{Action::Kind::kDrop, 0, 0, {}, {}}));
   EXPECT_EQ(t.size(), 2u);
-}
-
-TEST(Registers, ReadWriteUpdateBounds) {
-  RegisterArray<std::uint32_t> regs(4, 7);
-  EXPECT_EQ(regs.read(0), 7u);
-  regs.write(2, 42);
-  EXPECT_EQ(regs.read(2), 42u);
-  EXPECT_EQ(regs.update(2, [](std::uint32_t v) { return v + 1; }), 43u);
-  EXPECT_THROW((void)regs.read(4), std::out_of_range);
-  EXPECT_THROW(regs.write(9, 0), std::out_of_range);
 }
 
 TEST(Action, SerializeParseRoundTrip) {
@@ -172,6 +162,45 @@ TEST(SwitchTest, NoRouteDrops) {
   EXPECT_EQ(tb.tor().stats().no_route_drops, 3u);
 }
 
+// The parser checks each RoCEv2 frame's ICRC once: a frame with the
+// first byte past its UDP header flipped (where a link corrupts) never
+// reaches a stage, and an intact frame reaches it already parsed.
+TEST(SwitchTest, ParserDropsCorruptRoceBeforeAnyStage) {
+  Testbed tb;
+  std::vector<std::uint32_t> seen;  // PSNs of the frames stages saw
+  tb.tor().add_ingress_stage("observe", [&](PipelineContext& ctx) {
+    seen.push_back(ctx.roce ? ctx.roce->bth.psn.raw() : 0);
+    ASSERT_TRUE(ctx.roce.has_value());
+    EXPECT_EQ(ctx.roce->opcode(), roce::Opcode::kRdmaWriteOnly);
+    EXPECT_EQ(ctx.roce->payload, std::vector<std::uint8_t>(8, 0x5a));
+  });
+  const roce::RoceEndpoint src{tb.host(0).mac(), tb.host(0).ip(), 0xd000};
+  const roce::RoceEndpoint dst{tb.host(1).mac(), tb.host(1).ip(), 0xc000};
+  auto write_frame = [&](std::uint32_t psn) {
+    roce::RoceMessage msg;
+    msg.bth.opcode = roce::Opcode::kRdmaWriteOnly;
+    msg.bth.psn = roce::Psn(psn);
+    msg.reth = roce::Reth{0x1000, 0xaa, 8};
+    msg.payload.assign(8, 0x5a);
+    return roce::build_roce_packet(src, dst, std::move(msg));
+  };
+  net::Packet corrupt = write_frame(7);
+  corrupt.mutable_bytes()[net::kEthernetHeaderBytes + net::kIpv4HeaderBytes +
+                          net::kUdpHeaderBytes] ^= 0xff;
+  tb.sim().schedule_at(0, [&] {
+    tb.host(0).send(std::move(corrupt));
+    tb.host(0).send(write_frame(9));
+  });
+  tb.sim().run();
+
+  EXPECT_EQ(seen, std::vector<std::uint32_t>{9})
+      << "only the intact frame reaches the stage";
+  EXPECT_EQ(tb.tor().stats().received, 2u);
+  EXPECT_EQ(tb.tor().stats().corrupt_drops, 1u);
+  EXPECT_EQ(tb.tor().stats().stage_drops, 0u);
+  EXPECT_EQ(tb.tor().stats().forwarded, 1u);
+}
+
 TEST(SwitchTest, StageCanDropAndConsume) {
   Testbed tb;
   int seen = 0;
@@ -246,31 +275,6 @@ TEST(SwitchTest, InjectEmitsCraftedPacket) {
   tb.sim().run();
   EXPECT_EQ(sink.packets(), 1u);
   EXPECT_EQ(tb.tor().stats().injected, 1u);
-}
-
-TEST(SwitchTest, RecirculateReentersIngress) {
-  Testbed tb;
-  int recirc_seen = 0;
-  tb.tor().add_ingress_stage("recirc-once", [&](PipelineContext& ctx) {
-    if (ctx.ingress_port == kRecirculatePort) {
-      ++recirc_seen;
-      return;  // second pass: forward normally
-    }
-    tb.tor().recirculate(ctx.packet.clone());
-    ctx.consume();
-  });
-  host::PacketSink sink(tb.host(1));
-  host::CbrTrafficGen gen(tb.host(0),
-                          {.dst_mac = tb.host(1).mac(),
-                           .dst_ip = tb.host(1).ip(),
-                           .frame_size = 100,
-                           .rate = sim::gbps(1),
-                           .packet_limit = 4});
-  gen.start();
-  tb.sim().run();
-  EXPECT_EQ(recirc_seen, 4);
-  EXPECT_EQ(sink.packets(), 4u);
-  EXPECT_EQ(tb.tor().stats().recirculated, 4u);
 }
 
 TEST(SwitchTest, BufferDropsWhenSharedPoolExhausted) {
