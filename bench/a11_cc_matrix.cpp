@@ -332,12 +332,8 @@ int main(int argc, char** argv) {
     for (const std::string& line : r.violation_lines) {
       std::fprintf(stderr, "%s\n", line.c_str());
     }
-    if (!r.timeseries_json.empty() && !ts_path.empty()) {
-      if (std::FILE* f = std::fopen(ts_path.c_str(), "w")) {
-        std::fwrite(r.timeseries_json.data(), 1, r.timeseries_json.size(), f);
-        std::fclose(f);
-        std::printf("time series written to %s\n", ts_path.c_str());
-      }
+    if (!r.timeseries_json.empty()) {
+      results.write_timeseries(ts_path, r.timeseries_json);
     }
     cc_all_sane = cc_all_sane && r.cc_violations == 0;
     cells[key(grid[i].first, grid[i].second)] = r;

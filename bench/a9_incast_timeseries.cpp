@@ -185,8 +185,8 @@ int main(int argc, char** argv) {
                    std::to_string(flight.total_recorded())});
   summary.print("A9-b: outcome");
 
-  if (!ts_path.empty() && recorder.write_json(ts_path)) {
-    std::printf("time series written to %s\n", ts_path.c_str());
+  if (!ts_path.empty()) {
+    results.write_timeseries(ts_path, recorder.to_json());
   }
 
   results.add("goodput_pre_mops", pre / 1e6, "Mops");

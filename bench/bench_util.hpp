@@ -4,12 +4,13 @@
 //   - a banner naming the experiment and the paper's reported values,
 //   - the measured rows through stats::TablePrinter,
 //   - a [REPRODUCED] or [DIVERGED] verdict line per headline claim.
-// main() returns BenchResults::finish(), which fails on any divergence,
-// so every bench registered under ctest is a claims check. These benches
-// also accept `--json <path>`: every metric recorded via BenchResults
-// lands in <path> as {"results":[{metric,value,unit},...]}, so CI and
-// plotting scripts consume numbers without scraping stdout. (m1_micro is
-// a Google Benchmark binary: it takes --benchmark_out=<path> instead.)
+// main() returns BenchResults::finish(), which fails on any divergence or
+// failed output write, so every bench registered under ctest is a claims
+// check. These benches also accept `--json <path>`: every metric recorded
+// via BenchResults lands in <path> as {"results":[{metric,value,unit},...]},
+// so CI and plotting scripts consume numbers without scraping stdout.
+// (m1_micro is a Google Benchmark binary: it takes --benchmark_out=<path>
+// instead.)
 #pragma once
 
 #include <cstdio>
@@ -103,6 +104,12 @@ class BenchResults {
     }
   }
 
+  /// Write a --timeseries export. A failed write is named on stderr and
+  /// fails finish(), like a failed --json.
+  void write_timeseries(const std::string& path, const std::string& json) {
+    if (!write(path, json, "time series")) output_failed_ = true;
+  }
+
   /// Record how a sweep actually executed. Lands in a separate "sweep"
   /// key, NOT in "results": the results payload is the deterministic
   /// part of the artifact (byte-identical across --jobs), while the
@@ -113,10 +120,11 @@ class BenchResults {
   }
 
   /// Write --json when asked and return main's exit status: nonzero if
-  /// any verdict diverged or the JSON file could not be written.
+  /// any verdict diverged or any output file could not be written.
   [[nodiscard]] int finish() const {
-    const bool written = path_.empty() || write();
-    return diverged_ || !written ? 1 : 0;
+    const bool written =
+        path_.empty() || write(path_, results_json(), "results");
+    return diverged_ || output_failed_ || !written ? 1 : 0;
   }
 
  private:
@@ -126,7 +134,17 @@ class BenchResults {
     std::string unit;
   };
 
-  bool write() const {
+  static bool write(const std::string& path, const std::string& content,
+                    const char* what) {
+    if (!telemetry::write_file(path, content)) {
+      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("%s written to %s\n", what, path.c_str());
+    return true;
+  }
+
+  [[nodiscard]] std::string results_json() const {
     telemetry::json::JsonWriter w;
     w.begin_object();
     w.key("results");
@@ -147,17 +165,7 @@ class BenchResults {
       w.end_object();
     }
     w.end_object();
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    const std::string out = w.str() + "\n";
-    bool ok = f != nullptr &&
-              std::fwrite(out.data(), 1, out.size(), f) == out.size();
-    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path_.c_str());
-      return false;
-    }
-    std::printf("results written to %s\n", path_.c_str());
-    return true;
+    return w.take() + "\n";
   }
 
   std::string path_;
@@ -165,6 +173,7 @@ class BenchResults {
   std::size_t sweep_jobs_ = 0;
   std::size_t sweep_host_cores_ = 0;
   bool diverged_ = false;
+  bool output_failed_ = false;
 };
 
 }  // namespace xmem::bench

@@ -248,7 +248,7 @@ class Scenario {
 
   /// Audit the run and return its result (call once, after stepping to
   /// completion).
-  ScenarioResult finish(const std::string& timeseries_path) {
+  ScenarioResult finish() {
     r_.traffic_end = tb_.sim().now();
     r_.sim_events = tb_.sim().events_executed();
     recorder_.stop();
@@ -307,13 +307,12 @@ class Scenario {
       r_.flight_events = flight_.total_recorded();
       r_.trace_spans = tracer_.stats().spans_closed;
       r_.flow_entries = collector_.flows().size();
-      if (!timeseries_path.empty()) {
-        if (recorder_.write_json(timeseries_path)) {
-          std::printf("time series written to %s\n", timeseries_path.c_str());
-        }
-      }
     }
     return r_;
+  }
+
+  [[nodiscard]] std::string timeseries_json() const {
+    return recorder_.to_json();
   }
 
  private:
@@ -387,9 +386,12 @@ int main(int argc, char** argv) {
     on_s.push_back(total(obs_run.slices()));
     deep_s.push_back(total(deep_run.slices()));
     if (rep == kReps - 1) {
-      bare = bare_run.finish("");
-      obs = obs_run.finish(ts_path);
-      deep = deep_run.finish("");
+      bare = bare_run.finish();
+      obs = obs_run.finish();
+      if (!ts_path.empty()) {
+        results.write_timeseries(ts_path, obs_run.timeseries_json());
+      }
+      deep = deep_run.finish();
     }
   }
   bare.cpu_seconds = median(off_s);

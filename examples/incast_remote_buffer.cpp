@@ -19,7 +19,7 @@
 #include "host/traffic_gen.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/op_tracer.hpp"
-#include "telemetry/sampler.hpp"
+#include "telemetry/timeseries.hpp"
 
 using namespace xmem;
 
@@ -57,7 +57,7 @@ void run(bool with_remote_buffer, const std::string& trace_path = "") {
   }
 
   // Optional telemetry: registry for the final snapshot, tracer for the
-  // op-span timeline, sampler for the depth counter tracks.
+  // op-span timeline, recorder for the depth counter tracks.
   telemetry::MetricsRegistry registry;
   telemetry::OpTracer tracer(tb.sim(), "incast");
   const bool tracing = !trace_path.empty();
@@ -79,6 +79,14 @@ void run(bool with_remote_buffer, const std::string& trace_path = "") {
                                   .sender_rate = sim::gbps(15)});
   incast.start(0);
 
+  // True until the senders are done and the queue and ring have drained.
+  auto settling = [&]() {
+    const bool backlog =
+        tb.tor().tm().depth_bytes(tb.port_of(receiver)) > 0 ||
+        (pb && pb->ring_depth() > 0);
+    return !incast.all_finished() || backlog;
+  };
+
   // Periodic queue/ring depth trace.
   std::function<void()> trace = [&]() {
     const double ms = sim::to_milliseconds(tb.sim().now());
@@ -90,31 +98,22 @@ void run(bool with_remote_buffer, const std::string& trace_path = "") {
                 static_cast<long long>(pb ? pb->ring_depth() : 0),
                 static_cast<unsigned long long>(sink.packets()),
                 static_cast<unsigned long long>(tb.tor().tm().total_drops()));
-    const bool backlog =
-        tb.tor().tm().depth_bytes(tb.port_of(receiver)) > 0 ||
-        (pb && pb->ring_depth() > 0);
-    if (!incast.all_finished() || backlog) {
-      tb.sim().schedule_in(sim::microseconds(250), trace);
-    }
+    if (settling()) tb.sim().schedule_in(sim::microseconds(250), trace);
   };
   tb.sim().schedule_at(sim::microseconds(100), trace);
 
   // Counter tracks mirroring the printed trace: egress-queue depth and
-  // remote-ring depth, sampled until the incast settles.
-  telemetry::Sampler sampler(
-      tb.sim(), tracer,
-      {.period = sim::microseconds(25), .until = [&]() {
-         const bool backlog =
-             tb.tor().tm().depth_bytes(tb.port_of(receiver)) > 0 ||
-             (pb && pb->ring_depth() > 0);
-         return !incast.all_finished() || backlog;
-       }});
+  // remote-ring depth, sampled into the tracer until the incast settles.
+  telemetry::TimeSeriesRecorder recorder(
+      tb.sim(), {.period = sim::microseconds(25),
+                 .until = settling,
+                 .tracer = &tracer});
   if (tracing) {
-    sampler.add_gauge(registry,
-                      "switch0/tm/port" + std::to_string(tb.port_of(receiver)) +
-                          "/queue_depth_bytes");
-    if (pb) sampler.add_gauge(registry, "switch0/pktbuf/ring_depth");
-    sampler.start();
+    recorder.track(registry, "switch0/tm/port" +
+                                 std::to_string(tb.port_of(receiver)) +
+                                 "/queue_depth_bytes");
+    if (pb) recorder.track(registry, "switch0/pktbuf/ring_depth");
+    recorder.start();
   }
 
   tb.sim().run();

@@ -1,7 +1,7 @@
 #include "apps/count_sketch.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "core/primitive.hpp"
 #include "net/flow.hpp"
@@ -15,11 +15,23 @@ CountSketchApp::CountSketchApp(switchsim::ProgrammableSwitch& sw,
                                control::RdmaChannelConfig channel,
                                Config config)
     : switch_(&sw), channel_(sw, std::move(channel)), config_(config) {
-  assert(config_.rows >= 1);
+  if (config_.rows == 0) {
+    throw std::invalid_argument("CountSketchApp: rows must be >= 1");
+  }
+  // A zero window never sends: every update would queue forever.
+  if (config_.max_outstanding <= 0) {
+    throw std::invalid_argument("CountSketchApp: max_outstanding must be > 0");
+  }
   const std::size_t cells = channel_.config().region_bytes / 8;
   columns_ = config_.columns != 0 ? config_.columns : cells / config_.rows;
-  assert(columns_ > 0);
-  assert(config_.rows * columns_ * 8 <= channel_.config().region_bytes);
+  if (columns_ == 0) {
+    throw std::invalid_argument(
+        "CountSketchApp: region holds no column of 8 B counters per row");
+  }
+  if (config_.rows > cells / columns_) {
+    throw std::invalid_argument(
+        "CountSketchApp: rows x columns x 8 B exceeds the region");
+  }
 
   sw.add_ingress_stage("count-sketch",
                        [this](PipelineContext& ctx) { on_ingress(ctx); });

@@ -23,6 +23,9 @@ namespace xmem::apps {
 
 class CountSketchApp {
  public:
+  /// The constructor throws std::invalid_argument unless rows >= 1,
+  /// max_outstanding > 0, columns (given or derived) > 0 and the
+  /// rows x columns counters fit the region.
   struct Config {
     std::size_t rows = 3;      // d
     std::size_t columns = 0;   // w; 0 = derive from region size

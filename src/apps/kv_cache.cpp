@@ -1,6 +1,7 @@
 #include "apps/kv_cache.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "core/primitive.hpp"
 #include "net/bytes.hpp"
@@ -64,9 +65,14 @@ KvAcceleratorApp::KvAcceleratorApp(switchsim::ProgrammableSwitch& sw,
                                    control::RdmaChannelConfig channel,
                                    Config config)
     : switch_(&sw), channel_(sw, std::move(channel)), config_(config) {
-  assert(config_.backend_port >= 0);
+  if (config_.backend_port < 0) {
+    throw std::invalid_argument("KvAcceleratorApp: backend_port must be set");
+  }
   n_entries_ = channel_.config().region_bytes / kKvEntryBytes;
-  assert(n_entries_ > 0);
+  if (n_entries_ == 0) {
+    throw std::invalid_argument(
+        "KvAcceleratorApp: region smaller than one 24 B entry");
+  }
   sw.add_ingress_stage("kv-accelerator",
                        [this](PipelineContext& ctx) { on_ingress(ctx); });
 }

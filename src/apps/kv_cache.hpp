@@ -47,6 +47,8 @@ struct KvRequest {
 /// The switch-resident accelerator.
 class KvAcceleratorApp {
  public:
+  /// The constructor throws std::invalid_argument while backend_port is
+  /// unset, or when the region holds no 24 B entry.
   struct Config {
     /// Egress port toward the storage backend (miss path).
     int backend_port = -1;

@@ -1,6 +1,7 @@
 #include "apps/load_balancer.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "core/primitive.hpp"
 #include "net/flow.hpp"
@@ -14,18 +15,24 @@ L4LoadBalancer::L4LoadBalancer(switchsim::ProgrammableSwitch& sw,
                                Config config)
     : switch_(&sw), channel_(sw, std::move(channel)), config_(config) {
   n_slots_ = channel_.config().region_bytes / 8;
-  assert(n_slots_ > 0);
+  if (n_slots_ == 0) {
+    throw std::invalid_argument(
+        "L4LoadBalancer: region smaller than one 8 B slot");
+  }
   sw.add_ingress_stage("l4-load-balancer",
                        [this](PipelineContext& ctx) { on_ingress(ctx); });
 }
 
 void L4LoadBalancer::set_backends(std::vector<Backend> backends) {
+  for (const Backend& b : backends) {
+    if (b.id == 0) {
+      throw std::invalid_argument(
+          "L4LoadBalancer: backend id 0 is the empty-slot sentinel");
+    }
+  }
   backends_ = std::move(backends);
   by_id_.clear();
-  for (const Backend& b : backends_) {
-    assert(b.id != 0 && "backend id 0 is the empty-slot sentinel");
-    by_id_[b.id] = b;
-  }
+  for (const Backend& b : backends_) by_id_[b.id] = b;
 }
 
 std::uint64_t L4LoadBalancer::conn_check(const net::FiveTuple& tuple) const {

@@ -54,11 +54,13 @@ class L4LoadBalancer {
     std::uint64_t stale_responses = 0;
   };
 
+  /// Throws std::invalid_argument when the region holds no 8 B slot.
   L4LoadBalancer(switchsim::ProgrammableSwitch& sw,
                  control::RdmaChannelConfig channel, Config config);
 
   /// Replace the backend pool. Existing connections keep their backend
-  /// (that is the whole point); only new flows use the new pool.
+  /// (that is the whole point); only new flows use the new pool. Throws
+  /// std::invalid_argument on id 0, leaving the pool unchanged.
   void set_backends(std::vector<Backend> backends);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }

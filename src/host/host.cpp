@@ -28,12 +28,9 @@ void Host::send(net::Packet&& packet, int port_index) {
 
 void Host::register_metrics(telemetry::MetricsRegistry& registry,
                             const std::string& prefix) {
-  registry.register_counter(
-      prefix + "/cpu_packets",
-      [this]() { return static_cast<std::int64_t>(cpu_packets_); }, "packets");
-  registry.register_counter(
-      prefix + "/pfc_frames",
-      [this]() { return static_cast<std::int64_t>(pfc_frames_); }, "frames");
+  registry.register_counter(prefix + "/cpu_packets", &cpu_packets_,
+                            "packets");
+  registry.register_counter(prefix + "/pfc_frames", &pfc_frames_, "frames");
   for (int p = 0; p < port_count(); ++p) {
     const topo::Port* pt = &port(p);
     const std::string pp = prefix + "/port" + std::to_string(p);

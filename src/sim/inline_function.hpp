@@ -4,9 +4,14 @@
 // the overwhelming majority are small capture lambdas ([this], [this, packet],
 // [this, End, Packet]). std::function boxes anything larger than ~16 bytes on
 // the heap; InlineFunction keeps captures up to kInlineBytes inline, so the
-// common schedule_in() path never touches the allocator. 96 bytes is sized to
-// hold the hottest lambda in the tree (Link::ship: a 16-byte End plus an
-// 88-byte copy-on-write Packet capture) with room to spare.
+// common schedule_in() path never touches the allocator. 96 bytes is sized
+// to hold the hottest lambdas in the tree exactly: Link::ship's [End, Packet],
+// Port::start_next_transmission's [this, Packet, Time] and
+// ProgrammableSwitch::receive's [this, Packet, port] are each 96 bytes
+// around an 80-byte copy-on-write net::Packet. Each of those sites
+// static_asserts fits_inline(), so a field added to Packet or PacketMeta
+// fails the build instead of heap-allocating every link, port and switch
+// event.
 //
 // Move-only on purpose: the queue is the sole owner of a scheduled callback,
 // and copyability is what forces std::function to heap-allocate shared state.
@@ -69,6 +74,14 @@ class InlineFunction {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// Whether a callable of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
   /// Destroy the held callable (if any) and return to the empty state.
   void reset() noexcept {
     if (ops_) {
@@ -85,13 +98,6 @@ class InlineFunction {
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static const Ops* inline_ops() {

@@ -106,10 +106,12 @@ void ProgrammableSwitch::receive(net::Packet&& packet, int port) {
   ++stats_.received;
   // Only the frame and port ride the event (96 bytes, inside
   // sim::InlineFunction's buffer); run_ingress builds the context.
-  sim_->schedule_in(config_.pipeline_latency,
-                    [this, p = std::move(packet), port]() mutable {
-                      run_ingress(std::move(p), port);
-                    });
+  auto ingress = [this, p = std::move(packet), port]() mutable {
+    run_ingress(std::move(p), port);
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(ingress)>(),
+                "every received frame would heap-allocate its event");
+  sim_->schedule_in(config_.pipeline_latency, std::move(ingress));
 }
 
 void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {

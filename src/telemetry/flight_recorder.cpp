@@ -1,28 +1,12 @@
 #include "telemetry/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <exception>
 #include <stdexcept>
 
 #include "telemetry/json.hpp"
 
 namespace xmem::telemetry {
-
-namespace {
-
-// std::set_terminate passes no context, so the hook owner is parked
-// here — the documented exception to the no-globals rule. Guarded by
-// install/uninstall, never touched on the recording fast path.
-FlightRecorder* g_terminate_recorder = nullptr;
-std::terminate_handler g_previous_handler = nullptr;
-// The dump path lives in the recorder (stable storage) — the handler
-// reads it through the pointer.
-
-[[noreturn]] void terminate_with_postmortem();
-
-}  // namespace
 
 std::string_view to_string(FlightEventKind kind) {
   switch (kind) {
@@ -71,24 +55,16 @@ std::string_view FlightEvent::label_view() const {
 }
 
 FlightRecorder::FlightRecorder(sim::Simulator& simulator, std::size_t capacity)
-    : sim_(&simulator), slots_(capacity) {
+    : sim_(&simulator), ring_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("FlightRecorder: capacity must be > 0");
-  }
-}
-
-FlightRecorder::~FlightRecorder() {
-  if (g_terminate_recorder == this) {
-    std::set_terminate(g_previous_handler);
-    g_terminate_recorder = nullptr;
-    g_previous_handler = nullptr;
   }
 }
 
 void FlightRecorder::record(FlightEventKind kind, std::uint16_t subject,
                             std::uint32_t code, std::int64_t a, std::int64_t b,
                             std::string_view label) {
-  FlightEvent& e = slots_[head_];
+  FlightEvent& e = ring_.push();
   e.at = sim_->now();
   e.kind = static_cast<std::uint8_t>(kind);
   e.flags = 0;
@@ -99,19 +75,6 @@ void FlightRecorder::record(FlightEventKind kind, std::uint16_t subject,
   e.label.fill('\0');
   const std::size_t n = std::min(label.size(), e.label.size());
   std::memcpy(e.label.data(), label.data(), n);
-  head_ = (head_ + 1) % slots_.size();
-  if (count_ < slots_.size()) ++count_;
-  ++total_recorded_;
-}
-
-std::vector<FlightEvent> FlightRecorder::events() const {
-  std::vector<FlightEvent> out;
-  out.reserve(count_);
-  const std::size_t start = (head_ + slots_.size() - count_) % slots_.size();
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(slots_[(start + i) % slots_.size()]);
-  }
-  return out;
 }
 
 std::string FlightRecorder::dump_json(std::string_view reason) const {
@@ -120,8 +83,8 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
   w.kv("schema", "xmem-postmortem-v1");
   w.kv("reason", reason);
   w.kv("dumped_at_us", sim::to_microseconds(sim_->now()));
-  w.kv("capacity", static_cast<std::int64_t>(slots_.size()));
-  w.kv("total_recorded", static_cast<std::int64_t>(total_recorded_));
+  w.kv("capacity", static_cast<std::int64_t>(capacity()));
+  w.kv("total_recorded", static_cast<std::int64_t>(total_recorded()));
   w.kv("overwritten", static_cast<std::int64_t>(overwritten()));
   w.key("events");
   w.begin_array();
@@ -139,21 +102,7 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
   w.end_array();
   if (registry_ != nullptr) {
     w.key("metrics");
-    w.begin_array();
-    for (const Sample& s : registry_->snapshot()) {
-      w.begin_object();
-      w.kv("name", std::string_view(s.name));
-      w.kv("kind", to_string(s.kind));
-      if (!s.unit.empty()) w.kv("unit", std::string_view(s.unit));
-      w.key("value");
-      if (s.integral) {
-        w.value(s.integer);
-      } else {
-        w.value(s.real);
-      }
-      w.end_object();
-    }
-    w.end_array();
+    registry_->write_rows(w);
   }
   w.end_object();
   return w.take();
@@ -161,44 +110,7 @@ std::string FlightRecorder::dump_json(std::string_view reason) const {
 
 bool FlightRecorder::write_postmortem(const std::string& path,
                                       std::string_view reason) const {
-  const std::string content = dump_json(reason);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const int rc = std::fclose(f);
-  return written == content.size() && rc == 0;
+  return write_file(path, dump_json(reason));
 }
-
-void FlightRecorder::install_terminate_hook(std::string path) {
-  if (g_terminate_recorder != nullptr && g_terminate_recorder != this) {
-    throw std::logic_error(
-        "FlightRecorder: another recorder already owns the terminate hook");
-  }
-  terminate_path_ = std::move(path);
-  if (g_terminate_recorder == nullptr) {
-    g_terminate_recorder = this;
-    g_previous_handler = std::set_terminate(&terminate_with_postmortem);
-  }
-}
-
-bool FlightRecorder::terminate_hook_installed() const {
-  return g_terminate_recorder == this;
-}
-
-namespace {
-
-[[noreturn]] void terminate_with_postmortem() {
-  if (g_terminate_recorder != nullptr) {
-    // Best effort: a failed write must not mask the original fault.
-    (void)g_terminate_recorder->write_postmortem(
-        g_terminate_recorder->terminate_path(), "std::terminate");
-    std::fprintf(stderr, "flight recorder: postmortem written to %s\n",
-                 g_terminate_recorder->terminate_path().c_str());
-  }
-  if (g_previous_handler != nullptr) g_previous_handler();
-  std::abort();
-}
-
-}  // namespace
 
 }  // namespace xmem::telemetry

@@ -1,25 +1,18 @@
 // FlightRecorder: the last N things that happened, for postmortems.
 //
-// A fixed-size overwrite-oldest ring of compact events — op span
-// open/close/retransmit (mirrored from OpTracer), channel health
-// transitions (core::ChannelSet), fault-scheduler actions and invariant
-// violations. In steady state it costs one ring slot write per event and
-// nothing else; when something goes wrong (an InvariantChecker violation,
-// or the process calling std::terminate) the ring is dumped as a
-// postmortem JSON bundle: the reason, the recent event tail oldest-first,
-// and optionally a full metrics snapshot. A failed chaos run therefore
-// leaves behind the sequence of events that led up to the failure
-// instead of a boolean.
+// A fixed-size overwrite-oldest ring (telemetry::Ring) of compact events
+// — op span open/close/retransmit (mirrored from OpTracer), channel
+// health transitions (core::ChannelSet), fault-scheduler actions and
+// invariant violations. In steady state it costs one ring slot write per
+// event and nothing else; when an InvariantChecker violation fires, the
+// ring is dumped as a postmortem JSON bundle: the reason, the recent
+// event tail oldest-first, and optionally a full metrics snapshot. A
+// failed chaos run therefore leaves behind the sequence of events that
+// led up to the failure instead of a boolean.
 //
 // Retention policy: `capacity` events (default 512); older events are
 // overwritten and counted in `overwritten()`. The dump never allocates
 // proportionally to run length.
-//
-// The terminate hook is the one deliberate exception to the "nothing is
-// global" rule: std::set_terminate gives us no context pointer, so
-// install_terminate_hook parks `this` in a file-scope static. Only one
-// recorder can own the hook at a time; the destructor uninstalls it and
-// restores the previous handler.
 #pragma once
 
 #include <array>
@@ -31,6 +24,7 @@
 #include "net/bytes.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/ring.hpp"
 
 namespace xmem::telemetry {
 
@@ -75,8 +69,7 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(sim::Simulator& simulator,
                           std::size_t capacity = 512);
-  ~FlightRecorder();
-
+  // OpTracer, ChannelSet and InvariantChecker keep its address.
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -93,17 +86,19 @@ class FlightRecorder {
   /// Include this registry's full snapshot in every dump (not owned).
   void set_registry(const MetricsRegistry* registry) { registry_ = registry; }
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   [[nodiscard]] std::uint64_t total_recorded() const {
-    return total_recorded_;
+    return ring_.size() + ring_.overwritten();
   }
   [[nodiscard]] std::uint64_t overwritten() const {
-    return total_recorded_ - count_;
+    return ring_.overwritten();
   }
 
   /// Retained events, oldest first.
-  [[nodiscard]] std::vector<FlightEvent> events() const;
+  [[nodiscard]] std::vector<FlightEvent> events() const {
+    return ring_.ordered();
+  }
 
   /// Postmortem bundle, schema "xmem-postmortem-v1": reason, dump time,
   /// retention counters, the event tail (oldest first) and — when a
@@ -112,23 +107,10 @@ class FlightRecorder {
   bool write_postmortem(const std::string& path,
                         std::string_view reason) const;
 
-  /// Route std::terminate through a postmortem dump to `path` before
-  /// chaining to the previous handler. One recorder at a time; the
-  /// destructor uninstalls.
-  void install_terminate_hook(std::string path);
-  [[nodiscard]] bool terminate_hook_installed() const;
-  [[nodiscard]] const std::string& terminate_path() const {
-    return terminate_path_;
-  }
-
  private:
   sim::Simulator* sim_;
   const MetricsRegistry* registry_ = nullptr;
-  std::vector<FlightEvent> slots_;
-  std::size_t head_ = 0;   ///< Next write position.
-  std::size_t count_ = 0;  ///< Live events, <= slots_.size().
-  std::uint64_t total_recorded_ = 0;
-  std::string terminate_path_;
+  Ring<FlightEvent> ring_;
 };
 
 }  // namespace xmem::telemetry

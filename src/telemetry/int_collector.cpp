@@ -80,26 +80,16 @@ void IntCollector::collect(const net::Packet& packet, sim::Time now) {
 
 void IntCollector::register_metrics(MetricsRegistry& registry,
                                     const std::string& prefix) {
-  registry.register_counter(
-      prefix + "/tagged_packets",
-      [this]() { return static_cast<std::int64_t>(tagged_packets_); },
-      "packets");
-  registry.register_counter(
-      prefix + "/untagged_packets",
-      [this]() { return static_cast<std::int64_t>(untagged_packets_); },
-      "packets");
-  registry.register_counter(
-      prefix + "/hop_records",
-      [this]() { return static_cast<std::int64_t>(hop_records_); },
-      "records");
-  registry.register_counter(
-      prefix + "/overflowed_stacks",
-      [this]() { return static_cast<std::int64_t>(overflowed_stacks_); },
-      "stacks");
-  registry.register_counter(
-      prefix + "/flow_table_overflow",
-      [this]() { return static_cast<std::int64_t>(flow_table_overflow_); },
-      "packets");
+  registry.register_counter(prefix + "/tagged_packets", &tagged_packets_,
+                            "packets");
+  registry.register_counter(prefix + "/untagged_packets", &untagged_packets_,
+                            "packets");
+  registry.register_counter(prefix + "/hop_records", &hop_records_,
+                            "records");
+  registry.register_counter(prefix + "/overflowed_stacks",
+                            &overflowed_stacks_, "stacks");
+  registry.register_counter(prefix + "/flow_table_overflow",
+                            &flow_table_overflow_, "packets");
   registry.register_counter(
       prefix + "/wire_bytes", [this]() { return wire_bytes_; }, "bytes");
   registry.register_gauge(

@@ -1,6 +1,6 @@
 // Minimal JSON support for the telemetry layer.
 //
-// Two halves:
+// Three parts:
 //  - JsonWriter: an append-only serializer the exporters use. It knows how
 //    to escape strings and format numbers deterministically (the snapshot
 //    byte-identity guarantee rests on this: the same doubles always render
@@ -9,8 +9,11 @@
 //    exported documents and by tooling that wants to audit a trace file.
 //    It handles the full JSON grammar this repository emits (objects,
 //    arrays, strings with \-escapes, numbers, true/false/null).
+//  - telemetry::write_file(): the one file writer every export, bench
+//    result and report goes through.
 //
-// No external dependencies; this repository builds from scratch.
+// Header-only with no external dependencies, so tools such as
+// xmem_report use it without linking the simulator.
 #pragma once
 
 #include <cstdint>
@@ -366,3 +369,19 @@ class Parser {
 }
 
 }  // namespace xmem::telemetry::json
+
+namespace xmem::telemetry {
+
+/// Replace the file at `path` with `content`. False when the file cannot
+/// be opened or the write or the close fails (a full disk can surface
+/// only at close).
+[[nodiscard]] inline bool write_file(const std::string& path,
+                                     std::string_view content) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  return std::fclose(f) == 0 && written;
+}
+
+}  // namespace xmem::telemetry

@@ -1,6 +1,5 @@
 #include "telemetry/metrics.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "telemetry/json.hpp"
@@ -71,26 +70,6 @@ stats::Histogram& MetricsRegistry::histogram(const std::string& name,
   stats::Histogram& ref = *m.histogram;
   insert(name, std::move(m));
   return ref;
-}
-
-stats::Histogram MetricsRegistry::merged_histograms(
-    const std::string& prefix) const {
-  stats::Histogram merged;
-  for (auto it = metrics_.lower_bound(prefix); it != metrics_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    if (it->second.kind == MetricKind::kHistogram) {
-      merged.merge(*it->second.histogram);
-    }
-  }
-  return merged;
-}
-
-void MetricsRegistry::unregister_prefix(const std::string& prefix) {
-  auto it = metrics_.lower_bound(prefix);
-  while (it != metrics_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0) {
-    it = metrics_.erase(it);
-  }
 }
 
 bool MetricsRegistry::contains(const std::string& name) const {
@@ -173,10 +152,7 @@ std::vector<Sample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::to_json() const {
-  json::JsonWriter w;
-  w.begin_object();
-  w.key("metrics");
+void MetricsRegistry::write_rows(json::JsonWriter& w) const {
   w.begin_array();
   for (const Sample& s : snapshot()) {
     w.begin_object();
@@ -192,42 +168,19 @@ std::string MetricsRegistry::to_json() const {
     w.end_object();
   }
   w.end_array();
+}
+
+std::string MetricsRegistry::to_json() const {
+  json::JsonWriter w;
+  w.begin_object();
+  w.key("metrics");
+  write_rows(w);
   w.end_object();
   return w.take();
 }
 
-std::string MetricsRegistry::to_csv() const {
-  std::string out = "name,kind,unit,value\n";
-  for (const Sample& s : snapshot()) {
-    out += s.name;
-    out += ',';
-    out += to_string(s.kind);
-    out += ',';
-    out += s.unit;
-    out += ',';
-    out += s.integral ? std::to_string(s.integer)
-                      : json::format_number(s.real);
-    out += '\n';
-  }
-  return out;
-}
-
-namespace {
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const int rc = std::fclose(f);
-  return written == content.size() && rc == 0;
-}
-}  // namespace
-
 bool MetricsRegistry::write_json(const std::string& path) const {
   return write_file(path, to_json());
-}
-
-bool MetricsRegistry::write_csv(const std::string& path) const {
-  return write_file(path, to_csv());
 }
 
 }  // namespace xmem::telemetry

@@ -29,6 +29,10 @@
 
 namespace xmem::telemetry {
 
+namespace json {
+class JsonWriter;
+}  // namespace json
+
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 [[nodiscard]] std::string_view to_string(MetricKind kind);
@@ -75,17 +79,7 @@ class MetricsRegistry {
   /// return the same histogram — per-QP latency recorders share it.
   stats::Histogram& histogram(const std::string& name, std::string unit = "");
 
-  /// Merge every histogram whose name starts with `prefix` into one
-  /// aggregate (per-QP latency -> per-switch latency).
-  [[nodiscard]] stats::Histogram merged_histograms(
-      const std::string& prefix) const;
-
-  /// Remove every metric whose name starts with `prefix` (component
-  /// teardown in long-lived registries).
-  void unregister_prefix(const std::string& prefix);
-
   [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::size_t size() const { return metrics_.size(); }
 
   /// Evaluate one counter or gauge by name (histograms are not scalar).
   /// Throws std::out_of_range / std::invalid_argument on bad names.
@@ -93,8 +87,8 @@ class MetricsRegistry {
 
   /// Bound reader for one counter/gauge: the returned callback reads the
   /// live value with no name lookup, so per-tick samplers pay a plain
-  /// indirect call instead of a string-keyed map walk. Valid until the
-  /// metric is unregistered. Same exceptions as read().
+  /// indirect call instead of a string-keyed map walk. Valid for the
+  /// registry's lifetime. Same exceptions as read().
   [[nodiscard]] GaugeFn reader(const std::string& name) const;
 
   /// Observe every metric, in lexicographic name order. Histograms expand
@@ -102,12 +96,15 @@ class MetricsRegistry {
   /// histograms report only count=0).
   [[nodiscard]] std::vector<Sample> snapshot() const;
 
-  /// Exporters over snapshot(); deterministic byte-for-byte given equal
-  /// metric values.
+  /// JSON export over snapshot(), {"metrics":[<rows>]}; deterministic
+  /// byte-for-byte given equal metric values.
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] std::string to_csv() const;
   bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
+
+  /// Append snapshot() to `w` as the array of {name, kind, unit, value}
+  /// rows that to_json() and postmortem bundles share (unit omitted when
+  /// empty).
+  void write_rows(json::JsonWriter& w) const;
 
  private:
   struct Metric {

@@ -1,7 +1,5 @@
 #include "telemetry/op_tracer.hpp"
 
-#include <cstdio>
-
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
 
@@ -13,7 +11,7 @@ double to_trace_us(sim::Time t) {
   return static_cast<double>(t) / 1e6;
 }
 constexpr int kPid = 1;
-constexpr int kFirstTid = 2;  // tid 1 is reserved for instants w/o track
+constexpr int kFirstTid = 2;  // pinned: traces number their tracks from 2
 }  // namespace
 
 OpTracer::OpTracer(sim::Simulator& simulator, std::string process_name)
@@ -117,10 +115,6 @@ void OpTracer::counter(const std::string& name, double value) {
   ++stats_.counter_samples;
 }
 
-void OpTracer::instant(int track, std::string_view name) {
-  instants_.push_back(InstantEvent{std::string(name), sim_->now(), track});
-}
-
 std::string OpTracer::chrome_trace_json() const {
   json::JsonWriter w;
   w.begin_object();
@@ -208,29 +202,13 @@ std::string OpTracer::chrome_trace_json() const {
     w.end_object();
   }
 
-  for (const InstantEvent& i : instants_) {
-    w.begin_object();
-    w.kv("ph", "i");
-    w.kv("pid", kPid);
-    w.kv("tid", i.tid);
-    w.kv("name", std::string_view(i.name));
-    w.kv("ts", to_trace_us(i.when));
-    w.kv("s", "t");
-    w.end_object();
-  }
-
   w.end_array();
   w.end_object();
   return w.take();
 }
 
 bool OpTracer::write_chrome_trace(const std::string& path) const {
-  const std::string doc = chrome_trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  const int rc = std::fclose(f);
-  return written == doc.size() && rc == 0;
+  return write_file(path, chrome_trace_json());
 }
 
 }  // namespace xmem::telemetry

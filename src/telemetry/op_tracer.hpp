@@ -14,7 +14,8 @@
 // is one process (pid 1); each track — typically one RDMA channel /
 // QP — is a thread with a stable tid and a thread_name metadata record.
 // Counter tracks (queue depth, ring depth, outstanding atomics) are "C"
-// events sampled by the Sampler or pushed directly.
+// events, sampled by a TimeSeriesRecorder with this tracer as its
+// Config::tracer sink, or pushed directly.
 //
 // Times: the simulator's picosecond clock, exported as fractional
 // microseconds (the trace-event format's native unit).
@@ -77,9 +78,6 @@ class OpTracer {
   /// Sample a counter track ("tm/port2/queue_depth_bytes") at sim-now.
   void counter(const std::string& name, double value);
 
-  /// Mark an instantaneous event on a track (drops, mode flips).
-  void instant(int track, std::string_view name);
-
   /// Mirror every span open/close/retransmit into `recorder` (not
   /// owned; nullptr detaches) so the flight recorder's postmortem tail
   /// includes the in-flight op history.
@@ -114,11 +112,6 @@ class OpTracer {
     sim::Time when = 0;
     double value = 0;
   };
-  struct InstantEvent {
-    std::string name;
-    sim::Time when = 0;
-    int tid = 0;
-  };
   struct OpenSpan {
     std::string name;
     sim::Time start = 0;
@@ -146,7 +139,6 @@ class OpTracer {
   std::map<Key, OpenSpan> open_;
   std::vector<SpanEvent> spans_;
   std::vector<CounterEvent> counters_;
-  std::vector<InstantEvent> instants_;
   Stats stats_;
 };
 

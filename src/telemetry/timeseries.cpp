@@ -1,12 +1,12 @@
 #include "telemetry/timeseries.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
 #include "telemetry/json.hpp"
+#include "telemetry/op_tracer.hpp"
 
 namespace xmem::telemetry {
 
@@ -98,7 +98,7 @@ void TimeSeriesRecorder::add_series(std::string name, std::string unit,
     }
   }
   series_.push_back(Series{std::move(name), std::move(unit), std::move(fn),
-                           Ring(config_.capacity), 0});
+                           Ring<Point>(config_.capacity)});
 }
 
 void TimeSeriesRecorder::start() {
@@ -125,10 +125,16 @@ void TimeSeriesRecorder::sample_all() {
   ++ticks_;
   const sim::Time now = sim_->now();
   for (Series& s : series_) {
-    s.ring.push(Point{now, s.read()}, &s.dropped);
+    const double value = s.read();
+    s.ring.push() = Point{now, value};
+    if (config_.tracer != nullptr) config_.tracer->counter(s.name, value);
   }
-  dropped_ = 0;
-  for (const Series& s : series_) dropped_ += s.dropped;
+}
+
+std::uint64_t TimeSeriesRecorder::dropped_points() const {
+  std::uint64_t dropped = 0;
+  for (const Series& s : series_) dropped += s.ring.overwritten();
+  return dropped;
 }
 
 std::vector<const TimeSeriesRecorder::Series*>
@@ -164,7 +170,7 @@ std::string TimeSeriesRecorder::to_json() const {
     w.begin_object();
     w.kv("name", std::string_view(s->name));
     w.kv("unit", std::string_view(s->unit));
-    w.kv("dropped", static_cast<std::int64_t>(s->dropped));
+    w.kv("dropped", static_cast<std::int64_t>(s->ring.overwritten()));
     w.key("points");
     w.begin_array();
     for (const Point& p : s->ring.ordered()) {
@@ -179,61 +185,6 @@ std::string TimeSeriesRecorder::to_json() const {
   w.end_array();
   w.end_object();
   return w.take();
-}
-
-std::string TimeSeriesRecorder::to_csv() const {
-  const auto sorted = sorted_series();
-  // Align rows on the union of timestamps: a series added after start()
-  // leaves its early cells empty instead of shifting the column.
-  std::vector<sim::Time> times;
-  std::vector<std::vector<Point>> pts;
-  pts.reserve(sorted.size());
-  for (const Series* s : sorted) {
-    pts.push_back(s->ring.ordered());
-    for (const Point& p : pts.back()) times.push_back(p.t);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-
-  std::string out = "t_us";
-  for (const Series* s : sorted) {
-    out += ',';
-    out += s->name;
-  }
-  out += '\n';
-  std::vector<std::size_t> cursor(sorted.size(), 0);
-  for (const sim::Time t : times) {
-    out += json::format_number(sim::to_microseconds(t));
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      out += ',';
-      while (cursor[i] < pts[i].size() && pts[i][cursor[i]].t < t) {
-        ++cursor[i];
-      }
-      if (cursor[i] < pts[i].size() && pts[i][cursor[i]].t == t) {
-        out += json::format_number(pts[i][cursor[i]].value);
-      }
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-namespace {
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  const int rc = std::fclose(f);
-  return written == content.size() && rc == 0;
-}
-}  // namespace
-
-bool TimeSeriesRecorder::write_json(const std::string& path) const {
-  return write_file(path, to_json());
-}
-
-bool TimeSeriesRecorder::write_csv(const std::string& path) const {
-  return write_file(path, to_csv());
 }
 
 }  // namespace xmem::telemetry

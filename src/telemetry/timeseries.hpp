@@ -1,17 +1,25 @@
-// TimeSeriesRecorder: periodic sampling of registry metrics into bounded
-// ring buffers.
+// TimeSeriesRecorder: the simulator's one sim-clock sampler.
 //
 // The registry answers "what is the value now"; benches that print it at
 // exit get one number per run. The recorder turns the same callbacks into
-// curves: every `period` of simulated time it reads each tracked metric
-// and appends a (time, value) point to that series' ring. Rings are
-// bounded (capacity points per series, oldest overwritten, drops
-// counted), so a recorder left on for an arbitrarily long run costs a
-// fixed amount of memory.
+// curves: every `period` of simulated time it reads each tracked series
+// and hands the value to its sinks:
+//   - always, that series' bounded ring (capacity points, oldest
+//     overwritten and counted), exported as "xmem-timeseries-v1" JSON, so
+//     a recorder left on for an arbitrarily long run costs a fixed amount
+//     of memory;
+//   - optionally, an OpTracer (Config::tracer), as a Perfetto counter
+//     event per sample, drawing the depth curves under the op timeline.
+//
+// Because the simulator runs until its event queue drains, a recorder
+// that rescheduled forever would keep every experiment alive: it stops on
+// stop(), or when Config::until turns false, after one final sample so
+// the series end with the settled state. The first sample is taken one
+// period after start().
 //
 // Everything is driven by simulator events and reads deterministic
 // callbacks, so two runs of the same seeded simulation export
-// byte-identical JSON/CSV — the property timeseries_test.cpp pins and CI
+// byte-identical JSON — the property timeseries_test.cpp pins and CI
 // relies on when diffing artifacts.
 //
 // Derivative series (track_rate) turn monotone counters into per-second
@@ -29,8 +37,11 @@
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/ring.hpp"
 
 namespace xmem::telemetry {
+
+class OpTracer;
 
 class TimeSeriesRecorder {
  public:
@@ -40,6 +51,9 @@ class TimeSeriesRecorder {
     /// Optional stop predicate, checked before each tick; when it turns
     /// false the recorder takes one final sample and stops.
     std::function<bool()> until;
+    /// Optional sink (not owned): every sample also becomes a counter
+    /// event on the track named after its series.
+    OpTracer* tracer = nullptr;
   };
 
   /// One sampled point. The wire layout is pinned because exports and
@@ -78,7 +92,7 @@ class TimeSeriesRecorder {
                   std::function<double()> fn);
 
   /// Begin ticking. Series added after start() join at the next tick
-  /// with a shorter history; exports align points by timestamp.
+  /// with a shorter history (each point carries its own timestamp).
   void start();
   void stop();
   [[nodiscard]] bool running() const { return running_; }
@@ -86,58 +100,25 @@ class TimeSeriesRecorder {
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
   [[nodiscard]] std::size_t series_count() const { return series_.size(); }
   /// Points discarded across all rings because a ring was full.
-  [[nodiscard]] std::uint64_t dropped_points() const { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped_points() const;
 
   /// Retained points of one series, oldest first. Throws
   /// std::out_of_range for unknown names.
   [[nodiscard]] std::vector<Point> points(const std::string& name) const;
 
-  /// Exports. JSON schema "xmem-timeseries-v1":
+  /// JSON export, schema "xmem-timeseries-v1":
   ///   {"schema":...,"period_us":...,"capacity":...,"ticks":...,
   ///    "series":[{"name":...,"unit":...,"dropped":N,
   ///               "points":[[t_us,value],...]},...]}
-  /// CSV is wide: header `t_us,<name>,...`, one row per tick (series
-  /// starting late pad earlier rows with empty cells). Series order is
-  /// lexicographic in both; byte-identical across identical runs.
+  /// Series order is lexicographic; byte-identical across identical runs.
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] std::string to_csv() const;
-  bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
 
  private:
-  /// Fixed-capacity overwrite-oldest ring.
-  struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<Point> slots;
-    std::size_t head = 0;   ///< Next write position.
-    std::size_t count = 0;  ///< Live points, <= slots.size().
-
-    void push(Point p, std::uint64_t* dropped) {
-      if (count == slots.size()) {
-        ++*dropped;  // overwriting the oldest point
-      } else {
-        ++count;
-      }
-      slots[head] = p;
-      head = (head + 1) % slots.size();
-    }
-    [[nodiscard]] std::vector<Point> ordered() const {
-      std::vector<Point> out;
-      out.reserve(count);
-      const std::size_t start = (head + slots.size() - count) % slots.size();
-      for (std::size_t i = 0; i < count; ++i) {
-        out.push_back(slots[(start + i) % slots.size()]);
-      }
-      return out;
-    }
-  };
-
   struct Series {
     std::string name;
     std::string unit;
     std::function<double()> read;
-    Ring ring;
-    std::uint64_t dropped = 0;
+    Ring<Point> ring;
   };
 
   void tick();
@@ -154,7 +135,6 @@ class TimeSeriesRecorder {
   std::vector<Series> series_;
   bool running_ = false;
   std::uint64_t ticks_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 static_assert(TimeSeriesRecorder::Point::kWireBytes == 8 + 8,

@@ -73,11 +73,14 @@ bool Link::roll_loss() {
 }
 
 void Link::ship(const End& to, net::Packet&& packet, sim::Time when) {
-  sim_->schedule_at(when, [to, p = std::move(packet)]() mutable {
+  auto arrive = [to, p = std::move(packet)]() mutable {
     to.node->port(to.port).note_received(p);
     p.meta().ingress_port = to.port;
     to.node->receive(std::move(p), to.port);
-  });
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(arrive)>(),
+                "every link event would heap-allocate its capture");
+  sim_->schedule_at(when, std::move(arrive));
 }
 
 void Link::deliver(int from_end, net::Packet&& packet, sim::Time when_serialized) {
@@ -162,26 +165,19 @@ void Link::register_metrics(telemetry::MetricsRegistry& registry,
     registry.register_counter(
         base + "/tx_bytes", [this, end]() { return tx_bytes_[end]; },
         "bytes");
-    registry.register_counter(
-        base + "/tx_frames",
-        [this, end]() { return static_cast<std::int64_t>(tx_frames_[end]); },
-        "frames");
+    registry.register_counter(base + "/tx_frames", &tx_frames_[end],
+                              "frames");
     registry.register_gauge(
         base + "/utilization", [this, end]() { return utilization(end); },
         "fraction");
   }
-  registry.register_counter(
-      prefix + "/dropped_frames",
-      [this]() { return static_cast<std::int64_t>(dropped_); }, "frames");
-  registry.register_counter(
-      prefix + "/corrupted_frames",
-      [this]() { return static_cast<std::int64_t>(corrupted_); }, "frames");
-  registry.register_counter(
-      prefix + "/duplicated_frames",
-      [this]() { return static_cast<std::int64_t>(duplicated_); }, "frames");
-  registry.register_counter(
-      prefix + "/reordered_frames",
-      [this]() { return static_cast<std::int64_t>(reordered_); }, "frames");
+  registry.register_counter(prefix + "/dropped_frames", &dropped_, "frames");
+  registry.register_counter(prefix + "/corrupted_frames", &corrupted_,
+                            "frames");
+  registry.register_counter(prefix + "/duplicated_frames", &duplicated_,
+                            "frames");
+  registry.register_counter(prefix + "/reordered_frames", &reordered_,
+                            "frames");
 }
 
 std::unique_ptr<Link> connect(sim::Simulator& simulator, Node& a, Node& b,

@@ -73,10 +73,13 @@ void Port::start_next_transmission() {
   const sim::Time done = sim_->now() + tx;
   // Hand the frame to the link at serialization completion, then look for
   // more work. The link adds propagation delay before the far end sees it.
-  sim_->schedule_at(done, [this, p = std::move(packet), done]() mutable {
+  auto serialized = [this, p = std::move(packet), done]() mutable {
     link_->deliver(link_end_, std::move(p), done);
     start_next_transmission();
-  });
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(serialized)>(),
+                "every port event would heap-allocate its capture");
+  sim_->schedule_at(done, std::move(serialized));
 }
 
 }  // namespace xmem::topo

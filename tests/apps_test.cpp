@@ -2,6 +2,8 @@
 // baseline), Count Sketch over remote counters, and the KV accelerator.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/count_sketch.hpp"
 #include "apps/kv_cache.hpp"
 #include "apps/vip_table.hpp"
@@ -114,6 +116,19 @@ TEST_F(CountSketchTest, GeometryDerivedFromRegion) {
   EXPECT_EQ(sketch.columns(), 1024u);
 }
 
+TEST_F(CountSketchTest, InvalidConfigThrows) {
+  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.rows = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.max_outstanding = 0}),
+               std::invalid_argument);
+  // More rows than the 3,072 counters of the region: no column is left.
+  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.rows = 3073}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      CountSketchApp(tb_.tor(), channel_, {.rows = 3, .columns = 1025}),
+      std::invalid_argument);
+}
+
 TEST_F(CountSketchTest, HashesAreRowIndependent) {
   CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
   int differing = 0;
@@ -219,6 +234,17 @@ class KvTest : public ::testing::Test {
   std::unique_ptr<KvBackend> backend_;
   std::vector<KvRequest> replies_;
 };
+
+TEST_F(KvTest, InvalidConfigThrows) {
+  EXPECT_THROW(KvAcceleratorApp(tb_.tor(), channel_, {}),
+               std::invalid_argument)
+      << "backend_port left unset";
+  const auto tiny = tb_.controller().setup_channel(
+      tb_.host(2), tb_.port_of(2), {.region_bytes = kKvEntryBytes - 1});
+  EXPECT_THROW(
+      KvAcceleratorApp(tb_.tor(), tiny, {.backend_port = tb_.port_of(2)}),
+      std::invalid_argument);
+}
 
 TEST_F(KvTest, GetHitAnsweredBySwitchWithoutBackendCpu) {
   backend_->put(42, 4242);  // populates DRAM region locally

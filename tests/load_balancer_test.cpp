@@ -3,6 +3,8 @@
 // collision safety.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "apps/load_balancer.hpp"
 #include "control/testbed.hpp"
 #include "host/sink.hpp"
@@ -72,6 +74,17 @@ TEST(LoadBalancerPacking, RoundTrips) {
   const std::uint64_t packed = L4LoadBalancer::pack(0xabcdef123456, 7);
   EXPECT_EQ(L4LoadBalancer::check_of(packed), 0xabcdef123456u);
   EXPECT_EQ(L4LoadBalancer::backend_of(packed), 7);
+}
+
+TEST_F(LoadBalancerTest, InvalidConfigThrows) {
+  const auto tiny = tb_.controller().setup_channel(tb_.host(3), tb_.port_of(3),
+                                                   {.region_bytes = 7});
+  EXPECT_THROW(L4LoadBalancer(tb_.tor(), tiny, {.vip = kVip}),
+               std::invalid_argument);
+  std::vector<Backend> with_sentinel = pool({1});
+  with_sentinel.push_back(Backend{0, tb_.host(2).mac(), tb_.host(2).ip(),
+                                  static_cast<std::uint16_t>(tb_.port_of(2))});
+  EXPECT_THROW(lb_->set_backends(with_sentinel), std::invalid_argument);
 }
 
 TEST_F(LoadBalancerTest, FirstPacketClaimsSlotViaCas) {

@@ -1,16 +1,19 @@
-// TimeSeriesRecorder contract: periodic sampling into bounded rings,
-// derivative (rate) series, prefix tracking, and — the property CI
-// artifact diffing rests on — byte-identical JSON/CSV exports across
-// identical seeded runs.
+// TimeSeriesRecorder contract: periodic sampling into bounded rings and
+// the optional OpTracer sink, derivative (rate) series, prefix tracking,
+// and — the property CI artifact diffing rests on — byte-identical JSON
+// exports across identical seeded runs.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/op_tracer.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace xmem::telemetry {
@@ -132,29 +135,54 @@ TEST(TimeSeries, InvalidConfigAndUnknownNamesThrow) {
   EXPECT_THROW((void)rec.points("nope"), std::out_of_range);
 }
 
-TEST(TimeSeries, CsvAlignsSeriesAddedAfterStart) {
+TEST(TimeSeries, TracerSinkGetsOneCounterEventPerSeriesPerTick) {
   sim::Simulator sim;
-  MetricsRegistry reg;
-  reg.register_gauge("b_early", []() { return 1.0; }, "");
-
-  TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10)});
-  rec.track(reg, "b_early");
+  OpTracer tracer(sim);
+  int remaining = 3;
+  sim.schedule_in(sim::microseconds(100), []() {});  // keep the queue alive
+  TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10),
+                               .until = [&]() { return --remaining > 0; },
+                               .tracer = &tracer});
+  rec.add_series("level", "", []() { return 1.0; });
+  rec.add_series("clock", "us", [&sim]() {
+    return static_cast<double>(sim::to_microseconds(sim.now()));
+  });
   rec.start();
-  sim.run_until(sim::microseconds(20));
-  // Joins late: its first point lands at the 30 us tick, and earlier
-  // CSV rows pad its (lexicographically first) column with empty cells.
-  rec.add_series("a_late", "", []() { return 2.0; });
-  sim.run_until(sim::microseconds(40));
+  // A series added after start() joins both sinks at the next tick.
+  sim.schedule_at(sim::microseconds(15), [&rec]() {
+    rec.add_series("late", "", []() { return 2.0; });
+  });
+  sim.run();
 
-  const std::string csv = rec.to_csv();
-  EXPECT_EQ(csv.substr(0, csv.find('\n')), "t_us,a_late,b_early");
-  EXPECT_NE(csv.find("\n10,,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("\n30,2,1\n"), std::string::npos);
+  EXPECT_FALSE(rec.running());
+  // Ticks at 10 and 20 us pass the predicate; the 30 us check fails and
+  // takes the final sample. Nothing is sampled at t = 0.
+  EXPECT_EQ(rec.ticks(), 3u);
+  EXPECT_EQ(tracer.stats().counter_samples, 3u + 3u + 2u);
+
+  // Each series' counter track repeats its ring point for point.
+  std::map<std::string, std::vector<std::pair<double, double>>> tracks;
+  const auto doc = json::parse(tracer.chrome_trace_json());
+  for (const auto& e : doc.at("traceEvents").array()) {
+    if (e.at("ph").string() != "C") continue;
+    tracks[e.at("name").string()].emplace_back(
+        e.at("ts").number(), e.at("args").at("value").number());
+  }
+  ASSERT_EQ(tracks.size(), 3u);
+  for (const char* name : {"level", "clock", "late"}) {
+    std::vector<std::pair<double, double>> want;
+    for (const auto& p : rec.points(name)) {
+      want.emplace_back(sim::to_microseconds(p.t), p.value);
+    }
+    EXPECT_EQ(tracks.at(name), want) << name;
+  }
+  EXPECT_EQ(tracks.at("clock").front().first, 10.0);
+  EXPECT_EQ(tracks.at("late").front().first, 20.0);
 }
 
 /// Two independent builds of the same seeded scenario. The exports
 /// being byte-identical is what lets CI diff artifacts across runs.
-std::pair<std::string, std::string> run_scenario() {
+std::string run_scenario() {
   sim::Simulator sim;
   MetricsRegistry reg;
   std::int64_t ops = 0;
@@ -174,14 +202,13 @@ std::pair<std::string, std::string> run_scenario() {
   }
   sim.run_until(sim::microseconds(250));
   rec.stop();
-  return {rec.to_json(), rec.to_csv()};
+  return rec.to_json();
 }
 
 TEST(TimeSeries, ExportsAreByteIdenticalAcrossIdenticalRuns) {
-  const auto [json_a, csv_a] = run_scenario();
-  const auto [json_b, csv_b] = run_scenario();
+  const std::string json_a = run_scenario();
+  const std::string json_b = run_scenario();
   EXPECT_EQ(json_a, json_b);
-  EXPECT_EQ(csv_a, csv_b);
 
   // And the JSON is well-formed under the repo parser with the pinned
   // schema tag.

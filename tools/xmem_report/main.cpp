@@ -2,7 +2,7 @@
 //
 // Input files are the JSON artifacts the telemetry layer writes —
 // time-series exports ("xmem-timeseries-v1", from
-// TimeSeriesRecorder::write_json) and flight-recorder postmortems
+// TimeSeriesRecorder::to_json) and flight-recorder postmortems
 // ("xmem-postmortem-v1", from FlightRecorder::write_postmortem). Each
 // file is sniffed by its "schema" field, so the CLI takes a bare list:
 //
@@ -161,7 +161,7 @@ int usage(const char* argv0) {
                "usage: %s [--out FILE] [--width N] [--title STR] "
                "<export.json>...\n"
                "Inputs are sniffed by their \"schema\" field:\n"
-               "  xmem-timeseries-v1   TimeSeriesRecorder::write_json\n"
+               "  xmem-timeseries-v1   TimeSeriesRecorder::to_json\n"
                "  xmem-postmortem-v1   FlightRecorder::write_postmortem\n",
                argv0);
   return 2;
@@ -240,15 +240,8 @@ int main(int argc, char** argv) {
     std::fwrite(report.data(), 1, report.size(), stdout);
     return 0;
   }
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
+  if (!xmem::telemetry::write_file(out_path, report)) {
     std::fprintf(stderr, "xmem-report: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  const std::size_t written = std::fwrite(report.data(), 1, report.size(), f);
-  const bool ok = written == report.size() && std::fclose(f) == 0;
-  if (!ok) {
-    std::fprintf(stderr, "xmem-report: short write to %s\n", out_path.c_str());
     return 1;
   }
   return 0;
