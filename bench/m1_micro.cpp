@@ -10,6 +10,7 @@
 // against the parent commit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/checksum.hpp"
@@ -31,22 +32,63 @@ roce::RoceEndpoint ep(int i) {
           0xc000};
 }
 
+// The frame shapes the data path builds and parses, each timed alone: a
+// WRITE written straight from its payload (as RdmaChannel::post_write
+// does), an ACK, and a READ response segment written from a registered
+// region's window (as the RNIC does).
+roce::RoceMessage ack() {
+  roce::RoceMessage msg;
+  msg.bth.opcode = roce::Opcode::kAcknowledge;
+  msg.bth.psn = roce::Psn(7);
+  msg.aeth = roce::Aeth{roce::AckSyndrome::kAck, 1};
+  return msg;
+}
+
 void BM_BuildRoceWrite(benchmark::State& state) {
   const std::vector<std::uint8_t> payload(
       static_cast<std::size_t>(state.range(0)), 0x5a);
-  roce::RoceMessage msg;
-  msg.bth.opcode = roce::Opcode::kRdmaWriteOnly;
-  msg.reth = roce::Reth{0x1000, 0xaa,
-                        static_cast<std::uint32_t>(payload.size())};
-  msg.payload = payload;
+  roce::RoceMessage headers;
+  headers.bth.opcode = roce::Opcode::kRdmaWriteOnly;
+  headers.reth = roce::Reth{0x1000, 0xaa,
+                            static_cast<std::uint32_t>(payload.size())};
   for (auto _ : state) {
-    auto frame = roce::build_roce_packet(ep(1), ep(2), msg);
+    auto frame = roce::build_roce_packet(ep(1), ep(2), headers,
+                                         roce::Gather{{}, payload});
     benchmark::DoNotOptimize(frame);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_BuildRoceWrite)->Arg(64)->Arg(1500)->Arg(4096);
+
+void BM_BuildRoceAck(benchmark::State& state) {
+  const roce::RoceMessage msg = ack();
+  for (auto _ : state) {
+    auto frame = roce::build_roce_packet(ep(1), ep(2), msg);
+    benchmark::DoNotOptimize(frame);
+  }
+}
+BENCHMARK(BM_BuildRoceAck);
+
+void BM_BuildReadResponse(benchmark::State& state) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  rnic::MemoryManager memory;
+  rnic::MemoryRegion& region = memory.register_region(len, rnic::Access::kAll);
+  const auto window = region.window(region.base_va(), len);
+  std::fill(window.begin(), window.end(), std::uint8_t{0x5a});
+  roce::RoceMessage headers;
+  headers.bth.opcode = roce::Opcode::kRdmaReadResponseOnly;
+  headers.aeth = roce::Aeth{roce::AckSyndrome::kAck, 1};
+  for (auto _ : state) {
+    auto frame = roce::build_roce_packet(ep(1), ep(2), headers,
+                                         roce::Gather{{}, window});
+    benchmark::DoNotOptimize(frame);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+// 2048 B is lookup_zipf's entry and the packet buffer's slot.
+BENCHMARK(BM_BuildReadResponse)->Arg(2048);
 
 void BM_ParseRocePacket(benchmark::State& state) {
   const auto len = static_cast<std::uint32_t>(state.range(0));
@@ -64,6 +106,15 @@ void BM_ParseRocePacket(benchmark::State& state) {
 }
 // 4096 is the incast_cc WRITE size.
 BENCHMARK(BM_ParseRocePacket)->Arg(1500)->Arg(4096);
+
+void BM_ParseRoceAck(benchmark::State& state) {
+  const net::Packet frame = roce::build_roce_packet(ep(1), ep(2), ack());
+  for (auto _ : state) {
+    auto parsed = roce::parse_roce_packet(frame);
+    benchmark::DoNotOptimize(parsed);
+  }
+}
+BENCHMARK(BM_ParseRoceAck);
 
 void BM_Crc32(benchmark::State& state) {
   const std::vector<std::uint8_t> data(

@@ -124,14 +124,9 @@ std::uint64_t LookupTablePrimitive::install_entry(
   const std::size_t n_entries = region.size() / entry_bytes;
   const std::uint64_t idx = index_for_key(key, n_entries, seed);
 
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kLenOffset);
-  net::ByteWriter w(buf);
+  net::ByteWriter w(region.subspan(idx * entry_bytes, entry_bytes));
   action.serialize(w);
   w.u64(key_check_hash(key));
-
-  auto slot = region.subspan(idx * entry_bytes, entry_bytes);
-  std::copy(buf.begin(), buf.end(), slot.begin());
   return idx;
 }
 
@@ -147,12 +142,9 @@ LookupTablePrimitive::install_entry_sharded(
   const std::size_t shard = idx % regions.size();
   const std::uint64_t slot = idx / regions.size();
 
-  std::vector<std::uint8_t> buf;
-  net::ByteWriter w(buf);
+  net::ByteWriter w(regions[shard].subspan(slot * entry_bytes, entry_bytes));
   action.serialize(w);
   w.u64(key_check_hash(key));
-  auto dst = regions[shard].subspan(slot * entry_bytes, entry_bytes);
-  std::copy(buf.begin(), buf.end(), dst.begin());
   return {shard, slot};
 }
 
@@ -243,12 +235,8 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
       ctx.drop();
       return;
     }
-    std::vector<std::uint8_t> deposit;
-    deposit.reserve(4 + ctx.packet.size());
-    net::ByteWriter w(deposit);
-    w.u32(static_cast<std::uint32_t>(ctx.packet.size()));
-    w.bytes(ctx.packet.bytes());
-    channel.post_write(va + kLenOffset, deposit);
+    channel.post_write(va + kLenOffset,
+                       FramedEntry(ctx.packet.bytes()).gather());
 
     const roce::Psn psn = channel.post_read(
         va, static_cast<std::uint32_t>(config_.entry_bytes));
@@ -288,10 +276,7 @@ void LookupTablePrimitive::handle_response(std::size_t shard,
     const bool absent = action.kind == Action::Kind::kNone;
     if (absent) ++stats_.no_entry_drops;  // empty slot: no entry installed
     if (config_.mode == Mode::kBounce && (!absent || negative_caching)) {
-      const std::uint32_t len = r.u32();
-      const auto frame = r.bytes(len);
-      packet =
-          net::Packet(std::vector<std::uint8_t>(frame.begin(), frame.end()));
+      packet = unframe(msg.payload, r.position());  // a slice, no copy
     }
     if (absent) {
       // The key is at hand, so the absence itself can be cached.

@@ -114,12 +114,6 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
     ++stats_.ring_full_drops;  // remote buffer exhausted: best-effort drop
     return;
   }
-  std::vector<std::uint8_t> entry;
-  entry.reserve(4 + packet.size());
-  net::ByteWriter w(entry);
-  w.u32(static_cast<std::uint32_t>(packet.size()));
-  w.bytes(packet.bytes());
-
   const auto stripe = channels_.route(head_);
   if (!stripe) {
     if (config_.reliable_stores) {
@@ -127,7 +121,7 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
       // order over the stripes survives, and the entry posts when the
       // stripe revives.
       unacked_slots_.insert(head_);
-      deferred_stores_.emplace(head_, std::move(entry));
+      deferred_stores_.emplace(head_, packet.clone());
       ++head_;
       ++stats_.deferred_stores;
       const std::int64_t d = static_cast<std::int64_t>(head_ - tail_);
@@ -144,14 +138,14 @@ void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
     return;
   }
 
+  // The entry, [u32 len][frame], is written straight into the WRITE.
+  const roce::Psn psn = channels_.at(*stripe).post_write(
+      slot_va(head_), FramedEntry(packet.bytes()).gather(),
+      /*ack_req=*/config_.reliable_stores);
   if (config_.reliable_stores) {
-    const roce::Psn psn = channels_.at(*stripe).post_write(
-        slot_va(head_), entry, /*ack_req=*/true);
     unacked_slots_.insert(head_);
-    inflight_.add(*stripe, psn, {head_, true, std::move(entry)});
+    inflight_.add(*stripe, psn, {head_, true, packet.clone()});
     inflight_.arm();
-  } else {
-    channels_.at(*stripe).post_write(slot_va(head_), entry);
   }
   ++head_;
   ++stats_.stored;
@@ -226,13 +220,10 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
     channels_.note_ok(channel_index);
     channels_.at(channel_index).trace_complete(msg.bth.psn);
 
-    // Decapsulate [u32 len][frame] back into the original packet.
+    // Decapsulate [u32 len][frame] back into the original packet, a
+    // slice of the response frame.
     try {
-      net::ByteReader r(msg.payload);
-      const std::uint32_t len = r.u32();
-      const auto frame = r.bytes(len);
-      net::Packet packet(
-          std::vector<std::uint8_t>(frame.begin(), frame.end()));
+      net::Packet packet = unframe(msg.payload, 0);
       packet.meta().from_remote_buffer = true;
       reorder_.emplace(*slot, std::move(packet));
     } catch (const net::BufferError&) {
@@ -300,11 +291,12 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
       });
       // Post the entries that were parked while the stripe was down.
       std::vector<std::uint64_t> posted;
-      for (auto& [slot, entry] : deferred_stores_) {
+      for (auto& [slot, frame] : deferred_stores_) {
         if (channel_of(slot) != shard) continue;
         const roce::Psn psn = channels_.at(shard).post_write(
-            slot_va(slot), entry, /*ack_req=*/true);
-        inflight_.add(shard, psn, {slot, true, std::move(entry)});
+            slot_va(slot), FramedEntry(frame.bytes()).gather(),
+            /*ack_req=*/true);
+        inflight_.add(shard, psn, {slot, true, std::move(frame)});
         ++stats_.stored;
         posted.push_back(slot);
       }
@@ -343,7 +335,8 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
 void PacketBufferPrimitive::repost(std::size_t stripe, Inflight::Entry& t) {
   t.retransmitted = true;  // Karn: its eventual RTT is unusable
   if (t.op.write) {
-    channels_.at(stripe).repost_write(slot_va(t.op.slot), t.op.entry, t.psn);
+    channels_.at(stripe).repost_write(
+        slot_va(t.op.slot), FramedEntry(t.op.frame.bytes()).gather(), t.psn);
     ++stats_.write_retries;
   } else {
     channels_.at(stripe).repost_read(

@@ -174,7 +174,7 @@ class PacketBufferPrimitive {
   struct Transfer {
     std::uint64_t slot = 0;
     bool write = false;
-    std::vector<std::uint8_t> entry;  // WRITE bytes, kept for retransmission
+    net::Packet frame;  // a WRITE's tenant frame (a clone), for reposts
   };
   using Inflight = InflightTable<Transfer>;
 
@@ -228,8 +228,9 @@ class PacketBufferPrimitive {
   /// Slots whose entry WRITE is not yet acknowledged (or still
   /// deferred); READs for them are gated.
   std::unordered_set<std::uint64_t> unacked_slots_;
-  /// slot -> entry bytes parked while the slot's stripe is down.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> deferred_stores_;
+  /// slot -> tenant frame (a clone) parked while the slot's stripe is
+  /// down.
+  std::map<std::uint64_t, net::Packet> deferred_stores_;
   /// slot -> recovered frame; an empty Packet is a *hole* (that slot's
   /// data is known lost — dead stripe or unrecovered READ) that the
   /// drain skips over.

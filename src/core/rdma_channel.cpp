@@ -123,29 +123,29 @@ void RdmaChannel::trace_annotate(roce::Psn psn, std::string_view key,
   if (tracer_ != nullptr) tracer_->annotate(track_, psn, key, value);
 }
 
-void RdmaChannel::inject(RoceMessage msg) {
+void RdmaChannel::inject(const RoceMessage& headers, roce::Gather payload) {
+  net::Packet frame = roce::build_roce_packet(config_.local, config_.remote,
+                                              headers, payload);
   if (!cc_ || !cc_->in_recovery()) {
     // Uncongested (or CC off): wire-speed injection, byte-identical to
     // the pre-pacing code path.
-    send_now(std::move(msg));
+    send_now(std::move(frame));
     return;
   }
   const sim::Time now = switch_->simulator().now();
   if (paced_.empty() && now >= next_send_at_) {
-    send_now(std::move(msg));
+    send_now(std::move(frame));
     return;
   }
   ++stats_.paced_deferrals;
-  paced_.push_back(std::move(msg));
+  paced_.push_back(std::move(frame));
   if (!drain_event_.pending()) {
     drain_event_ = switch_->simulator().schedule_at(
         std::max(next_send_at_, now), [this] { drain_paced(); });
   }
 }
 
-void RdmaChannel::send_now(RoceMessage msg) {
-  net::Packet frame =
-      roce::build_roce_packet(config_.local, config_.remote, std::move(msg));
+void RdmaChannel::send_now(net::Packet&& frame) {
   const auto bytes = static_cast<std::int64_t>(frame.size());
   stats_.request_bytes += bytes;
   if (cc_ && cc_->in_recovery()) {
@@ -164,9 +164,9 @@ void RdmaChannel::drain_paced() {
   // inside send_now() can end recovery mid-drain, after which the rest
   // of the backlog flushes at wire speed.
   while (!paced_.empty() && (now >= next_send_at_ || !cc_->in_recovery())) {
-    RoceMessage msg = std::move(paced_.front());
+    net::Packet frame = std::move(paced_.front());
     paced_.pop_front();
-    send_now(std::move(msg));
+    send_now(std::move(frame));
   }
   if (!paced_.empty()) {
     drain_event_ = switch_->simulator().schedule_at(next_send_at_,
@@ -174,13 +174,12 @@ void RdmaChannel::drain_paced() {
   }
 }
 
-roce::Psn RdmaChannel::post_write(std::uint64_t va,
-                                  std::span<const std::uint8_t> payload,
+roce::Psn RdmaChannel::post_write(std::uint64_t va, roce::Gather payload,
                                   bool ack_req) {
   const roce::Psn first_psn = next_psn_;
   const std::size_t mtu = config_.path_mtu;
   const std::size_t segments =
-      payload.empty() ? 1 : (payload.size() + mtu - 1) / mtu;
+      payload.size() == 0 ? 1 : (payload.size() + mtu - 1) / mtu;
   trace_begin("WRITE", first_psn, payload.size());
 
   for (std::size_t i = 0; i < segments; ++i) {
@@ -205,10 +204,7 @@ roce::Psn RdmaChannel::post_write(std::uint64_t va,
     }
     const std::size_t offset = i * mtu;
     const std::size_t chunk = std::min(mtu, payload.size() - offset);
-    msg.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(offset),
-                       payload.begin() +
-                           static_cast<std::ptrdiff_t>(offset + chunk));
-    inject(std::move(msg));
+    inject(msg, payload.sub(offset, chunk));
   }
 
   next_psn_ = roce::psn_add(first_psn, static_cast<std::uint32_t>(segments));
@@ -230,7 +226,7 @@ roce::Psn RdmaChannel::post_read(std::uint64_t va, std::uint32_t len) {
   next_psn_ = roce::psn_add(next_psn_, read_segments(len));
   ++stats_.reads_sent;
   trace_begin("READ", psn, len);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
@@ -240,8 +236,7 @@ void RdmaChannel::reconfigure(control::RdmaChannelConfig config) {
   next_psn_ = config_.initial_psn;
 }
 
-void RdmaChannel::repost_write(std::uint64_t va,
-                               std::span<const std::uint8_t> payload,
+void RdmaChannel::repost_write(std::uint64_t va, roce::Gather payload,
                                roce::Psn psn, bool ack_req) {
   assert(payload.size() <= config_.path_mtu &&
          "repost_write: payload exceeds one MTU");
@@ -252,9 +247,8 @@ void RdmaChannel::repost_write(std::uint64_t va,
   msg.bth.ack_req = ack_req;
   msg.reth = roce::Reth{va, config_.rkey,
                         static_cast<std::uint32_t>(payload.size())};
-  msg.payload.assign(payload.begin(), payload.end());
   trace_retransmit(psn);
-  inject(std::move(msg));
+  inject(msg, payload);
 }
 
 void RdmaChannel::repost_read(std::uint64_t va, std::uint32_t len,
@@ -265,7 +259,7 @@ void RdmaChannel::repost_read(std::uint64_t va, std::uint32_t len,
   msg.bth.psn = psn;
   msg.reth = roce::Reth{va, config_.rkey, len};
   trace_retransmit(psn);
-  inject(std::move(msg));
+  inject(msg);
 }
 
 roce::Psn RdmaChannel::post_fetch_add(std::uint64_t va, std::uint64_t add) {
@@ -278,7 +272,7 @@ roce::Psn RdmaChannel::post_fetch_add(std::uint64_t va, std::uint64_t add) {
   next_psn_ = roce::psn_add(next_psn_, 1);
   ++stats_.atomics_sent;
   trace_begin("FETCH_ADD", psn, 8);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
@@ -294,7 +288,7 @@ roce::Psn RdmaChannel::post_compare_swap(std::uint64_t va,
   next_psn_ = roce::psn_add(next_psn_, 1);
   ++stats_.atomics_sent;
   trace_begin("CMP_SWAP", psn, 8);
-  inject(std::move(msg));
+  inject(msg);
   return psn;
 }
 
@@ -306,7 +300,7 @@ void RdmaChannel::repost_fetch_add(std::uint64_t va, std::uint64_t add,
   msg.bth.psn = psn;
   msg.atomic_eth = roce::AtomicEth{va, config_.rkey, add, 0};
   trace_retransmit(psn);
-  inject(std::move(msg));
+  inject(msg);
 }
 
 }  // namespace xmem::core

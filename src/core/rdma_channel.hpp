@@ -73,10 +73,16 @@ class RdmaChannel {
 
   /// Craft and inject an RDMA WRITE of `payload` to remote `va`.
   /// Returns the PSN used. Multi-MTU payloads are segmented
-  /// FIRST/MIDDLE/LAST exactly as an RNIC requester would.
+  /// FIRST/MIDDLE/LAST exactly as an RNIC requester would. Each segment's
+  /// frame is written straight from `payload`, which need not outlive
+  /// the call.
+  roce::Psn post_write(std::uint64_t va, roce::Gather payload,
+                       bool ack_req = false);
   roce::Psn post_write(std::uint64_t va,
                        std::span<const std::uint8_t> payload,
-                       bool ack_req = false);
+                       bool ack_req = false) {
+    return post_write(va, roce::Gather{{}, payload}, ack_req);
+  }
 
   /// Craft and inject an RDMA READ request for [va, va+len).
   /// Returns the PSN of the request; the response's first packet carries
@@ -90,8 +96,12 @@ class RdmaChannel {
   /// Retransmit a single-segment WRITE with its original PSN (reliable
   /// stores). Does not advance the PSN register; the payload must fit in
   /// one MTU so the repost is self-contained (ONLY opcode).
+  void repost_write(std::uint64_t va, roce::Gather payload, roce::Psn psn,
+                    bool ack_req = true);
   void repost_write(std::uint64_t va, std::span<const std::uint8_t> payload,
-                    roce::Psn psn, bool ack_req = true);
+                    roce::Psn psn, bool ack_req = true) {
+    repost_write(va, roce::Gather{{}, payload}, psn, ack_req);
+  }
 
   /// Craft and inject an atomic Fetch-and-Add of `add` at `va`.
   /// Returns the PSN used (the AtomicAck echoes it).
@@ -120,7 +130,9 @@ class RdmaChannel {
   /// Point the channel at a rebuilt remote endpoint (after
   /// ChannelController::reconnect): swaps in the new config and resets
   /// the PSN register to its initial_psn. Stats and telemetry
-  /// attachments persist across the swap.
+  /// attachments persist across the swap. Frames already queued behind
+  /// the pacer were built when they were posted: they still leave, as
+  /// built, for the old endpoint.
   void reconfigure(control::RdmaChannelConfig config);
 
   /// --- Telemetry -------------------------------------------------------
@@ -146,10 +158,12 @@ class RdmaChannel {
                       std::string_view value);
 
  private:
-  void inject(roce::RoceMessage msg);
-  /// Build the frame and hand it to the switch unconditionally, charging
-  /// the pacer clock when CC is in recovery.
-  void send_now(roce::RoceMessage msg);
+  /// Build the frame for `headers` around `payload` (its bytes are
+  /// copied into the frame here, once) and send or pace it.
+  void inject(const roce::RoceMessage& headers, roce::Gather payload = {});
+  /// Hand a built frame to the switch unconditionally, charging the pacer
+  /// clock when CC is in recovery.
+  void send_now(net::Packet&& frame);
   void drain_paced();
   void arm_cc_timers();
   void on_alpha_tick();
@@ -165,12 +179,12 @@ class RdmaChannel {
   Stats stats_;
 
   /// DCQCN reaction point + token pacer. `next_send_at_` is the earliest
-  /// time the next paced frame may leave; requests arriving sooner queue
-  /// in `paced_` and drain via `drain_event_`. Timers only run while the
+  /// time the next paced frame may leave; frames built sooner queue in
+  /// `paced_` and drain via `drain_event_`. Timers only run while the
   /// controller is in recovery (plus alpha decay until it quiesces), so
   /// a congestion-free channel schedules no events at all.
   std::optional<DcqcnRateController> cc_;
-  std::deque<roce::RoceMessage> paced_;
+  std::deque<net::Packet> paced_;
   sim::Time next_send_at_ = 0;
   sim::EventId drain_event_;
   sim::EventId alpha_event_;

@@ -5,6 +5,7 @@
 // places where endianness is handled.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -19,48 +20,87 @@ class BufferError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Appends big-endian fields to a growable byte vector.
+/// Writes big-endian fields either onto the end of a growable vector or
+/// into a buffer sized up front (a frame whose length is known before
+/// its first header is written). Each field is one bounds check and
+/// direct stores, never a per-byte push_back.
 class ByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
+  /// Appends to `out`, growing it as fields are written.
+  explicit ByteWriter(std::vector<std::uint8_t>& out) : vec_(&out) {}
+  /// Fills `out` from its first byte; writing past its end throws
+  /// BufferError.
+  explicit ByteWriter(std::span<std::uint8_t> out) : buf_(out) {}
 
-  void u8(std::uint8_t v) { out_->push_back(v); }
+  void u8(std::uint8_t v) { *put(1) = v; }
   void u16(std::uint16_t v) {
-    out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    out_->push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = put(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
   void u24(std::uint32_t v) {
-    out_->push_back(static_cast<std::uint8_t>(v >> 16));
-    out_->push_back(static_cast<std::uint8_t>(v >> 8));
-    out_->push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t* p = put(3);
+    p[0] = static_cast<std::uint8_t>(v >> 16);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v);
   }
   void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
+    std::uint8_t* p = put(4);
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v);
   }
   void u64(std::uint64_t v) {
     u32(static_cast<std::uint32_t>(v >> 32));
     u32(static_cast<std::uint32_t>(v));
   }
   void bytes(std::span<const std::uint8_t> data) {
-    out_->insert(out_->end(), data.begin(), data.end());
+    if (!data.empty()) std::copy(data.begin(), data.end(), put(data.size()));
   }
-  void zeros(std::size_t n) { out_->insert(out_->end(), n, 0); }
+  void zeros(std::size_t n) {
+    if (n > 0) std::fill_n(put(n), n, std::uint8_t{0});
+  }
 
-  /// Current length of the underlying buffer (for later patching).
-  [[nodiscard]] std::size_t size() const { return out_->size(); }
+  /// Bytes written so far (the offset of the next field, for patching).
+  [[nodiscard]] std::size_t size() const {
+    return vec_ != nullptr ? vec_->size() : pos_;
+  }
+  /// Everything written so far, e.g. for a checksum over a header.
+  [[nodiscard]] std::span<const std::uint8_t> written() const {
+    return vec_ != nullptr ? std::span<const std::uint8_t>(*vec_)
+                           : std::span<const std::uint8_t>(buf_.first(pos_));
+  }
 
   /// Overwrite a previously written 16-bit field (length/checksum fixups).
   void patch_u16(std::size_t offset, std::uint16_t v) {
-    if (offset + 2 > out_->size()) {
+    if (offset + 2 > size()) {
       throw BufferError("ByteWriter: patch_u16 out of range");
     }
-    (*out_)[offset] = static_cast<std::uint8_t>(v >> 8);
-    (*out_)[offset + 1] = static_cast<std::uint8_t>(v);
+    std::uint8_t* p = (vec_ != nullptr ? vec_->data() : buf_.data()) + offset;
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
   }
 
  private:
-  std::vector<std::uint8_t>* out_;
+  /// Room for the next `n` bytes.
+  std::uint8_t* put(std::size_t n) {
+    if (vec_ != nullptr) {
+      const std::size_t at = vec_->size();
+      vec_->resize(at + n);
+      return vec_->data() + at;
+    }
+    if (n > buf_.size() - pos_) {
+      throw BufferError("ByteWriter: write past end of buffer");
+    }
+    std::uint8_t* p = buf_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  std::vector<std::uint8_t>* vec_ = nullptr;
+  std::span<std::uint8_t> buf_;
+  std::size_t pos_ = 0;
 };
 
 /// Reads big-endian fields from a byte span; throws BufferError on

@@ -171,28 +171,6 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   return fold(sum_words(data));
 }
 
-void InternetChecksum::add(std::span<const std::uint8_t> data) {
-  if (data.empty()) return;
-  if (odd_) {
-    // The previous chunk ended on an odd byte: that byte was already added
-    // as the high half of a word, so this chunk's first byte is the low
-    // half.
-    sum_ += data[0];
-    data = data.subspan(1);
-    odd_ = false;
-  }
-  sum_ += sum_words(data);
-  if (data.size() % 2 != 0) odd_ = true;
-}
-
-void InternetChecksum::add_u16(std::uint16_t v) {
-  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8),
-                             static_cast<std::uint8_t>(v)};
-  add(std::span<const std::uint8_t>(b, 2));
-}
-
-std::uint16_t InternetChecksum::finish() const { return fold(sum_); }
-
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
 #if defined(__x86_64__)
   static const bool clmul = detail::crc32_clmul_supported();

@@ -12,19 +12,6 @@ namespace xmem::net {
 [[nodiscard]] std::uint16_t internet_checksum(
     std::span<const std::uint8_t> data);
 
-/// Incremental variant: fold more data into a running 32-bit accumulator.
-/// Start with 0, call add repeatedly, then finish().
-class InternetChecksum {
- public:
-  void add(std::span<const std::uint8_t> data);
-  void add_u16(std::uint16_t v);
-  [[nodiscard]] std::uint16_t finish() const;
-
- private:
-  std::uint64_t sum_ = 0;
-  bool odd_ = false;  // previous add ended mid-word
-};
-
 /// Reflected CRC-32 (polynomial 0xEDB88320), the Ethernet/zlib CRC.
 /// `seed` allows chaining; pass the previous return value to continue.
 /// Runs detail::crc32_clmul() on CPUs that support it (checked once per

@@ -14,30 +14,12 @@ void Ipv4Header::serialize(ByteWriter& w) const {
   w.u16(0x4000);  // flags: DF set, fragment offset 0
   w.u8(ttl);
   w.u8(protocol);
-  const std::size_t checksum_at = w.size();
-  w.u16(0);
+  w.u16(0);  // checksum, patched below
   w.u32(src.value());
   w.u32(dst.value());
-  // Checksum covers exactly the 20 header bytes just written.
-  // We reach into the writer's buffer via a second serialization pass:
-  // recompute over the bytes between start and now.
-  // ByteWriter does not expose its buffer, so compute incrementally.
-  InternetChecksum sum;
-  sum.add_u16(0x4500 |
-              static_cast<std::uint16_t>((dscp << 2) |
-                                         static_cast<std::uint8_t>(ecn)));
-  sum.add_u16(total_length);
-  sum.add_u16(identification);
-  sum.add_u16(0x4000);
-  sum.add_u16(static_cast<std::uint16_t>((std::uint16_t{ttl} << 8) |
-                                         protocol));
-  sum.add_u16(0);
-  sum.add_u16(static_cast<std::uint16_t>(src.value() >> 16));
-  sum.add_u16(static_cast<std::uint16_t>(src.value()));
-  sum.add_u16(static_cast<std::uint16_t>(dst.value() >> 16));
-  sum.add_u16(static_cast<std::uint16_t>(dst.value()));
-  w.patch_u16(checksum_at, sum.finish());
-  (void)start;
+  // One pass over the 20 bytes just written, checksum field zero.
+  w.patch_u16(start + 10, internet_checksum(w.written().subspan(
+                              start, kIpv4HeaderBytes)));
 }
 
 Ipv4Header Ipv4Header::parse(ByteReader& r) {

@@ -26,9 +26,8 @@ PfcFrame pfc_xon(const MacAddress& src, int priority) {
 }
 
 Packet build_pfc_frame(const PfcFrame& pfc) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(kEthernetMinFrame);
-  ByteWriter w(buf);
+  ByteSlice frame = ByteSlice::allocate(kEthernetMinFrame);
+  ByteWriter w(frame.mutable_bytes());
   EthernetHeader eth;
   eth.dst = kPauseDst;
   eth.src = pfc.src;
@@ -38,8 +37,8 @@ Packet build_pfc_frame(const PfcFrame& pfc) {
   w.u16(pfc.class_enable);
   for (int i = 0; i < 8; ++i) w.u16(pfc.quanta[i]);
   // Pad to the 60-byte Ethernet minimum.
-  while (buf.size() < kEthernetMinFrame) buf.push_back(0);
-  return Packet(std::move(buf));
+  w.zeros(kEthernetMinFrame - w.size());
+  return Packet(std::move(frame));
 }
 
 std::optional<PfcFrame> parse_pfc_frame(const Packet& packet) {

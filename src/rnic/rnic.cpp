@@ -11,6 +11,21 @@ using roce::AckSyndrome;
 using roce::Opcode;
 using roce::RoceMessage;
 
+namespace {
+
+/// The InfiniBand length rule for a WRITE_ONLY or WRITE_FIRST: an ONLY
+/// carries exactly its RETH's DMA length, a FIRST at most that much
+/// (MIDDLE and LAST are then held to what remains). A WRITE that breaks
+/// it is NAKed as an invalid request and writes nothing: a longer payload
+/// would land past the range the responder validated.
+bool payload_fits_reth(const RoceMessage& msg) {
+  const std::size_t len = msg.payload.size();
+  return msg.opcode() == Opcode::kRdmaWriteOnly ? len == msg.reth->dma_len
+                                                : len <= msg.reth->dma_len;
+}
+
+}  // namespace
+
 Rnic::Rnic(sim::Simulator& simulator, roce::RoceEndpoint self,
            NicProfile profile, TransmitFn transmit)
     : sim_(&simulator),
@@ -146,24 +161,27 @@ void Rnic::note_ce_marked(QueuePair& qp) {
   ++qp.cnps_sent;
   ++stats_.cnps_sent;
   int_ingress_ = now;  // the CNP's NIC residency is instantaneous
-  transmit_response(
-      roce::build_roce_packet(self_, qp.remote, std::move(cnp)));
+  transmit_response(roce::build_roce_packet(self_, qp.remote, cnp));
 }
 
 void Rnic::pump() {
   if (serving_ || rx_queue_.empty()) return;
   serving_ = true;
-  RxItem item = std::move(rx_queue_.front());
+  in_service_ = std::move(rx_queue_.front());
   rx_queue_.pop_front();
-  // Compute the service time before the lambda capture moves the message:
-  // argument evaluation order is unspecified.
-  const sim::Time service = service_time(item.msg);
-  sim_->schedule_in(service, [this, item = std::move(item)]() {
-    int_ingress_ = item.arrival;
-    execute(item.msg);
+  // The request waits in in_service_, so the event captures only `this`.
+  // set_alive(false) and restart() leave it alone: execute() checks
+  // liveness and the QP when the service time is up.
+  auto serve = [this] {
+    int_ingress_ = in_service_.arrival;
+    execute(in_service_.msg);
+    in_service_ = {};  // release the request's frame
     serving_ = false;
     pump();
-  });
+  };
+  static_assert(sim::InlineFunction::fits_inline<decltype(serve)>(),
+                "every request would heap-allocate its service event");
+  sim_->schedule_in(service_time(in_service_.msg), std::move(serve));
 }
 
 sim::Time Rnic::service_time(const RoceMessage& msg) const {
@@ -251,6 +269,11 @@ void Rnic::execute(const RoceMessage& msg) {
 void Rnic::execute_duplicate_write_only(QueuePair& qp,
                                         const RoceMessage& msg) {
   assert(msg.reth.has_value());
+  if (!payload_fits_reth(msg)) {
+    ++qp.naks_sent;
+    send_ack(qp, msg.bth.psn, AckSyndrome::kNakInvalidRequest);
+    return;
+  }
   const MemStatus status = memory_.check(msg.reth->rkey, msg.reth->va,
                                          msg.reth->dma_len,
                                          Access::kRemoteWrite);
@@ -277,6 +300,11 @@ void Rnic::execute_write(QueuePair& qp, const RoceMessage& msg) {
 
   if (op == Opcode::kRdmaWriteOnly || op == Opcode::kRdmaWriteFirst) {
     assert(msg.reth.has_value());
+    if (!payload_fits_reth(msg)) {
+      ++qp.naks_sent;
+      send_ack(qp, msg.bth.psn, AckSyndrome::kNakInvalidRequest);
+      return;
+    }
     va = msg.reth->va;
     rkey = msg.reth->rkey;
     // Validate the whole announced transfer up front, like hardware does.
@@ -415,7 +443,7 @@ void Rnic::send_ack(QueuePair& qp, roce::Psn psn, AckSyndrome syndrome,
       case AckSyndrome::kAck: break;  // unreachable
     }
   }
-  transmit_response(roce::build_roce_packet(self_, qp.remote, std::move(resp)));
+  transmit_response(roce::build_roce_packet(self_, qp.remote, resp));
 }
 
 void Rnic::send_read_response(QueuePair& qp, roce::Psn first_psn,
@@ -440,11 +468,11 @@ void Rnic::send_read_response(QueuePair& qp, roce::Psn first_psn,
     if (roce::has_aeth(resp.bth.opcode)) {
       resp.aeth = roce::Aeth{AckSyndrome::kAck, qp.msn};
     }
+    // The segment is written into its frame straight from the region.
     const std::size_t offset = i * mtu;
     const std::size_t chunk = std::min(mtu, data.size() - offset);
-    resp.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                        data.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-    transmit_response(roce::build_roce_packet(self_, qp.remote, std::move(resp)));
+    transmit_response(roce::build_roce_packet(
+        self_, qp.remote, resp, roce::Gather{{}, data.subspan(offset, chunk)}));
   }
 }
 

@@ -191,6 +191,7 @@ class Rnic {
   };
 
   std::deque<RxItem> rx_queue_;
+  RxItem in_service_;  ///< Valid while serving_.
   bool serving_ = false;
   bool alive_ = true;
   std::uint64_t epoch_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <stdexcept>
 
 #include "net/checksum.hpp"
@@ -20,7 +21,8 @@ std::size_t extension_bytes(const RoceMessage& msg) {
   return n;
 }
 
-void check_headers_match_opcode(const RoceMessage& msg) {
+void check_headers_match_opcode(const RoceMessage& msg,
+                                std::size_t payload_bytes) {
   const Opcode op = msg.opcode();
   if (has_reth(op) != msg.reth.has_value()) {
     throw std::invalid_argument("RoceMessage: RETH presence mismatch for " +
@@ -44,7 +46,7 @@ void check_headers_match_opcode(const RoceMessage& msg) {
     throw std::invalid_argument("RoceMessage: CnpETH presence mismatch for " +
                                 std::string(to_string(op)));
   }
-  if (!msg.payload.empty() && !has_payload(op)) {
+  if (payload_bytes > 0 && !has_payload(op)) {
     throw std::invalid_argument("RoceMessage: opcode carries no payload: " +
                                 std::string(to_string(op)));
   }
@@ -57,7 +59,113 @@ std::size_t routing_and_bth_bytes(RoceVersion version) {
   return net::kIpv4HeaderBytes + net::kUdpHeaderBytes + kBthBytes;
 }
 
+net::Packet build(const RoceEndpoint& src, const RoceEndpoint& dst,
+                  const RoceMessage& msg, Gather payload,
+                  RoceVersion version) {
+  check_headers_match_opcode(msg, payload.size());
+
+  const std::size_t pad = (4 - (payload.size() % 4)) % 4;
+  const std::size_t transport_bytes = kBthBytes + extension_bytes(msg) +
+                                      payload.size() + pad + kIcrcBytes;
+  const std::size_t routing_bytes =
+      routing_and_bth_bytes(version) - kBthBytes;
+
+  net::ByteSlice frame = net::ByteSlice::allocate(
+      net::kEthernetHeaderBytes + routing_bytes + transport_bytes);
+  net::ByteWriter w(frame.mutable_bytes());
+
+  net::EthernetHeader eth;
+  eth.dst = dst.mac;
+  eth.src = src.mac;
+  eth.set_type(version == RoceVersion::kV2 ? net::EtherType::kIpv4
+                                           : net::EtherType::kRoceV1);
+  eth.serialize(w);
+
+  if (version == RoceVersion::kV2) {
+    net::Ipv4Header ip;
+    ip.total_length = static_cast<std::uint16_t>(
+        net::kIpv4HeaderBytes + net::kUdpHeaderBytes + transport_bytes);
+    ip.protocol = static_cast<std::uint8_t>(net::IpProto::kUdp);
+    ip.src = src.ip;
+    ip.dst = dst.ip;
+    ip.ecn = msg.ecn;  // defaults to ECT(0): RoCEv2 runs ECN-capable
+    ip.serialize(w);
+
+    net::UdpHeader udp;
+    udp.src_port = src.udp_port;
+    udp.dst_port = net::kRoceV2Port;
+    udp.length =
+        static_cast<std::uint16_t>(net::kUdpHeaderBytes + transport_bytes);
+    udp.checksum = 0;  // RoCEv2 transmits UDP checksum zero
+    udp.serialize(w);
+  } else {
+    Grh grh;
+    grh.payload_length = static_cast<std::uint16_t>(transport_bytes);
+    grh.sgid = Grh::gid_from_ipv4(src.ip.value());
+    grh.dgid = Grh::gid_from_ipv4(dst.ip.value());
+    grh.serialize(w);
+  }
+
+  Bth bth = msg.bth;
+  bth.pad_count = static_cast<std::uint8_t>(pad);
+  bth.serialize(w);
+  if (msg.reth) msg.reth->serialize(w);
+  if (msg.atomic_eth) msg.atomic_eth->serialize(w);
+  if (msg.aeth) msg.aeth->serialize(w);
+  if (msg.atomic_ack) msg.atomic_ack->serialize(w);
+  if (msg.cnp) msg.cnp->serialize(w);
+  w.bytes(payload.head);
+  w.bytes(payload.body);
+  w.zeros(pad);
+  w.u32(compute_icrc(w.written(), version));
+  return net::Packet(std::move(frame));
+}
+
+/// Everything after the routing header: ICRC check over the whole frame,
+/// then BTH, extension headers and the payload as a slice of `p`.
+std::optional<RoceMessage> parse_transport(const net::Packet& p,
+                                           std::size_t offset,
+                                           RoceVersion version,
+                                           net::Ecn ecn) {
+  if (p.size() < offset + kBthBytes + kIcrcBytes) return std::nullopt;
+
+  // Validate ICRC before trusting anything else.
+  const std::size_t icrc_offset = p.size() - kIcrcBytes;
+  const std::uint32_t expected =
+      compute_icrc(p.bytes().first(icrc_offset), version);
+  net::ByteReader icrc_reader(p.bytes().subspan(icrc_offset));
+  if (icrc_reader.u32() != expected) return std::nullopt;
+
+  net::ByteReader r(p.bytes().subspan(offset, icrc_offset - offset));
+  RoceMessage msg;
+  msg.ecn = ecn;
+  msg.bth = Bth::parse(r);
+  const Opcode op = msg.bth.opcode;
+  if (has_reth(op)) msg.reth = Reth::parse(r);
+  if (has_atomic_eth(op)) msg.atomic_eth = AtomicEth::parse(r);
+  if (has_aeth(op)) msg.aeth = Aeth::parse(r);
+  if (has_atomic_ack_eth(op)) msg.atomic_ack = AtomicAckEth::parse(r);
+  if (has_cnp_eth(op)) msg.cnp = CnpEth::parse(r);
+
+  if (r.remaining() < msg.bth.pad_count) return std::nullopt;
+  const std::size_t payload_len = r.remaining() - msg.bth.pad_count;
+  if (payload_len > 0 && !has_payload(op)) return std::nullopt;
+  msg.payload = p.slice(offset + r.position(), payload_len);
+  return msg;
+}
+
 }  // namespace
+
+Gather Gather::sub(std::size_t offset, std::size_t len) const {
+  assert(offset <= size() && len <= size() - offset);
+  const std::size_t in_head =
+      offset < head.size() ? std::min(len, head.size() - offset) : 0;
+  Gather out;
+  out.head = head.subspan(std::min(offset, head.size()), in_head);
+  out.body = body.subspan(offset > head.size() ? offset - head.size() : 0,
+                          len - in_head);
+  return out;
+}
 
 std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
                            RoceVersion version) {
@@ -100,113 +208,41 @@ std::uint32_t compute_icrc(std::span<const std::uint8_t> frame,
 }
 
 net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
-                              RoceMessage msg, RoceVersion version) {
-  check_headers_match_opcode(msg);
+                              const RoceMessage& msg, RoceVersion version) {
+  return build(src, dst, msg, Gather{{}, msg.payload.span()}, version);
+}
 
-  const std::size_t pad = (4 - (msg.payload.size() % 4)) % 4;
-  msg.bth.pad_count = static_cast<std::uint8_t>(pad);
-
-  const std::size_t transport_bytes = kBthBytes + extension_bytes(msg) +
-                                      msg.payload.size() + pad + kIcrcBytes;
-
-  std::vector<std::uint8_t> buf;
-  buf.reserve(net::kEthernetHeaderBytes + kGrhBytes + transport_bytes + 8);
-  net::ByteWriter w(buf);
-
-  net::EthernetHeader eth;
-  eth.dst = dst.mac;
-  eth.src = src.mac;
-  eth.set_type(version == RoceVersion::kV2 ? net::EtherType::kIpv4
-                                           : net::EtherType::kRoceV1);
-  eth.serialize(w);
-
-  if (version == RoceVersion::kV2) {
-    net::Ipv4Header ip;
-    ip.total_length = static_cast<std::uint16_t>(
-        net::kIpv4HeaderBytes + net::kUdpHeaderBytes + transport_bytes);
-    ip.protocol = static_cast<std::uint8_t>(net::IpProto::kUdp);
-    ip.src = src.ip;
-    ip.dst = dst.ip;
-    ip.ecn = msg.ecn;  // defaults to ECT(0): RoCEv2 runs ECN-capable
-    ip.serialize(w);
-
-    net::UdpHeader udp;
-    udp.src_port = src.udp_port;
-    udp.dst_port = net::kRoceV2Port;
-    udp.length =
-        static_cast<std::uint16_t>(net::kUdpHeaderBytes + transport_bytes);
-    udp.checksum = 0;  // RoCEv2 transmits UDP checksum zero
-    udp.serialize(w);
-  } else {
-    Grh grh;
-    grh.payload_length = static_cast<std::uint16_t>(transport_bytes);
-    grh.sgid = Grh::gid_from_ipv4(src.ip.value());
-    grh.dgid = Grh::gid_from_ipv4(dst.ip.value());
-    grh.serialize(w);
+net::Packet build_roce_packet(const RoceEndpoint& src, const RoceEndpoint& dst,
+                              const RoceMessage& headers, Gather payload,
+                              RoceVersion version) {
+  if (!headers.payload.empty()) {
+    throw std::invalid_argument(
+        "build_roce_packet: a gathered payload replaces the message's own");
   }
-
-  msg.bth.serialize(w);
-  if (msg.reth) msg.reth->serialize(w);
-  if (msg.atomic_eth) msg.atomic_eth->serialize(w);
-  if (msg.aeth) msg.aeth->serialize(w);
-  if (msg.atomic_ack) msg.atomic_ack->serialize(w);
-  if (msg.cnp) msg.cnp->serialize(w);
-  w.bytes(msg.payload);
-  w.zeros(pad);
-
-  const std::uint32_t icrc = compute_icrc(buf, version);
-  w.u32(icrc);
-
-  return net::Packet(std::move(buf));
+  return build(src, dst, headers, payload, version);
 }
 
 std::optional<RoceMessage> parse_roce_packet(const net::Packet& p) {
   try {
+    const net::ParsedPacket headers = net::parse_packet(p);
+    if (headers.is_roce_v2()) return parse_roce_packet(p, headers);
+    if (headers.eth.type() != net::EtherType::kRoceV1) return std::nullopt;
     net::ByteReader r(p.bytes());
-    const auto eth = net::EthernetHeader::parse(r);
+    r.skip(net::kEthernetHeaderBytes);
+    Grh::parse(r);
+    return parse_transport(p, r.position(), RoceVersion::kV1,
+                           net::Ecn::kEct0);
+  } catch (const net::BufferError&) {
+    return std::nullopt;  // malformed: treated as line noise and dropped
+  }
+}
 
-    RoceVersion version;
-    net::Ecn ecn = net::Ecn::kEct0;
-    if (eth.type() == net::EtherType::kIpv4) {
-      const auto ip = net::Ipv4Header::parse(r);
-      if (ip.proto() != net::IpProto::kUdp) return std::nullopt;
-      const auto udp = net::UdpHeader::parse(r);
-      if (udp.dst_port != net::kRoceV2Port) return std::nullopt;
-      ecn = ip.ecn;
-      version = RoceVersion::kV2;
-    } else if (eth.type() == net::EtherType::kRoceV1) {
-      Grh::parse(r);
-      version = RoceVersion::kV1;
-    } else {
-      return std::nullopt;
-    }
-
-    if (r.remaining() < kBthBytes + kIcrcBytes) return std::nullopt;
-
-    // Validate ICRC before trusting anything else.
-    const std::size_t icrc_offset = p.size() - kIcrcBytes;
-    const std::uint32_t expected =
-        compute_icrc(p.bytes().first(icrc_offset), version);
-    net::ByteReader icrc_reader(p.bytes().subspan(icrc_offset));
-    if (icrc_reader.u32() != expected) return std::nullopt;
-
-    RoceMessage msg;
-    msg.ecn = ecn;
-    msg.bth = Bth::parse(r);
-    const Opcode op = msg.bth.opcode;
-    if (has_reth(op)) msg.reth = Reth::parse(r);
-    if (has_atomic_eth(op)) msg.atomic_eth = AtomicEth::parse(r);
-    if (has_aeth(op)) msg.aeth = Aeth::parse(r);
-    if (has_atomic_ack_eth(op)) msg.atomic_ack = AtomicAckEth::parse(r);
-    if (has_cnp_eth(op)) msg.cnp = CnpEth::parse(r);
-
-    const std::size_t tail = kIcrcBytes + msg.bth.pad_count;
-    if (r.remaining() < tail) return std::nullopt;
-    const std::size_t payload_len = r.remaining() - tail;
-    if (payload_len > 0 && !has_payload(op)) return std::nullopt;
-    const auto payload = r.bytes(payload_len);
-    msg.payload.assign(payload.begin(), payload.end());
-    return msg;
+std::optional<RoceMessage> parse_roce_packet(const net::Packet& p,
+                                             const net::ParsedPacket& headers) {
+  assert(headers.is_roce_v2() && "parse_roce_packet: not a RoCEv2 frame");
+  try {
+    return parse_transport(p, headers.l4_payload_offset, RoceVersion::kV2,
+                           headers.ipv4->ecn);
   } catch (const net::BufferError&) {
     return std::nullopt;  // malformed: treated as line noise and dropped
   }

@@ -3,14 +3,15 @@
 // A RoceMessage is the logical content of one RoCE packet: BTH, whichever
 // extension headers the opcode requires, and an (unpadded) payload.
 // build_roce_packet() produces the byte-exact frame — Ethernet + (IPv4 +
-// UDP | GRH) + transport headers + padded payload + ICRC — and
-// parse_roce_packet() reverses it, validating the ICRC.
+// UDP | GRH) + transport headers + padded payload + ICRC — sized up front
+// and written once, with the payload copied in from where it lies.
+// parse_roce_packet() reverses it in place, validating the ICRC: the
+// parsed payload is a slice of the frame, not a copy.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
@@ -40,7 +41,9 @@ struct RoceMessage {
   std::optional<Aeth> aeth;
   std::optional<AtomicAckEth> atomic_ack;
   std::optional<CnpEth> cnp;
-  std::vector<std::uint8_t> payload;
+  /// Unpadded payload. A parsed message's payload is a slice of the frame
+  /// it was parsed from; a message built by hand owns its bytes.
+  net::ByteSlice payload;
   /// ECN codepoint of the enclosing IP header. build_roce_packet() emits
   /// it (RoCEv2 frames default to ECT(0), so switch queues may CE-mark
   /// them); parse_roce_packet() recovers it, which is how a responder
@@ -51,20 +54,52 @@ struct RoceMessage {
   [[nodiscard]] Opcode opcode() const { return bth.opcode; }
 };
 
+/// A payload that lies in place elsewhere, as two consecutive pieces
+/// (`head` may be empty). build_roce_packet() copies it into the frame
+/// once: a packet-buffer entry is a length word and a tenant frame, a
+/// READ response segment a window of a registered region.
+struct Gather {
+  std::span<const std::uint8_t> head;
+  std::span<const std::uint8_t> body;
+
+  [[nodiscard]] std::size_t size() const { return head.size() + body.size(); }
+  /// Bytes [offset, offset + len) of head followed by body (one segment
+  /// of a multi-MTU payload).
+  [[nodiscard]] Gather sub(std::size_t offset, std::size_t len) const;
+};
+
 /// Serialize `msg` into a ready-to-transmit frame. Fills in lengths, pad
 /// count and ICRC; validates that the extension headers present match the
 /// opcode (throws std::invalid_argument otherwise).
 [[nodiscard]] net::Packet build_roce_packet(const RoceEndpoint& src,
                                             const RoceEndpoint& dst,
-                                            RoceMessage msg,
+                                            const RoceMessage& msg,
+                                            RoceVersion version =
+                                                RoceVersion::kV2);
+
+/// The same frame with `payload` as the payload, copied straight from
+/// where it lies. `headers.payload` must be empty (std::invalid_argument
+/// otherwise).
+[[nodiscard]] net::Packet build_roce_packet(const RoceEndpoint& src,
+                                            const RoceEndpoint& dst,
+                                            const RoceMessage& headers,
+                                            Gather payload,
                                             RoceVersion version =
                                                 RoceVersion::kV2);
 
 /// Parse a frame. Returns nullopt if the frame is not RoCE at all (wrong
 /// EtherType / UDP port) or if the ICRC does not verify (treated as wire
-/// corruption: real RNICs silently drop such packets).
+/// corruption: real RNICs silently drop such packets). The payload is a
+/// slice of `p`.
 [[nodiscard]] std::optional<RoceMessage> parse_roce_packet(
     const net::Packet& p);
+
+/// parse_roce_packet() for a RoCEv2 frame whose Ethernet, IPv4 and UDP
+/// headers are already parsed (`headers` is net::parse_packet(p) and
+/// is_roce_v2()): the transport parse starts at the UDP payload offset.
+/// The ICRC still covers the whole frame.
+[[nodiscard]] std::optional<RoceMessage> parse_roce_packet(
+    const net::Packet& p, const net::ParsedPacket& headers);
 
 /// On-wire header+trailer overhead for one request of the given opcode,
 /// excluding Ethernet framing: routing/transport headers plus ICRC.

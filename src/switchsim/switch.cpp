@@ -119,18 +119,19 @@ void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {
   ctx.packet = std::move(packet);
   ctx.ingress_port = port;
   ctx.now = sim_->now();
-  bool roce_v2 = false;
+  std::optional<net::ParsedPacket> headers;
   try {
-    roce_v2 = net::parse_packet(ctx.packet).is_roce_v2();
+    headers = net::parse_packet(ctx.packet);
   } catch (const net::BufferError&) {
     ++stats_.parse_errors;
   }
   // Every RoCE endpoint checks the ICRC, the switch included: a RoCEv2
   // frame that fails it (or whose transport headers do not parse) is
   // wire corruption, dropped here instead of reaching a stage as if it
-  // were tenant traffic.
-  if (roce_v2) {
-    ctx.roce = roce::parse_roce_packet(ctx.packet);
+  // were tenant traffic. The RoCE parse starts where the UDP header
+  // ends, so Ethernet, IPv4 and UDP are parsed once per frame.
+  if (headers && headers->is_roce_v2()) {
+    ctx.roce = roce::parse_roce_packet(ctx.packet, *headers);
     if (!ctx.roce) {
       ++stats_.corrupt_drops;
       return;
@@ -155,6 +156,9 @@ void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {
     ++stats_.no_route_drops;
     return;
   }
+  // The parsed payload shares the frame's bytes; let the frame go alone,
+  // so an ECN mark in the traffic manager need not copy it.
+  ctx.roce.reset();
   enqueue_for_egress(std::move(ctx.packet), ctx.egress_port);
 }
 

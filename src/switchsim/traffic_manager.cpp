@@ -33,16 +33,14 @@ bool TrafficManager::enqueue(int port, net::Packet&& packet, sim::Time now) {
 
   if (config_.ecn_mark_threshold_bytes > 0 &&
       q.bytes >= config_.ecn_mark_threshold_bytes) {
-    // DCTCP-style marking: set CE if the packet is ECN-capable.
-    const auto bytes = packet.mutable_bytes();
+    // DCTCP-style marking: set CE if the packet is ECN-capable. Only a
+    // mark writes (and so detaches a shared frame).
+    const auto bytes = packet.bytes();
     if (packet.size() >= net::kEthernetHeaderBytes + net::kIpv4HeaderBytes &&
-        bytes[12] == 0x08 && bytes[13] == 0x00) {
-      const std::size_t tos_at = net::kEthernetHeaderBytes + 1;
-      if ((bytes[tos_at] & 0x3) != 0) {  // ECT(0), ECT(1) or already CE
-        bytes[tos_at] |= 0x3;
-        // Refresh the IPv4 checksum via the rewrite helper path.
-        net::rewrite_dscp(packet, static_cast<std::uint8_t>(bytes[tos_at] >> 2));
-      }
+        bytes[12] == 0x08 && bytes[13] == 0x00 &&
+        (bytes[net::kEthernetHeaderBytes + 1] & 0x3) != 0) {
+      // ECT(0), ECT(1) or already CE; set_ecn refreshes the checksum.
+      net::set_ecn(packet, net::Ecn::kCe);
     }
   }
 

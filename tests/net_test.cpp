@@ -3,7 +3,9 @@
 // pcap output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -65,6 +67,19 @@ TEST(Bytes, PatchU16) {
   EXPECT_THROW(w.patch_u16(3, 1), BufferError);
 }
 
+TEST(Bytes, SpanWriterFillsInPlaceAndRefusesOverflow) {
+  std::array<std::uint8_t, 7> buf{};
+  ByteWriter w{std::span<std::uint8_t>(buf)};
+  w.u16(0x0102);
+  w.u32(0x03040506);
+  EXPECT_EQ(w.size(), 6u);
+  EXPECT_EQ(w.written().size(), 6u);
+  w.patch_u16(0, 0xbeef);
+  EXPECT_THROW(w.u16(1), BufferError) << "one byte left";
+  w.u8(0x07);
+  EXPECT_EQ(buf, (std::array<std::uint8_t, 7>{0xbe, 0xef, 3, 4, 5, 6, 7}));
+}
+
 TEST(Bytes, SkipAndRest) {
   std::vector<std::uint8_t> buf{1, 2, 3, 4, 5};
   ByteReader r(buf);
@@ -85,24 +100,6 @@ TEST(Checksum, OddLengthPadsWithZero) {
   const std::uint8_t data[] = {0x12, 0x34, 0x56};
   // Words: 1234, 5600. Sum 682a... -> checksum = ~0x682a.
   EXPECT_EQ(internet_checksum(data), static_cast<std::uint16_t>(~0x6834u));
-}
-
-TEST(Checksum, IncrementalMatchesOneShot) {
-  std::vector<std::uint8_t> data;
-  for (int i = 0; i < 999; ++i) data.push_back(static_cast<std::uint8_t>(i));
-  InternetChecksum inc;
-  inc.add(std::span<const std::uint8_t>(data).first(123));
-  inc.add(std::span<const std::uint8_t>(data).subspan(123, 400));
-  inc.add(std::span<const std::uint8_t>(data).subspan(523));
-  EXPECT_EQ(inc.finish(), internet_checksum(data));
-}
-
-TEST(Checksum, IncrementalOddSplitMatches) {
-  const std::uint8_t data[] = {1, 2, 3, 4, 5, 6, 7};
-  InternetChecksum inc;
-  inc.add(std::span<const std::uint8_t>(data, 3));  // odd split
-  inc.add(std::span<const std::uint8_t>(data + 3, 4));
-  EXPECT_EQ(inc.finish(), internet_checksum(data));
 }
 
 TEST(Crc32, KnownVectors) {
@@ -374,10 +371,101 @@ TEST(Packet, LazySliceDetachesOnMutationAfterDonorDies) {
     stub = donor.clone();
     stub.truncate(4);  // lazy slice while donor is alive
   }
-  const auto view = stub.mutable_bytes();  // detach: copies only [0, 4)
+  // The stub owns the storage alone now: it writes in place, still [0, 4).
+  const auto view = stub.mutable_bytes();
   ASSERT_EQ(view.size(), 4u);
   EXPECT_EQ(view[3], 4);
   EXPECT_EQ(stub.bytes().size(), 4u);
+}
+
+// A frame carried inside another (a READ response's payload) is
+// decapsulated as a slice of the carrier's storage.
+Packet carrier_of(const Packet& inner, std::size_t header_bytes) {
+  std::vector<std::uint8_t> bytes(header_bytes, 0xcc);
+  bytes.insert(bytes.end(), inner.bytes().begin(), inner.bytes().end());
+  bytes.insert(bytes.end(), 4, 0xdd);  // a trailer, like an ICRC
+  return Packet(bytes);
+}
+
+Packet ect_udp_frame() {
+  const std::vector<std::uint8_t> payload(100, 0x42);
+  Packet p = build_udp_packet(MacAddress::from_index(1),
+                              MacAddress::from_index(2),
+                              Ipv4Address(10, 0, 0, 1),
+                              Ipv4Address(10, 0, 0, 2), 1, 2, payload);
+  set_ecn(p, Ecn::kEct0);
+  return p;
+}
+
+TEST(Packet, SubSliceReadsTheRightBytes) {
+  std::vector<std::uint8_t> original(300);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const Packet p(original);
+  const ByteSlice s = p.slice(10, 200);
+  ASSERT_EQ(s.size(), 200u);
+  EXPECT_EQ(s.data(), p.bytes().data() + 10) << "O(1): shares storage";
+  EXPECT_TRUE(std::equal(s.begin(), s.end(), original.begin() + 10));
+  const ByteSlice inner = s.slice(5, 3);  // a slice of a slice
+  EXPECT_EQ(inner, (std::vector<std::uint8_t>{original[15], original[16],
+                                              original[17]}));
+  const Packet q(s.slice(0, 0));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(Packet, MutatingDecapsulatedSliceLeavesCarrierAndClonesIntact) {
+  const Packet inner = ect_udp_frame();
+  const Packet carrier = carrier_of(inner, 12);
+  const Packet carrier_clone = carrier.clone();
+  const std::vector<std::uint8_t> before(carrier.bytes().begin(),
+                                         carrier.bytes().end());
+
+  Packet decap(carrier.slice(12, inner.size()));
+  ASSERT_EQ(decap.bytes().data(), carrier.bytes().data() + 12);
+  ASSERT_TRUE(std::equal(decap.bytes().begin(), decap.bytes().end(),
+                         inner.bytes().begin(), inner.bytes().end()));
+  ASSERT_TRUE(set_ecn(decap, Ecn::kCe));
+  decap.mutable_bytes()[0] ^= 0xff;
+
+  EXPECT_EQ(parse_packet(decap).ipv4->ecn, Ecn::kCe);  // checksum valid
+  EXPECT_EQ(decap.size(), inner.size());
+  EXPECT_NE(decap.bytes().data(), carrier.bytes().data() + 12)
+      << "detached before writing";
+  for (const Packet* p : {&carrier, &carrier_clone}) {
+    EXPECT_TRUE(
+        std::equal(p->bytes().begin(), p->bytes().end(), before.begin(),
+                   before.end()));
+  }
+}
+
+TEST(Packet, TruncateAndCloneActOnSliceAsOnWholePacket) {
+  const Packet inner = ect_udp_frame();
+  std::optional<Packet> carrier = carrier_of(inner, 12);
+  Packet decap(carrier->slice(12, inner.size()));
+
+  // While the carrier shares the storage: clone is a refcount bump and
+  // truncate a lazy shrink, both reading the slice's own bytes.
+  Packet stub = decap.clone();
+  EXPECT_EQ(stub.bytes().data(), decap.bytes().data());
+  stub.truncate(20);
+  EXPECT_EQ(stub.size(), 20u);
+  EXPECT_EQ(stub.bytes().data(), decap.bytes().data());
+  EXPECT_TRUE(std::equal(stub.bytes().begin(), stub.bytes().end(),
+                         inner.bytes().begin()));
+
+  // Once the slice owns the storage alone, truncate materializes the
+  // retained prefix, as on a whole packet.
+  carrier.reset();
+  stub = Packet{};
+  const std::uint8_t* shared = decap.bytes().data();
+  decap.truncate(30);
+  EXPECT_EQ(decap.size(), 30u);
+  EXPECT_NE(decap.bytes().data(), shared);
+  EXPECT_TRUE(std::equal(decap.bytes().begin(), decap.bytes().end(),
+                         inner.bytes().begin()));
+  decap.truncate(40);
+  EXPECT_EQ(decap.size(), 30u) << "truncate only shrinks";
 }
 
 TEST(Packet, RewriteDscpKeepsChecksumValid) {

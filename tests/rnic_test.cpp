@@ -6,6 +6,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -363,6 +364,67 @@ TEST_F(ResponderTest, OutOfBoundsWriteRejected) {
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_EQ(resp[0].aeth->syndrome, AckSyndrome::kNakRemoteAccessError);
   EXPECT_EQ(nic_->stats().writes, 0u);
+}
+
+// A WRITE's payload must match its RETH: the responder validates
+// [va, va + dma_len) and must write no byte outside it. Each violation is
+// an invalid-request NAK (the InfiniBand length error) that writes nothing.
+TEST_F(ResponderTest, WriteLongerThanDmaLenAtRegionEndNaks) {
+  // Announces the region's last 4 bytes, carries 8: the extra 4 would
+  // land past the region's end.
+  const std::uint64_t va = mr_->base_va() + mr_->length() - 4;
+  RoceMessage m = write_only(0, va, std::vector<std::uint8_t>(8, 0xee),
+                             /*ack_req=*/true);
+  m.reth->dma_len = 4;
+  deliver(std::move(m));
+  auto resp = responses();
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0].aeth->syndrome, AckSyndrome::kNakInvalidRequest);
+  EXPECT_EQ(nic_->stats().naks_invalid_request, 1u);
+  EXPECT_EQ(nic_->stats().writes, 0u);
+  EXPECT_EQ(load_le64(mr_->window(va - 4, 8)), 0u) << "nothing written";
+}
+
+TEST_F(ResponderTest, WriteOnlyMustCarryExactlyDmaLen) {
+  const std::uint64_t va = mr_->base_va() + 16;
+  RoceMessage longer = write_only(0, va, std::vector<std::uint8_t>(8, 0xee));
+  longer.reth->dma_len = 4;  // would overwrite the 4 bytes after the range
+  deliver(std::move(longer));
+  RoceMessage shorter = write_only(0, va, std::vector<std::uint8_t>(4, 0xee));
+  shorter.reth->dma_len = 8;
+  deliver(std::move(shorter));
+  EXPECT_EQ(nic_->stats().naks_invalid_request, 2u);
+  EXPECT_EQ(nic_->stats().writes, 0u);
+  EXPECT_EQ(load_le64(mr_->window(va, 8)), 0u) << "nothing written";
+  EXPECT_EQ(qp_->epsn, roce::Psn(0));
+}
+
+TEST_F(ResponderTest, WriteFirstLongerThanDmaLenNaks) {
+  // A FIRST longer than its whole transfer would leave a negative
+  // remainder, and MIDDLE/LAST would be bounded by nothing.
+  const std::uint64_t va = mr_->base_va() + 100;
+  RoceMessage first;
+  first.bth.opcode = Opcode::kRdmaWriteFirst;
+  first.bth.dest_qp = qp_->qpn;
+  first.bth.psn = roce::Psn(0);
+  first.reth = roce::Reth{va, mr_->rkey(), 4};
+  first.payload = std::vector<std::uint8_t>(8, 1);
+  deliver(std::move(first));
+  RoceMessage last;
+  last.bth.opcode = Opcode::kRdmaWriteLast;
+  last.bth.dest_qp = qp_->qpn;
+  last.bth.psn = roce::Psn(1);
+  last.payload = std::vector<std::uint8_t>(8, 2);
+  deliver(std::move(last));
+  auto resp = responses();
+  ASSERT_FALSE(resp.empty());
+  EXPECT_EQ(resp[0].aeth->syndrome, AckSyndrome::kNakInvalidRequest);
+  EXPECT_EQ(nic_->stats().naks_invalid_request, 1u);
+  EXPECT_EQ(nic_->stats().writes, 0u);
+  const auto bytes = mr_->bytes().subspan(100, 16);
+  EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(),
+                          [](std::uint8_t b) { return b == 0; }))
+      << "nothing written";
 }
 
 TEST_F(ResponderTest, UnknownQpDropped) {

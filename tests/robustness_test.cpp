@@ -3,6 +3,8 @@
 // CompareSwap semantics, and multi-QP isolation on one RNIC.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "control/testbed.hpp"
 #include "core/primitive.hpp"
 #include "core/rdma_channel.hpp"
@@ -26,30 +28,41 @@ roce::RoceEndpoint ep(int i) {
 TEST(RoceFuzz, SingleBitFlipsNeverParseValid) {
   // Any single-bit corruption after the Ethernet header must be caught
   // by the ICRC (or header validation) — parse_roce_packet returns
-  // nullopt, never garbage, never a crash.
-  RoceMessage msg;
-  msg.bth.opcode = Opcode::kRdmaWriteOnly;
-  msg.bth.dest_qp = 0x42;
-  msg.bth.psn = roce::Psn(77);
-  msg.reth = roce::Reth{0x1000, 0xaa, 32};
-  msg.payload.assign(32, 0x5a);
-  const net::Packet frame = roce::build_roce_packet(ep(1), ep(2), msg);
+  // nullopt, never garbage, never a crash — except in the fields the
+  // ICRC masks and nothing else checks: the UDP checksum (bytes 40-41)
+  // and BTH resv8a (byte 46). ToS, TTL and the IP checksum are masked
+  // too, but their flips fail the IPv4 header checksum.
+  auto write = [](std::uint32_t len) {
+    RoceMessage msg;
+    msg.bth.opcode = Opcode::kRdmaWriteOnly;
+    msg.bth.dest_qp = 0x42;
+    msg.bth.psn = roce::Psn(77);
+    msg.reth = roce::Reth{0x1000, 0xaa, len};
+    msg.payload.assign(len, 0x5a);
+    return msg;
+  };
+  RoceMessage read_response;
+  read_response.bth.opcode = Opcode::kRdmaReadResponseOnly;
+  read_response.bth.dest_qp = 0x42;
+  read_response.bth.psn = roce::Psn(78);
+  read_response.aeth = roce::Aeth{roce::AckSyndrome::kAck, 3};
+  read_response.payload.assign(1536, 0xa5);
 
-  int rejected = 0;
-  int total = 0;
-  for (std::size_t byte = net::kEthernetHeaderBytes; byte < frame.size();
-       ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      net::Packet mutated = frame.clone();
-      mutated.mutable_bytes()[byte] ^= static_cast<std::uint8_t>(1 << bit);
-      ++total;
-      if (!roce::parse_roce_packet(mutated).has_value()) ++rejected;
+  const std::map<std::size_t, int> masked{{40, 8}, {41, 8}, {46, 8}};
+  for (const RoceMessage& msg : {write(32), write(1500), read_response}) {
+    const net::Packet frame = roce::build_roce_packet(ep(1), ep(2), msg);
+    std::map<std::size_t, int> survivors;  // byte offset -> bits
+    for (std::size_t byte = net::kEthernetHeaderBytes; byte < frame.size();
+         ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        net::Packet mutated = frame.clone();
+        mutated.mutable_bytes()[byte] ^= static_cast<std::uint8_t>(1 << bit);
+        if (roce::parse_roce_packet(mutated).has_value()) ++survivors[byte];
+      }
     }
+    EXPECT_EQ(survivors, masked)
+        << roce::to_string(msg.opcode()) << ", " << frame.size() << " B";
   }
-  // The only tolerated survivors are flips in fields the ICRC masks
-  // (ToS, TTL, IP checksum, UDP checksum, BTH resv8a): 7 bytes = 56 bits
-  // — and of those, IP-checksum flips still fail IPv4 validation.
-  EXPECT_GE(rejected, total - 56);
 }
 
 TEST(RoceFuzz, RandomGarbageNeverCrashesParser) {

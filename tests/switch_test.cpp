@@ -162,15 +162,17 @@ TEST(SwitchTest, NoRouteDrops) {
   EXPECT_EQ(tb.tor().stats().no_route_drops, 3u);
 }
 
-// The parser checks each RoCEv2 frame's ICRC once: a frame with the
-// first byte past its UDP header flipped (where a link corrupts) never
-// reaches a stage, and an intact frame reaches it already parsed.
+// The parser checks every RoCEv2 frame's ICRC once. A frame with 0xff
+// XORed into any byte past its UDP header (what a link's corrupt fault
+// does) is counted in corrupt_drops and reaches no stage, except a flip
+// of BTH resv8a (byte 46), which the ICRC masks; an intact frame reaches
+// the stage already parsed.
 TEST(SwitchTest, ParserDropsCorruptRoceBeforeAnyStage) {
   Testbed tb;
   std::vector<std::uint32_t> seen;  // PSNs of the frames stages saw
   tb.tor().add_ingress_stage("observe", [&](PipelineContext& ctx) {
-    seen.push_back(ctx.roce ? ctx.roce->bth.psn.raw() : 0);
     ASSERT_TRUE(ctx.roce.has_value());
+    seen.push_back(ctx.roce->bth.psn.raw());
     EXPECT_EQ(ctx.roce->opcode(), roce::Opcode::kRdmaWriteOnly);
     EXPECT_EQ(ctx.roce->payload, std::vector<std::uint8_t>(8, 0x5a));
   });
@@ -182,23 +184,31 @@ TEST(SwitchTest, ParserDropsCorruptRoceBeforeAnyStage) {
     msg.bth.psn = roce::Psn(psn);
     msg.reth = roce::Reth{0x1000, 0xaa, 8};
     msg.payload.assign(8, 0x5a);
-    return roce::build_roce_packet(src, dst, std::move(msg));
+    return roce::build_roce_packet(src, dst, msg);
   };
-  net::Packet corrupt = write_frame(7);
-  corrupt.mutable_bytes()[net::kEthernetHeaderBytes + net::kIpv4HeaderBytes +
-                          net::kUdpHeaderBytes] ^= 0xff;
+  constexpr std::uint32_t kFirst = net::kEthernetHeaderBytes +
+                                   net::kIpv4HeaderBytes +
+                                   net::kUdpHeaderBytes;
+  constexpr std::uint32_t kResv8a = kFirst + 4;
+  const auto frame_bytes = static_cast<std::uint32_t>(write_frame(0).size());
   tb.sim().schedule_at(0, [&] {
-    tb.host(0).send(std::move(corrupt));
+    // Each corrupt frame's PSN is the offset of its flipped byte.
+    for (std::uint32_t byte = kFirst; byte < frame_bytes; ++byte) {
+      net::Packet corrupt = write_frame(byte);
+      corrupt.mutable_bytes()[byte] ^= 0xff;
+      tb.host(0).send(std::move(corrupt));
+    }
     tb.host(0).send(write_frame(9));
   });
   tb.sim().run();
 
-  EXPECT_EQ(seen, std::vector<std::uint32_t>{9})
-      << "only the intact frame reaches the stage";
-  EXPECT_EQ(tb.tor().stats().received, 2u);
-  EXPECT_EQ(tb.tor().stats().corrupt_drops, 1u);
+  const std::uint64_t flipped = frame_bytes - kFirst;
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{kResv8a, 9}))
+      << "only the intact frame and the masked flip reach the stage";
+  EXPECT_EQ(tb.tor().stats().received, flipped + 1);
+  EXPECT_EQ(tb.tor().stats().corrupt_drops, flipped - 1);
   EXPECT_EQ(tb.tor().stats().stage_drops, 0u);
-  EXPECT_EQ(tb.tor().stats().forwarded, 1u);
+  EXPECT_EQ(tb.tor().stats().forwarded, 2u);
 }
 
 TEST(SwitchTest, StageCanDropAndConsume) {
