@@ -17,9 +17,9 @@
 #include "bench_util.hpp"
 #include "control/testbed.hpp"
 #include "core/packet_buffer.hpp"
+#include "core/verbs.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
-#include "rnic/verbs.hpp"
 
 using namespace xmem;
 
@@ -125,15 +125,16 @@ double native_gbps(bool use_read, std::size_t message_bytes) {
   auto& client_qp = client.rnic().create_qp();
   server.rnic().connect_qp(server_qp.qpn, client.endpoint(), client_qp.qpn,
                            roce::Psn(0));
-  rnic::RcRequester requester(tb.sim(), client.rnic(), client_qp.qpn,
+  core::RcRequester requester(tb.sim(), client.rnic(), client_qp.qpn,
                               {.max_inflight_packets = 64});
-  requester.connect(server.endpoint(), server_qp.qpn, roce::Psn(0));
+  requester.connect(server.endpoint(), server_qp.qpn, roce::Psn(0),
+                    mr.rkey());
 
   std::int64_t completed_bytes = 0;
   bool stop = false;
   std::function<void()> post_next = [&]() {
     if (stop) return;
-    auto completion = [&](const rnic::WorkCompletion& wc) {
+    auto completion = [&](const core::WorkCompletion& wc) {
       if (!wc.success) return;
       completed_bytes += static_cast<std::int64_t>(message_bytes);
       post_next();
@@ -142,10 +143,9 @@ double native_gbps(bool use_read, std::size_t message_bytes) {
                              (static_cast<std::uint64_t>(completed_bytes) %
                               (4 * static_cast<std::uint64_t>(sim::kMiB)));
     if (use_read) {
-      requester.post_read(va, mr.rkey(), message_bytes, completion);
+      requester.post_read(va, message_bytes, completion);
     } else {
-      requester.post_write(va, mr.rkey(),
-                           std::vector<std::uint8_t>(message_bytes, 0xab),
+      requester.post_write(va, std::vector<std::uint8_t>(message_bytes, 0xab),
                            completion);
     }
   };

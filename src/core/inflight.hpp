@@ -25,7 +25,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -56,6 +58,10 @@ class InflightTable {
   /// `shards` deques. Every shard's deadline is `fixed_timeout` unless
   /// `rto.enabled`; `on_timer` runs when the timer armed by arm() fires
   /// with ops still in flight, after which the timer re-arms itself.
+  /// Throws std::invalid_argument on a deadline that would re-arm at the
+  /// same instant forever (a timeout, initial_rto or min_rto <= 0), on
+  /// min_rto > max_rto, and on a max_backoff at which the backed-off RTO
+  /// overflows sim::Time.
   InflightTable(sim::Simulator& sim, std::size_t shards,
                 sim::Time fixed_timeout, const AdaptiveRtoConfig& rto,
                 std::function<void()> on_timer)
@@ -64,6 +70,19 @@ class InflightTable {
         adaptive_(rto.enabled),
         on_timer_(std::move(on_timer)),
         shards_(shards) {
+    if (fixed_timeout <= 0 || rto.initial_rto <= 0 || rto.min_rto <= 0) {
+      throw std::invalid_argument(
+          "InflightTable: timeout, initial_rto and min_rto must be > 0");
+    }
+    if (rto.min_rto > rto.max_rto) {
+      throw std::invalid_argument("InflightTable: min_rto exceeds max_rto");
+    }
+    if (rto.max_backoff >= 63 ||
+        std::max(rto.initial_rto, rto.max_rto) >
+            std::numeric_limits<sim::Time>::max() >> rto.max_backoff) {
+      throw std::invalid_argument(
+          "InflightTable: max_backoff overflows the backed-off RTO");
+    }
     for (std::size_t i = 0; i < shards; ++i) {
       AdaptiveRtoConfig rc = rto;
       rc.jitter_seed ^= i * 0x2545f4914f6cdd1dULL;  // per-shard jitter stream

@@ -4,10 +4,15 @@
 // ICRC on top of original or cloned packets) and injects them toward the
 // memory server's RNIC, maintaining the small amount of connection state
 // (next PSN) a requester needs, entirely in data-plane registers.
+//
+// It is the simulator's only RC requester framing: host verbs
+// (core/verbs.hpp) own a channel whose frames go to their RNIC's wire
+// instead of a switch port, so PSNs and request frames have one source.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,8 +40,17 @@ class RdmaChannel {
     std::uint64_t paced_deferrals = 0;  // requests queued behind the pacer
   };
 
+  /// Where built frames go.
+  using Sink = std::function<void(net::Packet&&)>;
+
+  /// A switch's channel: frames leave through the DCQCN pacer to
+  /// `sw.inject()` on `config.switch_port`.
   RdmaChannel(switchsim::ProgrammableSwitch& sw,
               control::RdmaChannelConfig config);
+  /// A channel whose frames go through the pacer to `sink` (host verbs:
+  /// the RNIC's wire). `config.switch_port` is unused.
+  RdmaChannel(sim::Simulator& simulator, control::RdmaChannelConfig config,
+              Sink sink);
   ~RdmaChannel();
   RdmaChannel(const RdmaChannel&) = delete;
   RdmaChannel& operator=(const RdmaChannel&) = delete;
@@ -93,9 +107,8 @@ class RdmaChannel {
   /// Does not advance the PSN register.
   void repost_read(std::uint64_t va, std::uint32_t len, roce::Psn psn);
 
-  /// Retransmit a single-segment WRITE with its original PSN (reliable
-  /// stores). Does not advance the PSN register; the payload must fit in
-  /// one MTU so the repost is self-contained (ONLY opcode).
+  /// Retransmit a WRITE whole with its original PSN (reliable stores).
+  /// Does not advance the PSN register.
   void repost_write(std::uint64_t va, roce::Gather payload, roce::Psn psn,
                     bool ack_req = true);
   void repost_write(std::uint64_t va, std::span<const std::uint8_t> payload,
@@ -118,11 +131,25 @@ class RdmaChannel {
   roce::Psn post_compare_swap(std::uint64_t va, std::uint64_t compare,
                               std::uint64_t swap);
 
-  /// Number of READ response segments `len` bytes will arrive in.
-  [[nodiscard]] std::uint32_t read_segments(std::uint32_t len) const {
-    if (len == 0) return 1;
+  /// Claim the PSNs of a WRITE of `bytes`, count it and open its span,
+  /// sending nothing: send_write() sends its segments. Host verbs number a
+  /// WRITE this way and send it as their window opens.
+  roce::Psn begin_write(std::size_t bytes);
+  /// Send segments [from, to) of the WRITE of `payload` to `va` whose
+  /// first PSN is `psn` (to the last one by default). A go-back-N resend
+  /// may start at any segment: a MIDDLE or LAST continues the transfer
+  /// its FIRST opened at the responder. The last segment sent asks for an
+  /// ACK when `ack_req`.
+  void send_write(roce::Psn psn, std::uint64_t va, roce::Gather payload,
+                  bool ack_req, std::uint32_t from = 0,
+                  std::uint32_t to = UINT32_MAX);
+
+  /// MTU segments a WRITE of, or a READ response to, `bytes` takes (at
+  /// least one): the PSNs it occupies.
+  [[nodiscard]] std::uint32_t segments(std::size_t bytes) const {
+    if (bytes == 0) return 1;
     return static_cast<std::uint32_t>(
-        (len + config_.path_mtu - 1) / config_.path_mtu);
+        (bytes + config_.path_mtu - 1) / config_.path_mtu);
   }
 
   [[nodiscard]] roce::Psn next_psn() const { return next_psn_; }
@@ -158,10 +185,18 @@ class RdmaChannel {
                       std::string_view value);
 
  private:
-  /// Build the frame for `headers` around `payload` (its bytes are
-  /// copied into the frame here, once) and send or pace it.
-  void inject(const roce::RoceMessage& headers, roce::Gather payload = {});
-  /// Hand a built frame to the switch unconditionally, charging the pacer
+  /// Advance the PSN register past `count` PSNs; returns the first.
+  roce::Psn take_psns(std::uint32_t count);
+  /// The one framing routine: build request `op` at `psn` with the
+  /// header its opcode carries, a RETH (`len` bytes at `va`: READ, FIRST,
+  /// ONLY) or an AtomicETH (`swap_add`, `compare` at `va`), around
+  /// `payload`, whose bytes are copied into the frame here, once. Then
+  /// send or pace the frame.
+  void request(roce::Opcode op, roce::Psn psn, std::uint64_t va,
+               std::uint32_t len, roce::Gather payload = {},
+               bool ack_req = false, std::uint64_t swap_add = 0,
+               std::uint64_t compare = 0);
+  /// Hand a built frame to the sink unconditionally, charging the pacer
   /// clock when CC is in recovery.
   void send_now(net::Packet&& frame);
   void drain_paced();
@@ -171,7 +206,8 @@ class RdmaChannel {
   void trace_begin(std::string_view verb, roce::Psn psn,
                    std::uint64_t bytes);
 
-  switchsim::ProgrammableSwitch* switch_;
+  sim::Simulator* sim_;
+  Sink sink_;
   control::RdmaChannelConfig config_;
   roce::Psn next_psn_;  // the per-channel PSN register
   telemetry::OpTracer* tracer_ = nullptr;

@@ -119,19 +119,23 @@ void ProgrammableSwitch::run_ingress(net::Packet&& packet, int port) {
   ctx.packet = std::move(packet);
   ctx.ingress_port = port;
   ctx.now = sim_->now();
-  std::optional<net::ParsedPacket> headers;
+  // A frame whose headers do not parse (a truncated header, an IPv4
+  // header checksum that fails) is dropped before any stage, as switches
+  // do: a stage would otherwise see it without its RoCE view.
+  net::ParsedPacket headers;
   try {
     headers = net::parse_packet(ctx.packet);
   } catch (const net::BufferError&) {
     ++stats_.parse_errors;
+    return;
   }
   // Every RoCE endpoint checks the ICRC, the switch included: a RoCEv2
   // frame that fails it (or whose transport headers do not parse) is
   // wire corruption, dropped here instead of reaching a stage as if it
   // were tenant traffic. The RoCE parse starts where the UDP header
   // ends, so Ethernet, IPv4 and UDP are parsed once per frame.
-  if (headers && headers->is_roce_v2()) {
-    ctx.roce = roce::parse_roce_packet(ctx.packet, *headers);
+  if (headers.is_roce_v2()) {
+    ctx.roce = roce::parse_roce_packet(ctx.packet, headers);
     if (!ctx.roce) {
       ++stats_.corrupt_drops;
       return;

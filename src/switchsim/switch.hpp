@@ -33,6 +33,8 @@ class ProgrammableSwitch : public topo::Node {
 
   struct Stats {
     std::uint64_t received = 0;
+    /// Frames whose Ethernet/IPv4/UDP headers failed to parse (truncated,
+    /// or a bad IPv4 header checksum), dropped before any stage.
     std::uint64_t parse_errors = 0;
     /// RoCEv2 frames whose ICRC or transport headers failed to parse,
     /// dropped by the parser before any stage (wire corruption).

@@ -2,7 +2,7 @@
 // delay, a configurable fault model (uniform or Gilbert–Elliott burst
 // loss, frame corruption, duplication, reordering, delay jitter — for
 // the §7 drop-tolerance experiments and the chaos harness) and a tap
-// for traffic accounting / pcap capture.
+// for traffic accounting.
 #pragma once
 
 #include <cstdint>

@@ -14,6 +14,7 @@
 #include "core/lookup_table.hpp"
 #include "core/packet_buffer.hpp"
 #include "core/state_store.hpp"
+#include "core/verbs.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
 #include "net/flow.hpp"
@@ -389,6 +390,20 @@ TEST_F(ChannelSetTest, RejectsInvalidConfigsAtConstruction) {
   auto tiny = configs;
   for (auto& cfg : tiny) cfg.region_bytes = 1024;
   EXPECT_THROW(LookupTablePrimitive(tb_->tor(), tiny, {}),
+               std::invalid_argument);
+  // A zero deadline would re-arm the recovery timer at the same instant
+  // forever, fixed or adaptive.
+  EXPECT_THROW(StateStorePrimitive(tb_->tor(), configs,
+                                   {.reliable = true, .retransmit_timeout = 0}),
+               std::invalid_argument);
+  StateStorePrimitive::Config zero_rto{.reliable = true};
+  zero_rto.adaptive_rto = {.enabled = true, .initial_rto = 0};
+  EXPECT_THROW(StateStorePrimitive(tb_->tor(), configs, zero_rto),
+               std::invalid_argument);
+  // Host verbs with a zero window would never send and never arm a timer.
+  rnic::Rnic& nic = tb_->host(0).rnic();
+  EXPECT_THROW(RcRequester(tb_->sim(), nic, nic.create_qp().qpn,
+                           {.max_inflight_packets = 0}),
                std::invalid_argument);
 }
 

@@ -113,10 +113,10 @@ TEST_F(ChannelTest, MultiMtuWriteSegmentsFromSwitch) {
 }
 
 TEST_F(ChannelTest, PsnRegisterTracksReadSegments) {
-  EXPECT_EQ(channel_->read_segments(0), 1u);
-  EXPECT_EQ(channel_->read_segments(1), 1u);
-  EXPECT_EQ(channel_->read_segments(4096), 1u);
-  EXPECT_EQ(channel_->read_segments(4097), 2u);
+  EXPECT_EQ(channel_->segments(0), 1u);
+  EXPECT_EQ(channel_->segments(1), 1u);
+  EXPECT_EQ(channel_->segments(4096), 1u);
+  EXPECT_EQ(channel_->segments(4097), 2u);
   tb_.sim().schedule_at(0, [&] { channel_->post_read(config_.base_va, 9000); });
   tb_.sim().run();
   EXPECT_EQ(channel_->next_psn(), roce::Psn(3));

@@ -3,6 +3,7 @@
 // the shared recovery timer.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/inflight.hpp"
@@ -196,6 +197,34 @@ TEST_F(InflightTableTest, TimerFiresWhileOpsAreInFlightAndRearms) {
   ASSERT_TRUE(t.erase(0, Psn(7)).has_value());
   sim_.run();
   EXPECT_EQ(fired_, 2);
+}
+
+// A deadline of zero re-arms the timer at the same instant for as long
+// as ops are in flight, so the simulation never advances.
+TEST_F(InflightTableTest, RejectsDeadlinesThatCannotAdvance) {
+  const auto table = [this](sim::Time fixed, AdaptiveRtoConfig rto) {
+    return Table(sim_, 1, fixed, rto, [] {});
+  };
+  const sim::Time ok = sim::microseconds(100);
+  EXPECT_THROW(table(0, {}), std::invalid_argument);
+  EXPECT_THROW(table(-1, {}), std::invalid_argument);
+  EXPECT_THROW(table(ok, {.enabled = true, .initial_rto = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(table(ok, {.enabled = true, .min_rto = 0}),
+               std::invalid_argument);
+  // std::clamp(srtt + 4 rttvar, min_rto, max_rto) needs min <= max.
+  EXPECT_THROW(table(ok, {.min_rto = sim::milliseconds(9),
+                          .max_rto = sim::milliseconds(8)}),
+               std::invalid_argument);
+  // 8 ms << 31 overflows a signed 64-bit picosecond clock; << 30 fits.
+  EXPECT_THROW(table(ok, {.max_backoff = 31}), std::invalid_argument);
+  EXPECT_THROW(table(ok, {.max_backoff = 64}), std::invalid_argument);
+  EXPECT_NO_THROW(table(ok, {.max_backoff = 30}));
+  // An initial RTO below the floor stays legal: it applies until the
+  // first sample.
+  EXPECT_NO_THROW(table(ok, {.enabled = true,
+                             .initial_rto = sim::microseconds(1),
+                             .min_rto = sim::microseconds(5)}));
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Unit tests for the wire-format substrate: byte codecs, checksums,
-// addresses, header round trips, packet build/parse/rewrite, flow keys,
-// pcap output.
+// addresses, header round trips, packet build/parse/rewrite and flow
+// keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "net/address.hpp"
@@ -16,7 +15,6 @@
 #include "net/flow.hpp"
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
-#include "net/pcap.hpp"
 #include "net/udp.hpp"
 #include "sim/rng.hpp"
 
@@ -541,32 +539,6 @@ TEST(Flow, PacketHashMatchesTupleHash) {
   // Non-IPv4 frames are unclassifiable either way.
   Packet raw(std::vector<std::uint8_t>(60, 0));
   EXPECT_FALSE(packet_flow_hash(raw).has_value());
-}
-
-TEST(Pcap, WritesHeaderAndRecords) {
-  std::ostringstream out;
-  PcapWriter pcap(out);
-  Packet p = build_udp_packet(MacAddress::from_index(1),
-                              MacAddress::from_index(2),
-                              Ipv4Address(10, 0, 0, 1),
-                              Ipv4Address(10, 0, 0, 2), 1, 2,
-                              std::vector<std::uint8_t>(10, 0xaa));
-  pcap.write(p, sim::microseconds(1500000));  // 1.5 s
-  const std::string s = out.str();
-  // 24-byte file header + 16-byte record header + packet bytes.
-  EXPECT_EQ(s.size(), 24 + 16 + p.size());
-  EXPECT_EQ(static_cast<unsigned char>(s[0]), 0xd4);  // magic, LE
-  EXPECT_EQ(pcap.packets_written(), 1u);
-  // ts_sec == 1 at offset 24.
-  EXPECT_EQ(static_cast<unsigned char>(s[24]), 1);
-}
-
-TEST(Pcap, SnaplenTruncates) {
-  std::ostringstream out;
-  PcapWriter pcap(out, 32);
-  Packet p(std::vector<std::uint8_t>(100, 1));
-  pcap.write(p, 0);
-  EXPECT_EQ(out.str().size(), 24u + 16u + 32u);
 }
 
 }  // namespace

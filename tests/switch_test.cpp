@@ -166,7 +166,8 @@ TEST(SwitchTest, NoRouteDrops) {
 // XORed into any byte past its UDP header (what a link's corrupt fault
 // does) is counted in corrupt_drops and reaches no stage, except a flip
 // of BTH resv8a (byte 46), which the ICRC masks; an intact frame reaches
-// the stage already parsed.
+// the stage already parsed. A flip in the IPv4 header fails its checksum:
+// the frame is counted in parse_errors and reaches no stage either.
 TEST(SwitchTest, ParserDropsCorruptRoceBeforeAnyStage) {
   Testbed tb;
   std::vector<std::uint32_t> seen;  // PSNs of the frames stages saw
@@ -186,26 +187,34 @@ TEST(SwitchTest, ParserDropsCorruptRoceBeforeAnyStage) {
     msg.payload.assign(8, 0x5a);
     return roce::build_roce_packet(src, dst, msg);
   };
-  constexpr std::uint32_t kFirst = net::kEthernetHeaderBytes +
-                                   net::kIpv4HeaderBytes +
-                                   net::kUdpHeaderBytes;
+  constexpr std::uint32_t kIpv4 = net::kEthernetHeaderBytes;
+  constexpr std::uint32_t kUdp = kIpv4 + net::kIpv4HeaderBytes;
+  constexpr std::uint32_t kFirst = kUdp + net::kUdpHeaderBytes;
   constexpr std::uint32_t kResv8a = kFirst + 4;
   const auto frame_bytes = static_cast<std::uint32_t>(write_frame(0).size());
   tb.sim().schedule_at(0, [&] {
-    // Each corrupt frame's PSN is the offset of its flipped byte.
-    for (std::uint32_t byte = kFirst; byte < frame_bytes; ++byte) {
-      net::Packet corrupt = write_frame(byte);
-      corrupt.mutable_bytes()[byte] ^= 0xff;
-      tb.host(0).send(std::move(corrupt));
-    }
+    // Each corrupt frame's PSN is the offset of its flipped byte: every
+    // IPv4 header byte (its checksum fails), then every byte from the
+    // BTH on (the ICRC fails).
+    auto send_flipped = [&](std::uint32_t from, std::uint32_t to) {
+      for (std::uint32_t byte = from; byte < to; ++byte) {
+        net::Packet corrupt = write_frame(byte);
+        corrupt.mutable_bytes()[byte] ^= 0xff;
+        tb.host(0).send(std::move(corrupt));
+      }
+    };
+    send_flipped(kIpv4, kUdp);
+    send_flipped(kFirst, frame_bytes);
     tb.host(0).send(write_frame(9));
   });
   tb.sim().run();
 
+  const std::uint64_t header_flips = net::kIpv4HeaderBytes;
   const std::uint64_t flipped = frame_bytes - kFirst;
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{kResv8a, 9}))
       << "only the intact frame and the masked flip reach the stage";
-  EXPECT_EQ(tb.tor().stats().received, flipped + 1);
+  EXPECT_EQ(tb.tor().stats().received, header_flips + flipped + 1);
+  EXPECT_EQ(tb.tor().stats().parse_errors, header_flips);
   EXPECT_EQ(tb.tor().stats().corrupt_drops, flipped - 1);
   EXPECT_EQ(tb.tor().stats().stage_drops, 0u);
   EXPECT_EQ(tb.tor().stats().forwarded, 2u);

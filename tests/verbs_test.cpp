@@ -1,15 +1,25 @@
 // Host-side verbs requester tests: native server-to-server one-sided
 // RDMA over the simulated fabric — writes (incl. multi-MTU), reads,
-// atomics, completions, and go-back-N recovery under loss.
+// atomics, completions, and go-back-N recovery under loss. The loss and
+// pipelining cases also pin the requester's wire schedule: a digest of
+// every frame on both hosts' links, with the sim time and link end it
+// left from.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "control/testbed.hpp"
-#include "rnic/verbs.hpp"
+#include "core/verbs.hpp"
+#include "net/flow.hpp"
+#include "telemetry/op_tracer.hpp"
 
 namespace xmem::rnic {
 namespace {
 
 using control::Testbed;
+using core::RcRequester;
+using core::RdmaChannel;
+using core::WorkCompletion;
 
 class VerbsTest : public ::testing::Test {
  protected:
@@ -27,8 +37,21 @@ class VerbsTest : public ::testing::Test {
                              /*expected_psn=*/roce::Psn(100));
     requester_ = std::make_unique<RcRequester>(tb_.sim(), client.rnic(),
                                                client_qp_->qpn);
-    requester_->connect(server.endpoint(), server_qp_->qpn,
-                        roce::Psn(100));
+    requester_->connect(server.endpoint(), server_qp_->qpn, roce::Psn(100),
+                        mr_->rkey());
+    for (int link = 0; link < 2; ++link) {
+      tb_.link_of(link).set_tap(
+          [this, link](const net::Packet& frame, sim::Time at, int from_end) {
+            std::array<std::uint8_t, 10> stamp{};
+            for (std::size_t i = 0; i < 8; ++i) {
+              stamp[i] = static_cast<std::uint8_t>(
+                  static_cast<std::uint64_t>(at) >> (8 * i));
+            }
+            stamp[8] = static_cast<std::uint8_t>(link);
+            stamp[9] = static_cast<std::uint8_t>(from_end);
+            wire_ = net::fnv1a(frame.bytes(), net::fnv1a(stamp, wire_));
+          });
+    }
   }
 
   Testbed tb_;
@@ -36,11 +59,12 @@ class VerbsTest : public ::testing::Test {
   QueuePair* server_qp_ = nullptr;
   QueuePair* client_qp_ = nullptr;
   std::unique_ptr<RcRequester> requester_;
+  std::uint64_t wire_ = net::fnv1a({});  // digest of every frame on the wire
 };
 
 TEST_F(VerbsTest, SmallWriteCompletesAndLands) {
   bool done = false;
-  requester_->post_write(mr_->base_va() + 8, mr_->rkey(), {1, 2, 3},
+  requester_->post_write(mr_->base_va() + 8, {1, 2, 3},
                          [&](const WorkCompletion& wc) {
                            EXPECT_TRUE(wc.success);
                            done = true;
@@ -57,7 +81,7 @@ TEST_F(VerbsTest, LargeWriteSegmentsAndReassembles) {
     data[i] = static_cast<std::uint8_t>(i * 31);
   }
   bool done = false;
-  requester_->post_write(mr_->base_va(), mr_->rkey(), data,
+  requester_->post_write(mr_->base_va(), data,
                          [&](const WorkCompletion& wc) {
                            EXPECT_TRUE(wc.success);
                            done = true;
@@ -77,7 +101,7 @@ TEST_F(VerbsTest, ReadReturnsData) {
   window[0] = 0xca;
   window[3] = 0xfe;
   std::vector<std::uint8_t> got;
-  requester_->post_read(mr_->base_va() + 100, mr_->rkey(), 4,
+  requester_->post_read(mr_->base_va() + 100, 4,
                         [&](const WorkCompletion& wc) {
                           EXPECT_TRUE(wc.success);
                           got = wc.read_data;
@@ -94,7 +118,7 @@ TEST_F(VerbsTest, LargeReadReassemblesSegments) {
     bytes[i] = static_cast<std::uint8_t>(i * 7);
   }
   std::vector<std::uint8_t> got;
-  requester_->post_read(mr_->base_va(), mr_->rkey(), 10000,
+  requester_->post_read(mr_->base_va(), 10000,
                         [&](const WorkCompletion& wc) { got = wc.read_data; });
   tb_.sim().run();
   ASSERT_EQ(got.size(), 10000u);
@@ -106,7 +130,7 @@ TEST_F(VerbsTest, LargeReadReassemblesSegments) {
 TEST_F(VerbsTest, FetchAddReturnsOriginal) {
   store_le64(mr_->window(mr_->base_va(), 8), 7);
   std::uint64_t original = 0;
-  requester_->post_fetch_add(mr_->base_va(), mr_->rkey(), 5,
+  requester_->post_fetch_add(mr_->base_va(), 5,
                              [&](const WorkCompletion& wc) {
                                original = wc.atomic_original;
                              });
@@ -119,7 +143,7 @@ TEST_F(VerbsTest, PipelinedWritesCompleteInOrder) {
   std::vector<std::uint64_t> completions;
   for (std::uint64_t i = 0; i < 50; ++i) {
     requester_->post_write(
-        mr_->base_va() + i * 64, mr_->rkey(),
+        mr_->base_va() + i * 64,
         std::vector<std::uint8_t>(64, static_cast<std::uint8_t>(i)),
         [&completions](const WorkCompletion& wc) {
           completions.push_back(wc.wr_id);
@@ -130,19 +154,20 @@ TEST_F(VerbsTest, PipelinedWritesCompleteInOrder) {
   ASSERT_EQ(completions.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) EXPECT_EQ(completions[i], i);
   EXPECT_EQ(mr_->bytes()[49 * 64], 49);
+  EXPECT_EQ(wire_, 0xc325ef65350b4ee2ULL);
 }
 
 TEST_F(VerbsTest, MixedOpsInterleaveCorrectly) {
   store_le64(mr_->window(mr_->base_va() + 512, 8), 1000);
   int completed = 0;
-  requester_->post_write(mr_->base_va(), mr_->rkey(), {42},
+  requester_->post_write(mr_->base_va(), {42},
                          [&](const WorkCompletion&) { ++completed; });
-  requester_->post_fetch_add(mr_->base_va() + 512, mr_->rkey(), 1,
+  requester_->post_fetch_add(mr_->base_va() + 512, 1,
                              [&](const WorkCompletion& wc) {
                                EXPECT_EQ(wc.atomic_original, 1000u);
                                ++completed;
                              });
-  requester_->post_read(mr_->base_va(), mr_->rkey(), 1,
+  requester_->post_read(mr_->base_va(), 1,
                         [&](const WorkCompletion& wc) {
                           ASSERT_EQ(wc.read_data.size(), 1u);
                           EXPECT_EQ(wc.read_data[0], 42);
@@ -150,6 +175,7 @@ TEST_F(VerbsTest, MixedOpsInterleaveCorrectly) {
                         });
   tb_.sim().run();
   EXPECT_EQ(completed, 3);
+  EXPECT_EQ(wire_, 0x16c31bbc816ca2e1ULL);
 }
 
 TEST_F(VerbsTest, RecoversFromRequestLossViaNakOrTimeout) {
@@ -159,7 +185,7 @@ TEST_F(VerbsTest, RecoversFromRequestLossViaNakOrTimeout) {
   int completed = 0;
   for (std::uint64_t i = 0; i < 30; ++i) {
     requester_->post_write(
-        mr_->base_va() + i, mr_->rkey(),
+        mr_->base_va() + i,
         std::vector<std::uint8_t>(1, static_cast<std::uint8_t>(i + 1)),
         [&](const WorkCompletion& wc) {
           EXPECT_TRUE(wc.success);
@@ -172,6 +198,7 @@ TEST_F(VerbsTest, RecoversFromRequestLossViaNakOrTimeout) {
     EXPECT_EQ(mr_->bytes()[i], static_cast<std::uint8_t>(i + 1));
   }
   EXPECT_GT(requester_->retransmissions(), 0u);
+  EXPECT_EQ(wire_, 0x96181e80bca0ad3eULL);
 }
 
 TEST_F(VerbsTest, ReadLossRecovered) {
@@ -181,7 +208,7 @@ TEST_F(VerbsTest, ReadLossRecovered) {
     bytes[i] = static_cast<std::uint8_t>(i);
   }
   std::vector<std::uint8_t> got;
-  requester_->post_read(mr_->base_va(), mr_->rkey(), 9000,
+  requester_->post_read(mr_->base_va(), 9000,
                         [&](const WorkCompletion& wc) {
                           EXPECT_TRUE(wc.success);
                           got = wc.read_data;
@@ -191,6 +218,55 @@ TEST_F(VerbsTest, ReadLossRecovered) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], static_cast<std::uint8_t>(i)) << i;
   }
+  EXPECT_EQ(wire_, 0x140cda710747317fULL);
+}
+
+TEST_F(VerbsTest, LargeWriteResumesMidMessageUnderLoss) {
+  // At this seed the FIRST segment goes out once: every go-back-N round
+  // resumes the 5-segment WRITE at one of its MIDDLE PSNs.
+  tb_.link_of(0).set_loss_rate(0.2, 16);
+  std::vector<std::uint8_t> data(20000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  bool done = false;
+  requester_->post_write(mr_->base_va(), data,
+                         [&](const WorkCompletion& wc) {
+                           EXPECT_TRUE(wc.success);
+                           done = true;
+                         });
+  tb_.sim().run();
+  ASSERT_TRUE(done);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(mr_->bytes()[i], data[i]) << "at " << i;
+  }
+  EXPECT_EQ(server_qp_->writes_executed, 1u);
+  EXPECT_GT(requester_->retransmissions(), 0u);
+  EXPECT_EQ(wire_, 0x1e7e11a9c7c189fdULL);
+}
+
+TEST_F(VerbsTest, ChannelCountsAndTracesHostOps) {
+  // Host verbs frame through an RdmaChannel, so its stats and op spans
+  // cover them with no code of their own.
+  telemetry::OpTracer tracer(tb_.sim(), "host0");
+  RdmaChannel& channel = *requester_->channel();
+  channel.attach_telemetry(nullptr, &tracer, "qp");
+  int completed = 0;
+  const auto count = [&](const WorkCompletion&) { ++completed; };
+  requester_->post_write(mr_->base_va(), std::vector<std::uint8_t>(9000, 1),
+                         count);
+  requester_->post_read(mr_->base_va(), 5000, count);
+  requester_->post_fetch_add(mr_->base_va() + 9000, 1, count);
+  tb_.sim().run();
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(channel.stats().writes_sent, 1u);
+  EXPECT_EQ(channel.stats().reads_sent, 1u);
+  EXPECT_EQ(channel.stats().atomics_sent, 1u);
+  EXPECT_EQ(channel.stats().payload_bytes, 9000);
+  EXPECT_EQ(channel.next_psn(), roce::Psn(100 + 3 + 2 + 1));
+  EXPECT_EQ(tracer.stats().spans_opened, 3u);
+  EXPECT_EQ(tracer.stats().spans_closed, 3u);
+  EXPECT_EQ(tracer.open_spans(), 0u);
 }
 
 TEST_F(VerbsTest, WindowLimitsInflight) {
@@ -204,16 +280,47 @@ TEST_F(VerbsTest, WindowLimitsInflight) {
                            roce::Psn(0));
   RcRequester small_window(tb_.sim(), client.rnic(), qp2.qpn,
                            {.max_inflight_packets = 4});
-  small_window.connect(server.endpoint(), sqp2.qpn, roce::Psn(0));
+  small_window.connect(server.endpoint(), sqp2.qpn, roce::Psn(0),
+                       mr_->rkey());
 
   int completed = 0;
   for (int i = 0; i < 20; ++i) {
-    small_window.post_write(mr_->base_va() + 2048 + static_cast<std::uint64_t>(i),
-                            mr_->rkey(), {static_cast<std::uint8_t>(i)},
-                            [&](const WorkCompletion&) { ++completed; });
+    small_window.post_write(
+        mr_->base_va() + 2048 + static_cast<std::uint64_t>(i),
+        {static_cast<std::uint8_t>(i)},
+        [&](const WorkCompletion&) { ++completed; });
   }
   tb_.sim().run();
   EXPECT_EQ(completed, 20);
+}
+
+TEST_F(VerbsTest, WriteLongerThanTheWindowCompletes) {
+  // Five segments through a 4-packet window behind a 1-byte WRITE. The
+  // window first fills at segment 2, and the 1-byte WRITE's ACK reopens
+  // it. It fills again at segment 3 with nothing older outstanding, so
+  // that segment must request an ACK, or the window never reopens and
+  // the WRITE times out.
+  auto& client = tb_.host(0);
+  auto& qp2 = client.rnic().create_qp();
+  auto& server = tb_.host(1);
+  auto& sqp2 = server.rnic().create_qp();
+  server.rnic().connect_qp(sqp2.qpn, client.endpoint(), qp2.qpn,
+                           roce::Psn(0));
+  RcRequester small_window(tb_.sim(), client.rnic(), qp2.qpn,
+                           {.max_inflight_packets = 4});
+  small_window.connect(server.endpoint(), sqp2.qpn, roce::Psn(0),
+                       mr_->rkey());
+
+  std::vector<std::uint8_t> data(20000, 0x6b);
+  int succeeded = 0;
+  const auto count = [&](const WorkCompletion& wc) { succeeded += wc.success; };
+  small_window.post_write(mr_->base_va() + 20000, {0x6c}, count);
+  small_window.post_write(mr_->base_va(), data, count);
+  tb_.sim().run();
+  EXPECT_EQ(succeeded, 2);
+  EXPECT_EQ(sqp2.writes_executed, 2u);
+  EXPECT_EQ(small_window.retransmissions(), 0u);
+  EXPECT_EQ(mr_->bytes()[19999], 0x6b);
 }
 
 }  // namespace
