@@ -20,6 +20,7 @@
 #include "roce/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "stats/histogram.hpp"
 #include "switchsim/table.hpp"
 
 using namespace xmem;
@@ -299,6 +300,45 @@ void BM_RegisterRegion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegisterRegion)->Arg(64 << 10)->Arg(16 << 20)->Arg(64 << 20);
+
+/// Histogram::add, every latency sink's per-frame cost, over batches of
+/// 2^16 samples into a fresh histogram. Arg 0 repeats one value, as
+/// fa_counter's sink does; arg 1 adds distinct values, which never fold.
+/// Items/sec is samples added per second.
+void BM_HistogramAdd(benchmark::State& state) {
+  constexpr std::size_t kBatch = 1 << 16;
+  std::vector<double> samples(kBatch, 1.035);
+  if (state.range(0) != 0) {
+    // An odd multiplier permutes the batch's indices.
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      samples[i] = static_cast<double>(i * 40503 % kBatch);
+    }
+  }
+  for (auto _ : state) {
+    stats::Histogram h;
+    for (const double s : samples) h.add(s);
+    benchmark::DoNotOptimize(h.count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_HistogramAdd)->Arg(0)->Arg(1);
+
+/// A p99 query right after an add, so each query sees unsorted samples:
+/// the cost a metrics snapshot pays. The 2^16 samples are Zipf(0.99)
+/// draws over Arg values: 670 is lookup_zipf's spread of latencies.
+void BM_HistogramP99(benchmark::State& state) {
+  sim::Rng rng(5);
+  sim::ZipfGenerator zipf(static_cast<std::uint64_t>(state.range(0)), 0.99,
+                          rng);
+  stats::Histogram h;
+  for (int i = 0; i < (1 << 16); ++i) h.add(static_cast<double>(zipf()));
+  for (auto _ : state) {
+    h.add(static_cast<double>(zipf()));
+    benchmark::DoNotOptimize(h.p99());
+  }
+}
+BENCHMARK(BM_HistogramP99)->Arg(670)->Arg(1 << 16);
 
 }  // namespace
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -147,8 +149,15 @@ std::string_view LookupCache::policy_name(Policy policy) {
 }
 
 LookupCache::LookupCache(Config config) : config_(config) {
-  if (config_.lfu_protected_fraction < 0.0) config_.lfu_protected_fraction = 0.0;
-  if (config_.lfu_protected_fraction > 1.0) config_.lfu_protected_fraction = 1.0;
+  if (config_.negative_ttl < 0) {
+    throw std::invalid_argument("LookupCache: negative_ttl must be >= 0");
+  }
+  if (std::isnan(config_.lfu_protected_fraction)) {
+    throw std::invalid_argument(
+        "LookupCache: lfu_protected_fraction must not be NaN");
+  }
+  config_.lfu_protected_fraction =
+      std::clamp(config_.lfu_protected_fraction, 0.0, 1.0);
   eviction_ = make_policy();
   if (config_.capacity > 0) map_.reserve(config_.capacity);
 }

@@ -63,11 +63,13 @@ class LookupCache {
     std::size_t capacity = 0;
     Policy policy = Policy::kLru;
     /// How long a "no entry" verdict stays servable locally (0 disables
-    /// negative caching entirely).
+    /// negative caching entirely). Throws std::invalid_argument when
+    /// negative.
     sim::Time negative_ttl = 0;
     /// kLfu only: share of capacity the hit-promoted protected segment
-    /// may hold. Clamped to [0, 1]; at capacity 1 there is no protected
-    /// segment and kLfu degenerates to LRU-within-probation.
+    /// may hold. Clamped to [0, 1] (NaN throws std::invalid_argument); at
+    /// capacity 1 there is no protected segment and kLfu degenerates to
+    /// LRU-within-probation.
     double lfu_protected_fraction = 0.8;
   };
 

@@ -153,26 +153,21 @@ void RcRequester::on_response(const RoceMessage& msg) {
       go_back_n();
       return;
     }
-    const roce::Psn acked_through = roce::psn_add(msg.bth.psn, 1);
-    if (roce::psn_distance(lowest_unacked_, acked_through) > 0) {
-      lowest_unacked_ = acked_through;
-    }
-    // Mark write / atomic WQEs whose last PSN is covered.
-    for (auto& wqe : wqes_) {
-      if (!wqe.started || wqe.done) continue;
-      const roce::Psn last_psn =
-          roce::psn_add(wqe.first_psn, wqe.packet_count - 1);
-      const bool covered = roce::psn_distance(last_psn, msg.bth.psn) >= 0;
-      if (!covered) break;  // later WQEs cannot be covered either
-      if (wqe.verb == Opcode::kRdmaWriteOnly) {
-        wqe.done = true;
-      } else if (wqe.verb == Opcode::kFetchAdd &&
-                 op == Opcode::kAtomicAcknowledge &&
-                 msg.bth.psn == wqe.first_psn) {
-        assert(msg.atomic_ack.has_value());
-        wqe.atomic_result = msg.atomic_ack->original_value;
-        wqe.done = true;
+    if (op == Opcode::kAtomicAcknowledge) {
+      assert(msg.atomic_ack.has_value());
+      for (auto& wqe : wqes_) {
+        if (wqe.started && !wqe.done && wqe.verb == Opcode::kFetchAdd &&
+            wqe.first_psn == msg.bth.psn) {
+          wqe.atomic_result = msg.atomic_ack->original_value;
+          wqe.done = true;
+          break;
+        }
       }
+    }
+    const roce::Psn acked_through = roce::psn_add(msg.bth.psn, 1);
+    if (acknowledge_before(acked_through) &&
+        roce::psn_distance(lowest_unacked_, acked_through) > 0) {
+      lowest_unacked_ = acked_through;
     }
   } else if (roce::is_read_response(op)) {
     // Find the READ this segment belongs to.
@@ -184,6 +179,7 @@ void RcRequester::on_response(const RoceMessage& msg) {
       if (off < 0 || off >= static_cast<std::int32_t>(wqe.packet_count)) {
         continue;
       }
+      if (!acknowledge_before(wqe.first_psn)) break;
       if (static_cast<std::uint32_t>(off) != wqe.read_segments_received) {
         // Out-of-order segment: a response was lost. Reissue the READ.
         ++retransmits_;
@@ -214,6 +210,19 @@ void RcRequester::on_response(const RoceMessage& msg) {
     complete_front(true);
   }
   pump();
+}
+
+bool RcRequester::acknowledge_before(roce::Psn psn) {
+  for (auto& wqe : wqes_) {
+    if (!wqe.started) break;
+    const roce::Psn last_psn =
+        roce::psn_add(wqe.first_psn, wqe.packet_count - 1);
+    if (roce::psn_distance(last_psn, psn) <= 0) break;
+    if (wqe.done) continue;
+    if (wqe.verb != Opcode::kRdmaWriteOnly) return false;
+    wqe.done = true;
+  }
+  return true;
 }
 
 void RcRequester::complete_front(bool success) {

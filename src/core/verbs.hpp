@@ -102,6 +102,13 @@ class RcRequester {
   void post(Wqe wqe);
   void pump();
   void on_response(const roce::RoceMessage& msg);
+  /// The responder answers in PSN order, so a response at or after `psn`
+  /// means every request before `psn` arrived: the WRITEs among them are
+  /// done. A READ or an atomic among them whose own response was lost
+  /// must go out again, so this returns false at the first such one. The
+  /// caller then drops the response and leaves lowest_unacked_ where it
+  /// is, so the retransmit timer goes back to that request.
+  bool acknowledge_before(roce::Psn psn);
   void complete_front(bool success);
   void arm_timer();
   void on_timeout();

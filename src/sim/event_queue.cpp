@@ -176,23 +176,4 @@ Time EventQueue::run_next() {
   return e.time;
 }
 
-void EventQueue::clear() {
-  // Kill (not drop) every live slot so its generation advances — resetting
-  // the slab would recycle generations and let a stale pre-clear EventId
-  // cancel an unrelated post-clear event.
-  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].live) kill_slot(s);
-  }
-  free_head_ = kNoSlot;
-  for (auto s = static_cast<std::uint32_t>(slots_.size()); s-- > 0;) {
-    slots_[s].next_free = free_head_;
-    free_head_ = s;
-  }
-  heap_.clear();
-  dead_in_heap_ = 0;
-  // next_seq_ and scheduled_count_ deliberately survive: seq must stay
-  // monotonic across a clear for the (time, seq) ordering contract, and
-  // scheduled_count() is a lifetime telemetry counter.
-}
-
 }  // namespace xmem::sim

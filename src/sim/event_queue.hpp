@@ -97,10 +97,6 @@ class EventQueue {
   /// Precondition: !empty().
   Time run_next();
 
-  /// Drop everything (cancelled and pending alike). Outstanding EventIds
-  /// become stale (cancel() no-ops, pending() false).
-  void clear();
-
   /// Total events ever scheduled (telemetry / tests).
   [[nodiscard]] std::uint64_t scheduled_count() const {
     return scheduled_count_;

@@ -4,6 +4,8 @@
 // structural invariants every policy shares.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "core/lookup_cache.hpp"
@@ -196,6 +198,20 @@ TEST(LookupCacheTest, ClearCountsInvalidations) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, 3u);
+}
+
+TEST(LookupCacheTest, RejectsInvalidConfigsAtConstruction) {
+  // A negative TTL used to switch negative caching off without a word.
+  EXPECT_THROW(LookupCache({.capacity = 4, .negative_ttl = -1}),
+               std::invalid_argument);
+  // NaN passed both clamps and was cast to std::size_t (UB).
+  EXPECT_THROW(LookupCache({.capacity = 4,
+                            .policy = Policy::kLfu,
+                            .lfu_protected_fraction = std::nan("")}),
+               std::invalid_argument);
+  // Finite out-of-range fractions still clamp.
+  EXPECT_NO_THROW(LookupCache(
+      {.capacity = 4, .policy = Policy::kLfu, .lfu_protected_fraction = 7.0}));
 }
 
 TEST(LookupCacheTest, PolicyNamesAreStable) {

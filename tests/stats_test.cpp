@@ -1,8 +1,14 @@
 // Unit tests for the stats utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
+#include "sim/rng.hpp"
 #include "sim/units.hpp"
 #include "stats/histogram.hpp"
 #include "stats/rate_meter.hpp"
@@ -121,6 +127,128 @@ TEST(Histogram, WelfordStableForLargeOffsets) {
   }
   EXPECT_NEAR(h.mean(), 1e9 + 10.0, 1e-3);
   EXPECT_NEAR(h.stddev(), std::sqrt(90.0 / 4.0), 1e-6);
+}
+
+// The histogram this one replaced: every sample kept, a sorted copy per
+// query. Its sum runs in insertion order, and merge() adds the sums.
+struct ReferenceHistogram {
+  std::vector<double> samples;
+  double sum = 0.0;
+
+  void add(double v) {
+    samples.push_back(v);
+    sum += v;
+  }
+  void merge(const ReferenceHistogram& other) {
+    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
+    sum += other.sum;
+  }
+};
+
+// Bit-equal, not near: the exports and digests print these doubles.
+void expect_matches(const Histogram& h, const ReferenceHistogram& ref) {
+  ASSERT_EQ(h.count(), ref.samples.size());
+  std::vector<double> sorted = ref.samples;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(h.min(), sorted.front());
+  EXPECT_EQ(h.max(), sorted.back());
+  EXPECT_EQ(h.mean(), ref.sum / static_cast<double>(sorted.size()));
+  for (const double p : {0.0, 0.1, 1.0, 25.0, 50.0, 75.0, 99.0, 99.9, 100.0}) {
+    double expected = sorted.front();
+    if (sorted.size() > 1) {
+      const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+      const double frac = rank - static_cast<double>(lo);
+      expected = sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+    }
+    EXPECT_EQ(h.percentile(p), expected) << "p" << p << " of " << h.count();
+  }
+}
+
+using Stream = std::function<double(std::size_t)>;
+
+// Streams whose samples are not dyadic, so the order of the sum shows.
+std::vector<std::pair<const char*, Stream>> streams() {
+  auto rng = std::make_shared<sim::Rng>(7);
+  return {
+      {"all-equal", [](std::size_t) { return 1.035; }},
+      {"few-distinct",
+       [rng](std::size_t) {
+         return 0.7 + 0.13 * static_cast<double>(rng->uniform(9));
+       }},
+      {"all-distinct", [rng](std::size_t) { return rng->uniform01() * 3.3; }},
+      {"ascending",
+       [](std::size_t i) { return 0.1 * static_cast<double>(i / 3); }},
+      {"descending",
+       [](std::size_t i) { return 1e3 - 0.1 * static_cast<double>(i); }},
+  };
+}
+
+TEST(Histogram, MatchesSortedVectorReferenceBitForBit) {
+  constexpr std::size_t kSamples = 5000;
+  for (const auto& [name, next] : streams()) {
+    SCOPED_TRACE(name);
+    Histogram h;
+    ReferenceHistogram ref;
+    std::size_t check_at = 1;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      const double v = next(i);
+      h.add(v);
+      ref.add(v);
+      // Queries interleaved with adds: before, at and after folds.
+      if (i + 1 == check_at || i % 97 == 0) {
+        expect_matches(h, ref);
+        check_at = check_at * 2 + 1;
+      }
+    }
+    expect_matches(h, ref);
+  }
+}
+
+TEST(Histogram, MatchesReferenceAfterMerge) {
+  for (const auto& [name, next] : streams()) {
+    SCOPED_TRACE(name);
+    Histogram a;
+    Histogram b;
+    ReferenceHistogram ref_a;
+    ReferenceHistogram ref_b;
+    for (std::size_t i = 0; i < 3000; ++i) {
+      const double v = next(i);
+      (i % 3 == 0 ? a : b).add(v);
+      (i % 3 == 0 ? ref_a : ref_b).add(v);
+      if (i == 1500) expect_matches(a, ref_a);  // a has sorted in place
+    }
+    Histogram into_empty;
+    into_empty.merge(a);
+    expect_matches(into_empty, ref_a);
+    a.merge(b);
+    ref_a.merge(ref_b);
+    expect_matches(a, ref_a);
+    for (std::size_t i = 0; i < 500; ++i) {
+      const double v = next(i);
+      a.add(v);
+      ref_a.add(v);
+    }
+    expect_matches(a, ref_a);
+  }
+}
+
+TEST(Histogram, FootprintFollowsDistinctValues) {
+  // fa_counter's sink: 2,441,406 latencies, all one value.
+  Histogram same;
+  for (int i = 0; i < 2'441'406; ++i) same.add(1.035);
+  EXPECT_EQ(same.footprint_bytes(), 16u) << "one (value, count) run";
+  EXPECT_EQ(same.p99(), 1.035);
+
+  // All distinct: never folded, 8 B a sample as in a plain vector.
+  constexpr std::size_t kDistinct = 100'000;
+  Histogram distinct;
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    distinct.add(static_cast<double>(i * 7919 % kDistinct));  // a permutation
+  }
+  EXPECT_LE(distinct.footprint_bytes(), sizeof(double) * kDistinct);
+  EXPECT_EQ(distinct.median(), (kDistinct - 1) / 2.0);
 }
 
 TEST(RateMeter, AverageRate) {

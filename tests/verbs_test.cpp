@@ -245,6 +245,67 @@ TEST_F(VerbsTest, LargeWriteResumesMidMessageUnderLoss) {
   EXPECT_EQ(wire_, 0x1e7e11a9c7c189fdULL);
 }
 
+// Half the frames from the switch toward the client are lost. The
+// responder answers in PSN order, so a later request's response
+// acknowledges an earlier one whose own response was lost.
+class VerbsLostResponseTest
+    : public VerbsTest,
+      public ::testing::WithParamInterface<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    tb_.link_of(0).set_loss_rate(0.5, GetParam(), /*direction=*/0);
+  }
+};
+
+TEST_P(VerbsLostResponseTest, ReadResponseCompletesAnEarlierWrite) {
+  // The WRITE's ACK is lost and the READ's response arrives. The READ
+  // used to move the window past the WRITE without completing it, and
+  // with nothing left in flight both waited forever.
+  auto window = mr_->window(mr_->base_va() + 64, 3);
+  window[0] = 7;
+  window[2] = 9;
+  int succeeded = 0;
+  std::vector<std::uint8_t> got;
+  requester_->post_write(mr_->base_va(), {42}, [&](const WorkCompletion& wc) {
+    succeeded += wc.success;
+  });
+  requester_->post_read(mr_->base_va() + 64, 3,
+                        [&](const WorkCompletion& wc) {
+                          succeeded += wc.success;
+                          got = wc.read_data;
+                        });
+  tb_.sim().run();
+  EXPECT_EQ(succeeded, 2);
+  EXPECT_EQ(requester_->pending_work_requests(), 0u);
+  EXPECT_EQ(mr_->bytes()[0], 42);
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{7, 0, 9}));
+}
+
+TEST_P(VerbsLostResponseTest, LaterAckResendsAnUnansweredFetchAdd) {
+  // An F&A's result comes only in its own response. A later WRITE's ACK
+  // must not move the window past an F&A still waiting for it: the F&A
+  // goes out again and the responder's replay cache answers it once.
+  store_le64(mr_->window(mr_->base_va() + 512, 8), 1000);
+  int succeeded = 0;
+  std::uint64_t original = 0;
+  requester_->post_fetch_add(mr_->base_va() + 512, 1,
+                             [&](const WorkCompletion& wc) {
+                               succeeded += wc.success;
+                               original = wc.atomic_original;
+                             });
+  requester_->post_write(mr_->base_va(), {42}, [&](const WorkCompletion& wc) {
+    succeeded += wc.success;
+  });
+  tb_.sim().run();
+  EXPECT_EQ(succeeded, 2);
+  EXPECT_EQ(original, 1000u);
+  EXPECT_EQ(load_le64(mr_->window(mr_->base_va() + 512, 8)), 1001u);
+}
+
+// At each seed the first response toward the client is lost.
+INSTANTIATE_TEST_SUITE_P(Seeds, VerbsLostResponseTest,
+                         ::testing::Values(2, 4, 5));
+
 TEST_F(VerbsTest, ChannelCountsAndTracesHostOps) {
   // Host verbs frame through an RdmaChannel, so its stats and op spans
   // cover them with no code of their own.
