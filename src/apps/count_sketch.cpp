@@ -14,7 +14,11 @@ using switchsim::PipelineContext;
 CountSketchApp::CountSketchApp(switchsim::ProgrammableSwitch& sw,
                                control::RdmaChannelConfig channel,
                                Config config)
-    : switch_(&sw), channel_(sw, std::move(channel)), config_(config) {
+    : switch_(&sw),
+      channel_(sw, std::move(channel)),
+      config_(config),
+      inflight_(sw.simulator(), 1, kResponseTimeout, {},
+                [this]() { on_timeout(); }) {
   if (config_.rows == 0) {
     throw std::invalid_argument("CountSketchApp: rows must be >= 1");
   }
@@ -87,13 +91,13 @@ void CountSketchApp::on_ingress(PipelineContext& ctx) {
 }
 
 void CountSketchApp::pump() {
-  while (outstanding_ < config_.max_outstanding && !queue_.empty()) {
+  const auto window = static_cast<std::size_t>(config_.max_outstanding);
+  while (inflight_.size() < window && !queue_.empty()) {
     const Update u = queue_.front();
     queue_.pop_front();
-    const roce::Psn psn = channel_.post_fetch_add(u.va, u.add);
-    inflight_.emplace(psn, true);
-    ++outstanding_;
+    inflight_.add(0, channel_.post_fetch_add(u.va, u.add), u);
     ++stats_.fetch_adds_sent;
+    inflight_.arm();
   }
   stats_.deferred_updates = std::max<std::uint64_t>(
       stats_.deferred_updates, queue_.size());
@@ -101,11 +105,19 @@ void CountSketchApp::pump() {
 
 void CountSketchApp::handle_response(const roce::RoceMessage& msg) {
   if (msg.opcode() != roce::Opcode::kAtomicAcknowledge) return;
-  auto it = inflight_.find(msg.bth.psn);
-  if (it == inflight_.end()) return;
-  inflight_.erase(it);
-  --outstanding_;
+  if (!inflight_.erase(0, msg.bth.psn)) return;
   ++stats_.acks_received;
+  pump();
+}
+
+void CountSketchApp::on_timeout() {
+  const sim::Time now = switch_->simulator().now();
+  for (const auto& key : inflight_.keys([&](std::size_t, const auto& e) {
+         return now - e.sent_at >= kResponseTimeout;
+       })) {
+    inflight_.erase(key.shard, key.psn);
+    ++stats_.lost_updates;
+  }
   pump();
 }
 

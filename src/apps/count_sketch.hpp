@@ -6,16 +6,19 @@
 // For each sampled packet the data plane issues d Fetch-and-Adds of ±1
 // (two's-complement wrap makes subtraction free on u64 counters),
 // throttled by one shared outstanding-atomics window exactly like the
-// state-store primitive. Estimation (median of signed row reads) and
-// heavy-hitter extraction run on the control plane against the region.
+// state-store primitive. An F&A unanswered past its deadline frees its
+// window slot and counts as lost: the sketch is best-effort, and a lost
+// ACK must not shrink the window for good. Estimation (median of signed
+// row reads) and heavy-hitter extraction run on the control plane
+// against the region.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "core/inflight.hpp"
 #include "core/rdma_channel.hpp"
 #include "switchsim/switch.hpp"
 
@@ -38,6 +41,7 @@ class CountSketchApp {
     std::uint64_t fetch_adds_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t deferred_updates = 0;
+    std::uint64_t lost_updates = 0;  // F&As unanswered past the deadline
   };
 
   CountSketchApp(switchsim::ProgrammableSwitch& sw,
@@ -47,7 +51,7 @@ class CountSketchApp {
   [[nodiscard]] std::size_t rows() const { return config_.rows; }
   [[nodiscard]] std::size_t columns() const { return columns_; }
   [[nodiscard]] bool quiescent() const {
-    return outstanding_ == 0 && queue_.empty();
+    return inflight_.size() == 0 && queue_.empty();
   }
   [[nodiscard]] const core::RdmaChannel& channel() const { return channel_; }
 
@@ -71,6 +75,7 @@ class CountSketchApp {
   void on_ingress(switchsim::PipelineContext& ctx);
   void handle_response(const roce::RoceMessage& msg);
   void pump();
+  void on_timeout();
 
   [[nodiscard]] std::uint64_t cell_va(std::size_t row,
                                       std::uint64_t column) const {
@@ -82,13 +87,15 @@ class CountSketchApp {
   Config config_;
   std::size_t columns_ = 0;
 
+  /// The fixed deadline the state store and lookup table default to.
+  static constexpr sim::Time kResponseTimeout = sim::microseconds(100);
+
   struct Update {
     std::uint64_t va = 0;
     std::uint64_t add = 0;  // +1 or two's-complement -1
   };
   std::deque<Update> queue_;
-  int outstanding_ = 0;
-  std::unordered_map<roce::Psn, bool> inflight_;
+  core::InflightTable<Update> inflight_;  // one shard: the one channel
   Stats stats_;
 };
 

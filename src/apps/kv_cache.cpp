@@ -64,7 +64,11 @@ net::Packet make_response(const net::Packet& request, const KvRequest& reply) {
 KvAcceleratorApp::KvAcceleratorApp(switchsim::ProgrammableSwitch& sw,
                                    control::RdmaChannelConfig channel,
                                    Config config)
-    : switch_(&sw), channel_(sw, std::move(channel)), config_(config) {
+    : switch_(&sw),
+      channel_(sw, std::move(channel)),
+      config_(config),
+      pending_(sw.simulator(), 1, kResponseTimeout, {},
+               [this]() { on_timeout(); }) {
   if (config_.backend_port < 0) {
     throw std::invalid_argument("KvAcceleratorApp: backend_port must be set");
   }
@@ -118,16 +122,16 @@ void KvAcceleratorApp::on_ingress(PipelineContext& ctx) {
   const std::uint64_t idx = index_of(req->key, n_entries_);
   const roce::Psn psn = channel_.post_read(
       channel_.config().base_va + idx * kKvEntryBytes, kKvEntryBytes);
-  pending_.emplace(psn, Pending{ctx.packet.clone(), req->key});
+  pending_.add(0, psn, Pending{ctx.packet.clone(), req->key});
+  pending_.arm();
   ctx.consume();
 }
 
 void KvAcceleratorApp::handle_response(const roce::RoceMessage& msg) {
   if (!roce::is_read_response(msg.opcode())) return;
-  auto it = pending_.find(msg.bth.psn);
-  if (it == pending_.end()) return;
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
+  auto done = pending_.erase(0, msg.bth.psn);
+  if (!done) return;
+  Pending& pending = done->op;
 
   bool hit = false;
   std::uint64_t value = 0;
@@ -152,6 +156,18 @@ void KvAcceleratorApp::handle_response(const roce::RoceMessage& msg) {
     // Fall back to the backend CPU with the original request.
     ++stats_.misses_to_backend;
     switch_->inject(std::move(pending.request), config_.backend_port);
+  }
+}
+
+void KvAcceleratorApp::on_timeout() {
+  const sim::Time now = switch_->simulator().now();
+  for (const auto& key : pending_.keys([&](std::size_t, const auto& e) {
+         return now - e.sent_at >= kResponseTimeout;
+       })) {
+    // The READ or its response was lost: answer the slow way, as a miss.
+    auto lost = pending_.erase(key.shard, key.psn);
+    ++stats_.lost_reads;
+    switch_->inject(std::move(lost->op.request), config_.backend_port);
   }
 }
 

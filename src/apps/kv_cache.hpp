@@ -6,7 +6,8 @@
 // store in remote memory with one RDMA READ, and *answers on behalf of
 // the backend* by transforming the request packet into a response in the
 // data plane. Misses fall through to the backend server's CPU — the slow
-// path whose elimination the paper is after. The backend keeps the remote
+// path whose elimination the paper is after — and so does a GET whose
+// READ goes unanswered past its deadline. The backend keeps the remote
 // region up to date on PUTs (it owns that DRAM, so updates are local
 // stores).
 //
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "core/inflight.hpp"
 #include "core/rdma_channel.hpp"
 #include "host/host.hpp"
 #include "switchsim/switch.hpp"
@@ -59,6 +61,7 @@ class KvAcceleratorApp {
     std::uint64_t answered_from_remote = 0;  // switch-crafted responses
     std::uint64_t misses_to_backend = 0;
     std::uint64_t puts_passed = 0;
+    std::uint64_t lost_reads = 0;  // READs expired; their GETs to backend
   };
 
   KvAcceleratorApp(switchsim::ProgrammableSwitch& sw,
@@ -77,6 +80,10 @@ class KvAcceleratorApp {
  private:
   void on_ingress(switchsim::PipelineContext& ctx);
   void handle_response(const roce::RoceMessage& msg);
+  void on_timeout();
+
+  /// The fixed deadline the state store and lookup table default to.
+  static constexpr sim::Time kResponseTimeout = sim::microseconds(100);
 
   switchsim::ProgrammableSwitch* switch_;
   core::RdmaChannel channel_;
@@ -87,7 +94,7 @@ class KvAcceleratorApp {
     net::Packet request;
     std::uint64_t key = 0;
   };
-  std::unordered_map<roce::Psn, Pending> pending_;  // psn -> request
+  core::InflightTable<Pending> pending_;  // one shard: the one channel
   Stats stats_;
 };
 

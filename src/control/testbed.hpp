@@ -73,8 +73,8 @@ class Testbed {
   /// source (hop 10+i) that skips RoCEv2 frames, and the ToR TM (hop 1)
   /// appends in transit. Memory-server links are infrastructure and stay
   /// unmonitored entirely. RNIC INT is per-host opt-in (hop convention
-  /// 100+i). Hop ids are stable across runs so per-hop histograms and
-  /// reports line up.
+  /// 100+i). Hop ids are stable across runs so hop records from
+  /// different runs line up.
   void enable_int();
 
  private:

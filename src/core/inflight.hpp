@@ -1,5 +1,6 @@
 // InflightTable: the requester state a reliable primitive keeps per
-// shard, in one place for all three primitives.
+// shard, in one place for all three primitives and the apps (Count
+// Sketch and the KV accelerator expire unanswered ops with it).
 //
 // Each shard holds its in-flight ops in a deque in issue order. A channel
 // issues PSNs monotonically, and a reconnect resumes from the channel's

@@ -92,8 +92,6 @@ void LookupTablePrimitive::attach_telemetry(
                                &stats_.cache_hits_while_down, "lookups");
     registry->register_counter(prefix + "/cache_stale_refetches",
                                &stats_.cache_stale_refetches, "lookups");
-    registry->register_counter(prefix + "/degraded_bypass",
-                               &stats_.degraded_bypass, "packets");
     registry->register_gauge(
         prefix + "/outstanding",
         [this]() { return static_cast<double>(outstanding()); }, "lookups");
@@ -161,18 +159,12 @@ void LookupTablePrimitive::on_ingress(PipelineContext& ctx) {
 
   const std::uint64_t idx =
       index_for_key(*key, n_entries_, config_.hash_seed);
-  const std::size_t home = channels_.home_shard(idx);
-  const bool home_up = channels_.is_up(home);
 
   // Local SRAM cache first: a hit applies the action with no remote
-  // access at all. With the home shard down the cache either keeps
-  // serving hits through the outage (kServeHits — misses degrade) or is
-  // skipped outright (kBypass — everything degrades).
-  const bool bypass =
-      !home_up &&
-      config_.degraded_cache == DegradedCacheMode::kBypass;
-  if (cache_.enabled() && bypass) ++stats_.degraded_bypass;
-  if (cache_.enabled() && !bypass) {
+  // access at all. With the home shard down the cache keeps serving hits
+  // through the outage (their epoch is unchanged until a reconnect, so
+  // they are as fresh as the dead server's memory); misses degrade.
+  if (cache_.enabled()) {
     const sim::Time now = switch_->simulator().now();
     if (auto hit = cache_.lookup(*key, now)) {
       if (!hit->negative && hit->epoch != channels_.epoch(hit->shard)) {
@@ -189,7 +181,9 @@ void LookupTablePrimitive::on_ingress(PipelineContext& ctx) {
         ctx.drop();
         return;
       } else {
-        if (!home_up) ++stats_.cache_hits_while_down;
+        if (!channels_.is_up(channels_.home_shard(idx))) {
+          ++stats_.cache_hits_while_down;
+        }
         auto egress = apply_action(*hit->action, ctx.packet);
         sync_cache_stats();
         if (egress) {

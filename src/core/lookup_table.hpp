@@ -23,8 +23,7 @@
 // epoch no longer matches the shard's (the server was reconnected, its
 // memory possibly repopulated) is refetched instead of served. While a
 // shard is *down* its epoch is unchanged, so the cache keeps serving
-// hits through the outage (Config::degraded_cache selects that or a
-// full bypass) and only misses degrade to passthrough.
+// hits through the outage and only misses degrade to passthrough.
 //
 // The table may be sharded across several memory servers ("We maintain
 // the complete virtual-to-physical address mapping table on servers in a
@@ -70,18 +69,6 @@ class LookupTablePrimitive {
   using KeyFn = std::function<std::optional<std::vector<std::uint8_t>>(
       const net::Packet&)>;
 
-  /// What the cache does for packets whose home shard is down.
-  enum class DegradedCacheMode : std::uint8_t {
-    /// Serve local copies through the outage (their epoch is unchanged
-    /// until a reconnect, so they are as fresh as the dead server's
-    /// memory); only misses degrade to passthrough. The default.
-    kServeHits,
-    /// Skip the cache entirely: all traffic for the dead shard takes the
-    /// degraded passthrough path, hits included. For deployments where
-    /// an outage implies the remote entries are being rewritten.
-    kBypass,
-  };
-
   struct Config {
     Mode mode = Mode::kBounce;
     std::size_t entry_bytes = 2048;
@@ -95,7 +82,6 @@ class LookupTablePrimitive {
     sim::Time negative_ttl = 0;
     /// kLfu only: protected-segment share of cache capacity.
     double lfu_protected_fraction = 0.8;
-    DegradedCacheMode degraded_cache = DegradedCacheMode::kServeHits;
     KeyFn key_fn;  // default: five-tuple
     std::uint64_t hash_seed = 0x9e3779b97f4a7c15ULL;
     /// Outstanding lookups older than this are abandoned (their switch
@@ -128,7 +114,6 @@ class LookupTablePrimitive {
     std::uint64_t negative_cache_drops = 0;  // absent-key verdict served locally
     std::uint64_t cache_hits_while_down = 0; // hits served during an outage
     std::uint64_t cache_stale_refetches = 0; // epoch-mismatch entries refetched
-    std::uint64_t degraded_bypass = 0;       // kBypass: cache skipped, shard down
   };
 
   // Entry layout constants.

@@ -183,7 +183,7 @@ void PacketBufferPrimitive::maybe_issue_reads() {
       punched_hole = true;
       continue;
     }
-    if (reads_per_stripe_[chan] >= config_.read_pipeline_depth) break;
+    if (reads_per_stripe_[chan] >= kReadPipelineDepth) break;
     const roce::Psn psn = channels_.at(chan).post_read(
         slot_va(next_read_slot_),
         static_cast<std::uint32_t>(config_.entry_bytes));

@@ -47,10 +47,6 @@ class PacketBufferPrimitive {
     std::int64_t resume_threshold_bytes = 30 * 1500;
     /// Fixed remote slot size; must hold u32 + a max-size frame.
     std::size_t entry_bytes = 2048;
-    /// READs kept in flight while draining (the paper's chained-READ
-    /// trigger generalized to a small pipeline; depth 1 is the literal
-    /// "response triggers the next request"). Applied per channel.
-    int read_pipeline_depth = 8;
     /// Reliable stores: every entry WRITE requests an ACK and is
     /// retransmitted (original PSN, kept in switch SRAM) until
     /// acknowledged; a READ for a slot is gated until its WRITE is
@@ -220,6 +216,11 @@ class PacketBufferPrimitive {
   bool diverting_ = false;
 
   std::uint64_t next_read_slot_ = 0;  // next slot to request (monotonic)
+
+  /// READs kept in flight per stripe while draining: the paper's
+  /// chained-READ trigger generalized to a small pipeline (depth 1 is the
+  /// literal "response triggers the next request").
+  static constexpr int kReadPipelineDepth = 8;
 
   /// Transfers in flight, per stripe, and the READs among them.
   Inflight inflight_;

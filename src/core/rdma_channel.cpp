@@ -136,15 +136,14 @@ roce::Psn RdmaChannel::take_psns(std::uint32_t count) {
 
 void RdmaChannel::request(Opcode op, roce::Psn psn, std::uint64_t va,
                           std::uint32_t len, roce::Gather payload,
-                          bool ack_req, std::uint64_t swap_add,
-                          std::uint64_t compare) {
+                          bool ack_req, std::uint64_t add) {
   RoceMessage msg;
   msg.bth.opcode = op;
   msg.bth.dest_qp = config_.remote_qpn;
   msg.bth.psn = psn;
   msg.bth.ack_req = ack_req;
-  if (op == Opcode::kFetchAdd || op == Opcode::kCompareSwap) {
-    msg.atomic_eth = roce::AtomicEth{va, config_.rkey, swap_add, compare};
+  if (op == Opcode::kFetchAdd) {
+    msg.atomic_eth = roce::AtomicEth{va, config_.rkey, add};
   } else if (op == Opcode::kRdmaReadRequest || op == Opcode::kRdmaWriteOnly ||
              op == Opcode::kRdmaWriteFirst) {
     msg.reth = roce::Reth{va, config_.rkey, len};
@@ -272,16 +271,6 @@ void RdmaChannel::repost_fetch_add(std::uint64_t va, std::uint64_t add,
                                    roce::Psn psn) {
   trace_retransmit(psn);
   request(Opcode::kFetchAdd, psn, va, 0, {}, false, add);
-}
-
-roce::Psn RdmaChannel::post_compare_swap(std::uint64_t va,
-                                         std::uint64_t compare,
-                                         std::uint64_t swap) {
-  const roce::Psn psn = take_psns(1);
-  ++stats_.atomics_sent;
-  trace_begin("CMP_SWAP", psn, 8);
-  request(Opcode::kCompareSwap, psn, va, 0, {}, false, swap, compare);
-  return psn;
 }
 
 void RdmaChannel::reconfigure(control::RdmaChannelConfig config) {

@@ -124,13 +124,6 @@ class RdmaChannel {
   /// extension). Does not advance the PSN register.
   void repost_fetch_add(std::uint64_t va, std::uint64_t add, roce::Psn psn);
 
-  /// Craft and inject an atomic Compare-and-Swap: if the 8 bytes at `va`
-  /// equal `compare`, they become `swap`; the AtomicAck returns the
-  /// prior value either way. This is what lets the *data plane* claim a
-  /// remote table slot atomically (e.g. connection-table inserts).
-  roce::Psn post_compare_swap(std::uint64_t va, std::uint64_t compare,
-                              std::uint64_t swap);
-
   /// Claim the PSNs of a WRITE of `bytes`, count it and open its span,
   /// sending nothing: send_write() sends its segments. Host verbs number a
   /// WRITE this way and send it as their window opens.
@@ -189,13 +182,12 @@ class RdmaChannel {
   roce::Psn take_psns(std::uint32_t count);
   /// The one framing routine: build request `op` at `psn` with the
   /// header its opcode carries, a RETH (`len` bytes at `va`: READ, FIRST,
-  /// ONLY) or an AtomicETH (`swap_add`, `compare` at `va`), around
+  /// ONLY) or an AtomicETH (Fetch-and-Add of `add` at `va`), around
   /// `payload`, whose bytes are copied into the frame here, once. Then
   /// send or pace the frame.
   void request(roce::Opcode op, roce::Psn psn, std::uint64_t va,
                std::uint32_t len, roce::Gather payload = {},
-               bool ack_req = false, std::uint64_t swap_add = 0,
-               std::uint64_t compare = 0);
+               bool ack_req = false, std::uint64_t add = 0);
   /// Hand a built frame to the sink unconditionally, charging the pacer
   /// clock when CC is in recovery.
   void send_now(net::Packet&& frame);

@@ -67,11 +67,6 @@ struct IntHopRecord {
     rec.egress_ns = r.u32();
     return rec;
   }
-
-  /// Time spent in this element (mod-2^32 nanoseconds, wrap-safe).
-  [[nodiscard]] std::uint32_t hop_latency_ns() const {
-    return egress_ns - ingress_ns;
-  }
 };
 
 static_assert(IntHopRecord::kWireBytes == 2 + 1 + 1 + 4 + 4 + 4,

@@ -36,12 +36,14 @@ namespace xmem::rnic {
 struct NicProfile {
   std::size_t rx_queue_depth = 128;
   // Calibration (DESIGN.md §5): with the 80 Gb/s DMA engine,
-  //  - WRITE service(1504 B entry) = 202 + 188 ns  -> ~2.84 Mops -> the
-  //    34.1 Gb/s entry-granular store ceiling of §5,
-  //  - READ service(2048 B entry)  = 110 + 205 ns  -> above the 40 GbE
+  //  - WRITE service(1504 B entry) = 202 + 150.4 ns -> ~2.84 Mops ->
+  //    12,000 b / 352.4 ns = 34.05 Gb/s, the 34.1 Gb/s entry-granular
+  //    store ceiling of §5,
+  //  - READ service(2048 B entry)  = 110 + 204.8 ns -> above the 40 GbE
   //    line rate, so chained loads are link-limited at ~37.4 Gb/s,
-  //  - atomic service              = 420.8 ns      -> ~2.38 Mops -> the
-  //    ~2.1 Gb/s Fetch-and-Add request stream of Fig. 3b.
+  //  - atomic service (8 B)        = 420 + 0.8 ns   -> ~2.38 Mops -> the
+  //    2.38 M x 110 wire B = 2.10 Gb/s Fetch-and-Add request stream of
+  //    Fig. 3b.
   sim::Time write_overhead = sim::nanoseconds(202);
   sim::Time read_overhead = sim::nanoseconds(110);
   sim::Time atomic_overhead = sim::nanoseconds(420);

@@ -7,18 +7,6 @@
 
 namespace xmem::telemetry {
 
-IntCollector::HopStats& IntCollector::hop_slot(std::uint16_t id) {
-  for (auto& [hid, hs] : hops_) {
-    if (hid == id) return hs;
-  }
-  // First record from this hop: insert in id order so hops() iterates
-  // deterministically without an export-time sort.
-  const auto at = std::lower_bound(
-      hops_.begin(), hops_.end(), id,
-      [](const auto& entry, std::uint16_t v) { return entry.first < v; });
-  return hops_.insert(at, {id, HopStats{}})->second;
-}
-
 void IntCollector::collect(const net::Packet& packet, sim::Time now) {
   const net::IntStack* stack = packet.meta().int_stack.get();
   if (stack == nullptr || stack->empty()) {
@@ -35,26 +23,15 @@ void IntCollector::collect(const net::Packet& packet, sim::Time now) {
   const double path_us = static_cast<double>(path_ns) / 1000.0;
   path_latency_us_->add(path_us);
 
+  hop_records_ += stack->size();
   for (std::size_t i = 0; i < stack->size(); ++i) {
     const net::IntHopRecord& rec = stack->hop(i);
-    ++hop_records_;
-    HopStats& hs = hop_slot(rec.hop_id);
-    ++hs.records;
-    hs.kind = rec.kind;
-    hs.hop_latency_us.add(static_cast<double>(rec.hop_latency_ns()) / 1000.0);
-    // Depth histograms aggregate queue elements only, each exactly once:
-    // TM occupancy goes to the collector-level histogram (the §2.1
-    // congestion signal), other queue kinds (RNIC) to the per-hop one. A
-    // link source's port depth rides in the wire record for per-packet
-    // inspection but is not aggregated — the TM occupancy already covers
-    // that signal, and every add here is paid per packet.
+    // Only TM occupancy is aggregated (the §2.1 congestion signal). Link
+    // and RNIC depths ride in the wire records for per-packet inspection;
+    // every add here is paid per packet.
     if ((rec.flags & net::IntHopRecord::kFlagDepthValid) != 0 &&
-        rec.kind != static_cast<std::uint8_t>(net::IntHopKind::kLink)) {
-      if (rec.kind == static_cast<std::uint8_t>(net::IntHopKind::kTmQueue)) {
-        tm_queue_depth_bytes_->add(static_cast<double>(rec.queue_depth));
-      } else {
-        hs.queue_depth.add(static_cast<double>(rec.queue_depth));
-      }
+        rec.kind == static_cast<std::uint8_t>(net::IntHopKind::kTmQueue)) {
+      tm_queue_depth_bytes_->add(static_cast<double>(rec.queue_depth));
     }
   }
 

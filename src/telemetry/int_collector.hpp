@@ -5,9 +5,8 @@
 // IntStack into:
 //   - an aggregate and per-flow path-latency histogram (time from the
 //     first hop's ingress to arrival at the collector),
-//   - per-hop latency and queue-depth histograms keyed by hop id,
-//   - a per-kind queue-occupancy histogram (the TM one, in bytes, is the
-//     §2.1 congestion signal the benches plot over time).
+//   - a TM queue-occupancy histogram in bytes (the §2.1 congestion
+//     signal the benches plot over time).
 // It also accounts the exact wire overhead the stacks would have cost
 // (IntStack::wire_bytes summed), keeping the "INT is cheap" claim honest.
 //
@@ -44,17 +43,6 @@ class IntCollector {
     stats::Histogram path_latency_us;
   };
 
-  struct HopStats {
-    std::uint64_t records = 0;
-    std::uint8_t kind = 0;  ///< net::IntHopKind of the element.
-    stats::Histogram hop_latency_us;
-    /// Queue occupancy; unit depends on kind (see IntHopKind). Only
-    /// populated for non-TM queue elements (e.g. RNIC rx depth): TM
-    /// occupancy aggregates once in tm_queue_depth_bytes(), and a link
-    /// source's port depth stays in the wire records un-aggregated.
-    stats::Histogram queue_depth;
-  };
-
   IntCollector() = default;
   explicit IntCollector(Config config) : config_(config) {}
   // Self-referential histogram pointers (and registry re-homing) make
@@ -88,14 +76,6 @@ class IntCollector {
   /// TM queue occupancy in bytes across all switch hops.
   [[nodiscard]] const stats::Histogram& tm_queue_depth_bytes() const {
     return *tm_queue_depth_bytes_;
-  }
-  /// Ordered by hop id (kept sorted on insert, so exports iterate
-  /// deterministically). A flat vector, not a map: collect() touches one
-  /// entry per hop record and a linear scan over a handful of hops beats
-  /// a tree walk on that path.
-  [[nodiscard]] const std::vector<std::pair<std::uint16_t, HopStats>>& hops()
-      const {
-    return hops_;
   }
   /// Keyed by flow hash; iteration order is NOT deterministic (hash
   /// map) — exports must go through sorted_flows()/flows_json().
@@ -135,10 +115,7 @@ class IntCollector {
   stats::Histogram own_tm_queue_depth_bytes_;
   stats::Histogram* path_latency_us_ = &own_path_latency_us_;
   stats::Histogram* tm_queue_depth_bytes_ = &own_tm_queue_depth_bytes_;
-  std::vector<std::pair<std::uint16_t, HopStats>> hops_;
   std::unordered_map<std::uint64_t, FlowStats> flows_;
-
-  [[nodiscard]] HopStats& hop_slot(std::uint16_t id);
 };
 
 }  // namespace xmem::telemetry

@@ -179,8 +179,4 @@ std::string MetricsRegistry::to_json() const {
   return w.take();
 }
 
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_file(path, to_json());
-}
-
 }  // namespace xmem::telemetry

@@ -99,7 +99,6 @@ class MetricsRegistry {
   /// JSON export over snapshot(), {"metrics":[<rows>]}; deterministic
   /// byte-for-byte given equal metric values.
   [[nodiscard]] std::string to_json() const;
-  bool write_json(const std::string& path) const;
 
   /// Append snapshot() to `w` as the array of {name, kind, unit, value}
   /// rows that to_json() and postmortem bundles share (unit omitted when

@@ -110,11 +110,6 @@ bool OpTracer::op_open(int track, roce::Psn psn) const {
   return open_.count(Key{track, psn}) > 0;
 }
 
-void OpTracer::counter(const std::string& name, double value) {
-  counters_.push_back(CounterEvent{name, sim_->now(), value});
-  ++stats_.counter_samples;
-}
-
 std::string OpTracer::chrome_trace_json() const {
   json::JsonWriter w;
   w.begin_object();
@@ -189,26 +184,9 @@ std::string OpTracer::chrome_trace_json() const {
     span_event(s);
   }
 
-  for (const CounterEvent& c : counters_) {
-    w.begin_object();
-    w.kv("ph", "C");
-    w.kv("pid", kPid);
-    w.kv("name", std::string_view(c.name));
-    w.kv("ts", to_trace_us(c.when));
-    w.key("args");
-    w.begin_object();
-    w.kv("value", c.value);
-    w.end_object();
-    w.end_object();
-  }
-
   w.end_array();
   w.end_object();
   return w.take();
-}
-
-bool OpTracer::write_chrome_trace(const std::string& path) const {
-  return write_file(path, chrome_trace_json());
 }
 
 }  // namespace xmem::telemetry

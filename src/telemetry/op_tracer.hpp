@@ -1,21 +1,18 @@
-// OpTracer: spans and counter tracks on the *simulated* timeline,
-// exported as Chrome trace-event JSON that Perfetto loads directly.
+// OpTracer: spans on the *simulated* timeline, exported as Chrome
+// trace-event JSON that Perfetto loads directly.
 //
 // The unit of tracing is the RDMA op: a span opens when the data plane
-// injects a verb (post_write / post_read / post_fetch_add /
-// post_compare_swap) and closes when its ACK / response / NAK is matched
-// — keyed by (track, PSN), exactly the key the primitives already use for
-// their in-flight bookkeeping. Retransmits annotate the open span instead
-// of opening a second one, and a span closes at most once: the first
-// close wins and records the status ("ok", "nak:remote_access_error",
-// ...), so a NAK followed by a late ACK cannot double-report.
+// injects a verb (post_write / post_read / post_fetch_add) and closes
+// when its ACK / response / NAK is matched — keyed by (track, PSN),
+// exactly the key the primitives already use for their in-flight
+// bookkeeping. Retransmits annotate the open span instead of opening a
+// second one, and a span closes at most once: the first close wins and
+// records the status ("ok", "nak:remote_access_error", ...), so a NAK
+// followed by a late ACK cannot double-report.
 //
 // Tracks map onto Perfetto's process/thread model: the whole simulation
 // is one process (pid 1); each track — typically one RDMA channel /
 // QP — is a thread with a stable tid and a thread_name metadata record.
-// Counter tracks (queue depth, ring depth, outstanding atomics) are "C"
-// events, sampled by a TimeSeriesRecorder with this tracer as its
-// Config::tracer sink, or pushed directly.
 //
 // Times: the simulator's picosecond clock, exported as fractional
 // microseconds (the trace-event format's native unit).
@@ -41,7 +38,6 @@ class OpTracer {
     std::uint64_t spans_closed = 0;
     std::uint64_t duplicate_closes = 0;  // ignored second closes
     std::uint64_t retransmits = 0;
-    std::uint64_t counter_samples = 0;
   };
 
   explicit OpTracer(sim::Simulator& simulator,
@@ -75,9 +71,6 @@ class OpTracer {
   [[nodiscard]] bool op_open(int track, roce::Psn psn) const;
   [[nodiscard]] std::size_t open_spans() const { return open_.size(); }
 
-  /// Sample a counter track ("tm/port2/queue_depth_bytes") at sim-now.
-  void counter(const std::string& name, double value);
-
   /// Mirror every span open/close/retransmit into `recorder` (not
   /// owned; nullptr detaches) so the flight recorder's postmortem tail
   /// includes the in-flight op history.
@@ -89,7 +82,6 @@ class OpTracer {
   /// Spans still open are emitted with dur up to sim-now and
   /// status="open" (they stay visible in Perfetto rather than vanishing).
   [[nodiscard]] std::string chrome_trace_json() const;
-  [[nodiscard]] bool write_chrome_trace(const std::string& path) const;
 
  private:
   struct Annotation {
@@ -106,11 +98,6 @@ class OpTracer {
     std::uint32_t retransmits = 0;
     std::string status;
     std::vector<Annotation> annotations;
-  };
-  struct CounterEvent {
-    std::string name;
-    sim::Time when = 0;
-    double value = 0;
   };
   struct OpenSpan {
     std::string name;
@@ -138,7 +125,6 @@ class OpTracer {
   std::map<std::string, int> track_by_name_;
   std::map<Key, OpenSpan> open_;
   std::vector<SpanEvent> spans_;
-  std::vector<CounterEvent> counters_;
   Stats stats_;
 };
 

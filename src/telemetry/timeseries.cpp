@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "telemetry/json.hpp"
-#include "telemetry/op_tracer.hpp"
 
 namespace xmem::telemetry {
 
@@ -125,9 +124,7 @@ void TimeSeriesRecorder::sample_all() {
   ++ticks_;
   const sim::Time now = sim_->now();
   for (Series& s : series_) {
-    const double value = s.read();
-    s.ring.push() = Point{now, value};
-    if (config_.tracer != nullptr) config_.tracer->counter(s.name, value);
+    s.ring.push() = Point{now, s.read()};
   }
 }
 

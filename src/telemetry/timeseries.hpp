@@ -3,13 +3,9 @@
 // The registry answers "what is the value now"; benches that print it at
 // exit get one number per run. The recorder turns the same callbacks into
 // curves: every `period` of simulated time it reads each tracked series
-// and hands the value to its sinks:
-//   - always, that series' bounded ring (capacity points, oldest
-//     overwritten and counted), exported as "xmem-timeseries-v1" JSON, so
-//     a recorder left on for an arbitrarily long run costs a fixed amount
-//     of memory;
-//   - optionally, an OpTracer (Config::tracer), as a Perfetto counter
-//     event per sample, drawing the depth curves under the op timeline.
+// into that series' bounded ring (capacity points, oldest overwritten and
+// counted), exported as "xmem-timeseries-v1" JSON, so a recorder left on
+// for an arbitrarily long run costs a fixed amount of memory.
 //
 // Because the simulator runs until its event queue drains, a recorder
 // that rescheduled forever would keep every experiment alive: it stops on
@@ -41,8 +37,6 @@
 
 namespace xmem::telemetry {
 
-class OpTracer;
-
 class TimeSeriesRecorder {
  public:
   struct Config {
@@ -51,9 +45,6 @@ class TimeSeriesRecorder {
     /// Optional stop predicate, checked before each tick; when it turns
     /// false the recorder takes one final sample and stops.
     std::function<bool()> until;
-    /// Optional sink (not owned): every sample also becomes a counter
-    /// event on the track named after its series.
-    OpTracer* tracer = nullptr;
   };
 
   /// One sampled point. The wire layout is pinned because exports and

@@ -2,6 +2,7 @@
 // baseline), Count Sketch over remote counters, and the KV accelerator.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 
 #include "apps/count_sketch.hpp"
@@ -184,6 +185,26 @@ TEST_F(CountSketchTest, EstimatesFlowCountsFromRemoteMemory) {
   EXPECT_EQ(tb_.host(2).cpu_packets(), 0u);
 }
 
+TEST_F(CountSketchTest, LostAcksFreeTheirWindowSlots) {
+  tb_.link_of(2).set_loss_rate(0.05, 7);  // lossy memory link
+  CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
+  host::PacketSink sink(tb_.host(1));
+  host::CbrTrafficGen gen(tb_.host(0), {.dst_mac = tb_.host(1).mac(),
+                                        .dst_ip = tb_.host(1).ip(),
+                                        .frame_size = 128,
+                                        .rate = sim::gbps(2),
+                                        .packet_limit = 2000});
+  gen.start();
+  tb_.sim().run();
+  // Every update went out, and each one was either acknowledged or
+  // expired as lost: no lost ACK holds a window slot for good.
+  EXPECT_TRUE(sketch.quiescent());
+  EXPECT_EQ(sketch.stats().fetch_adds_sent, 3 * 2000u);
+  EXPECT_GT(sketch.stats().lost_updates, 0u);
+  EXPECT_EQ(sketch.stats().acks_received + sketch.stats().lost_updates,
+            3 * 2000u);
+}
+
 // -------------------------------------------------------- KV accelerator
 TEST(KvRequest, SerializeParseRoundTrip) {
   KvRequest req{KvOp::kPut, 0xdeadbeef, 0x1234};
@@ -303,6 +324,48 @@ TEST_F(KvTest, HashCollisionFallsBackSafely) {
   EXPECT_EQ(replies_[0].op, KvOp::kResponse);
   EXPECT_EQ(replies_[0].value, 111u) << "authoritative map still serves A";
   EXPECT_EQ(accelerator_->stats().misses_to_backend, 1u);
+}
+
+TEST(KvLoss, LostReadsFallBackToTheBackend) {
+  // h2 holds the remote table behind a lossy link; the backend is h1.
+  Testbed tb;
+  const auto channel = tb.controller().setup_channel(
+      tb.host(2), tb.port_of(2), {.region_bytes = 1 << 16});
+  tb.link_of(2).set_loss_rate(0.05, 7);
+  KvAcceleratorApp accel(tb.tor(), channel, {.backend_port = tb.port_of(1)});
+  KvBackend backend(tb.host(1),
+                    ChannelController::region_bytes(tb.host(2), channel), {});
+  constexpr std::uint64_t kGets = 200;
+  for (std::uint64_t key = 0; key < kGets; ++key) backend.put(key, key + 1000);
+
+  std::uint64_t replies = 0;
+  std::map<std::uint64_t, std::uint64_t> answers;  // key -> value
+  tb.host(0).set_app([&](net::Packet&& p, int) {
+    const std::size_t overhead = net::kEthernetHeaderBytes +
+                                 net::kIpv4HeaderBytes + net::kUdpHeaderBytes;
+    if (auto reply = KvRequest::parse(p.bytes().subspan(overhead))) {
+      ++replies;
+      answers[reply->key] = reply->value;
+    }
+  });
+  for (std::uint64_t key = 0; key < kGets; ++key) {
+    tb.sim().schedule_at(sim::microseconds(2 * key), [&tb, key]() {
+      tb.host(0).send(net::build_udp_packet(
+          tb.host(0).mac(), tb.host(1).mac(), tb.host(0).ip(), tb.host(1).ip(),
+          5555, kKvUdpPort, KvRequest{KvOp::kGet, key, 0}.serialize()));
+    });
+  }
+  tb.sim().run();
+
+  // Every GET is answered with its value: a lost READ or READ response
+  // sends the held GET to the backend instead of keeping it forever.
+  const auto& st = accel.stats();
+  EXPECT_GT(st.lost_reads, 0u);
+  EXPECT_EQ(st.answered_from_remote + st.misses_to_backend + st.lost_reads,
+            kGets);
+  EXPECT_EQ(replies, kGets);
+  ASSERT_EQ(answers.size(), kGets);
+  for (const auto& [key, value] : answers) EXPECT_EQ(value, key + 1000);
 }
 
 }  // namespace

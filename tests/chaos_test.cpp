@@ -409,7 +409,6 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   out("negative_cache_drops", lst.negative_cache_drops);
   out("cache_hits_while_down", lst.cache_hits_while_down);
   out("cache_stale_refetches", lst.cache_stale_refetches);
-  out("degraded_bypass", lst.degraded_bypass);
   add_shard_stats(out, "lt", lt.channels());
   const auto& pst = pb.stats();
   out.line("pb");
@@ -454,8 +453,7 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
             "cache_evictions=0 held_packets=0 lost_responses=150 "
             "oversized_drops=0 degraded_passthrough=1109 "
             "duplicate_responses=45 negative_cache_drops=0 "
-            "cache_hits_while_down=0 cache_stale_refetches=0 "
-            "degraded_bypass=0\n"
+            "cache_hits_while_down=0 cache_stale_refetches=0\n"
             "lt/shard0 ops_routed=391 routed_while_down=1109 timeouts=3 "
             "naks=0 down_transitions=1 up_transitions=1 probes_sent=1\n"
             "lt/shard1 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
@@ -496,8 +494,7 @@ TEST(ChaosTest, AdaptiveRtoAndRecirculatePassAllInvariants) {
             "cache_evictions=0 held_packets=46 lost_responses=0 "
             "oversized_drops=0 degraded_passthrough=0 "
             "duplicate_responses=0 negative_cache_drops=0 "
-            "cache_hits_while_down=0 cache_stale_refetches=0 "
-            "degraded_bypass=0\n"
+            "cache_hits_while_down=0 cache_stale_refetches=0\n"
             "lt/shard0 ops_routed=1500 routed_while_down=0 timeouts=0 "
             "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
             "lt/shard1 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "

@@ -353,26 +353,6 @@ TEST_P(LookupTableCacheTest, CacheServesHitsWhileShardDown) {
   EXPECT_EQ(lt.stats().degraded_passthrough, 4u);
 }
 
-TEST_P(LookupTableCacheTest, DegradedBypassSkipsCacheWhileShardDown) {
-  auto& lt = make_cached(
-      {.cache_capacity = 64,
-       .degraded_cache = LookupTablePrimitive::DegradedCacheMode::kBypass});
-  install(flow_key(7000, 9000), dscp_forward_action(12));
-  host::PacketSink sink(tb_.host(1));
-  send_packets(5, sim::mbps(100));
-  ASSERT_GE(lt.stats().cache_hits, 1u);
-  for (int i = 0; i < 3; ++i) lt.channels().note_timeout(0);
-  ASSERT_FALSE(lt.channels().is_up(0));
-
-  // Even the cached flow takes the degraded path: bypass mode treats an
-  // outage as "remote entries are being rewritten, trust nothing local".
-  const auto hits_before = lt.stats().cache_hits;
-  send_packets(10, sim::mbps(100));
-  EXPECT_EQ(lt.stats().cache_hits, hits_before);
-  EXPECT_EQ(lt.stats().degraded_bypass, 10u);
-  EXPECT_EQ(lt.stats().degraded_passthrough, 10u);
-}
-
 TEST_P(LookupTableCacheTest, WriteThroughInvalidationRefetchesNewAction) {
   auto& lt = make_cached({.cache_capacity = 64});
   install(flow_key(7000, 9000), dscp_forward_action(10));

@@ -104,16 +104,19 @@ TEST(RoceFuzz, TruncationsNeverCrashResponder) {
 }
 
 // ---- CompareSwap ------------------------------------------------------
+// The responder executes CAS even though no requester in the simulator
+// issues it: the tests hand-build the request frames.
 class CompareSwapTest : public ::testing::Test {
  protected:
   CompareSwapTest() {
     config_ = tb_.controller().setup_channel(tb_.host(2), tb_.port_of(2),
                                              {.region_bytes = 4096});
-    channel_ = std::make_unique<core::RdmaChannel>(tb_.tor(), config_);
+    next_psn_ = config_.initial_psn;
     tb_.tor().add_ingress_stage(
         "capture", [this](switchsim::PipelineContext& ctx) {
           if (const auto* msg = core::roce_view(ctx);
-              msg && channel_->owns(*msg) && msg->atomic_ack) {
+              msg && msg->bth.dest_qp == config_.local_qpn &&
+              msg->atomic_ack) {
             originals_.push_back(msg->atomic_ack->original_value);
             ctx.consume();
           }
@@ -124,17 +127,30 @@ class CompareSwapTest : public ::testing::Test {
     return control::ChannelController::region_bytes(tb_.host(2), config_);
   }
 
+  /// Inject a CAS on the region's first word toward the memory server.
+  void compare_swap(std::uint64_t compare, std::uint64_t swap) {
+    RoceMessage msg;
+    msg.bth.opcode = Opcode::kCompareSwap;
+    msg.bth.dest_qp = config_.remote_qpn;
+    msg.bth.psn = next_psn_;
+    msg.atomic_eth = roce::AtomicEth{config_.base_va, config_.rkey, swap,
+                                     compare};
+    next_psn_ = roce::psn_add(next_psn_, 1);
+    tb_.tor().inject(
+        roce::build_roce_packet(config_.local, config_.remote, msg),
+        config_.switch_port);
+  }
+
   control::Testbed tb_;
   control::RdmaChannelConfig config_;
-  std::unique_ptr<core::RdmaChannel> channel_;
+  roce::Psn next_psn_;
   std::vector<std::uint64_t> originals_;
 };
 
 TEST_F(CompareSwapTest, SwapsWhenCompareMatches) {
   rnic::store_le64(region().subspan(0, 8), 100);
   tb_.sim().schedule_at(0, [&] {
-    channel_->post_compare_swap(config_.base_va, /*compare=*/100,
-                                /*swap=*/777);
+    compare_swap(/*compare=*/100, /*swap=*/777);
   });
   tb_.sim().run();
   ASSERT_EQ(originals_.size(), 1u);
@@ -145,8 +161,7 @@ TEST_F(CompareSwapTest, SwapsWhenCompareMatches) {
 TEST_F(CompareSwapTest, LeavesValueWhenCompareFails) {
   rnic::store_le64(region().subspan(0, 8), 5);
   tb_.sim().schedule_at(0, [&] {
-    channel_->post_compare_swap(config_.base_va, /*compare=*/100,
-                                /*swap=*/777);
+    compare_swap(/*compare=*/100, /*swap=*/777);
   });
   tb_.sim().run();
   ASSERT_EQ(originals_.size(), 1u);
@@ -157,8 +172,8 @@ TEST_F(CompareSwapTest, LeavesValueWhenCompareFails) {
 TEST_F(CompareSwapTest, TwoRacersOnlyOneWins) {
   // Two CAS(0 -> id) on the same word: exactly one sees 0.
   tb_.sim().schedule_at(0, [&] {
-    channel_->post_compare_swap(config_.base_va, 0, 111);
-    channel_->post_compare_swap(config_.base_va, 0, 222);
+    compare_swap(0, 111);
+    compare_swap(0, 222);
   });
   tb_.sim().run();
   ASSERT_EQ(originals_.size(), 2u);

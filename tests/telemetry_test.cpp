@@ -2,7 +2,7 @@
 // lifecycle (including NAK/retransmit pairing), and two end-to-end
 // guarantees — every primitive Stats field visible in snapshot(), and
 // byte-identical snapshots from identical seeded runs. (Periodic
-// sampling, including the recorder's OpTracer sink, is timeseries_test.)
+// sampling is timeseries_test.)
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,7 +10,6 @@
 #include "control/testbed.hpp"
 #include "core/packet_buffer.hpp"
 #include "core/state_store.hpp"
-#include "core/trace_recorder.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
 #include "net/flow.hpp"
@@ -184,16 +183,14 @@ TEST(OpTracer, OpenSpansExportWithOpenStatus) {
   EXPECT_EQ(tracer.open_spans(), 1u) << "export does not close spans";
 }
 
-TEST(OpTracer, CounterAndMetadataEvents) {
+TEST(OpTracer, MetadataEvents) {
   sim::Simulator sim;
   OpTracer tracer(sim, "myproc");
   (void)tracer.track("qp0");
-  tracer.counter("depth", 3.5);
 
   const auto doc = json::parse(tracer.chrome_trace_json());
   bool process_named = false;
   bool thread_named = false;
-  bool counter_seen = false;
   for (const auto& e : doc.at("traceEvents").array()) {
     const auto& ph = e.at("ph").string();
     if (ph == "M" && e.at("name").string() == "process_name") {
@@ -202,13 +199,9 @@ TEST(OpTracer, CounterAndMetadataEvents) {
     if (ph == "M" && e.at("name").string() == "thread_name") {
       thread_named = e.at("args").at("name").string() == "qp0";
     }
-    if (ph == "C" && e.at("name").string() == "depth") {
-      counter_seen = e.at("args").at("value").number() == 3.5;
-    }
   }
   EXPECT_TRUE(process_named);
   EXPECT_TRUE(thread_named);
-  EXPECT_TRUE(counter_seen);
 }
 
 // --- Integration: primitives under telemetry ------------------------------
@@ -245,11 +238,6 @@ TEST_F(TelemetryIntegrationTest, SnapshotExposesEveryPrimitiveStatsField) {
                                  {.watch_port = tb.port_of(1)});
   pb.attach_telemetry(&reg, &tracer, "switch0/pktbuf");
 
-  auto tr_chan = tb.controller().setup_channel(tb.host(2), tb.port_of(2),
-                                               {.region_bytes = 1 << 16});
-  core::TraceRecorderPrimitive tr(tb.tor(), tr_chan, {});
-  tr.attach_telemetry(&reg, &tracer, "switch0/tracerec");
-
   std::map<std::string, Sample> by_name;
   for (auto& s : reg.snapshot()) by_name.emplace(s.name, s);
 
@@ -259,8 +247,6 @@ TEST_F(TelemetryIntegrationTest, SnapshotExposesEveryPrimitiveStatsField) {
     EXPECT_TRUE(by_name.count("switch0/statestore/shard0/" + std::string(field)))
         << field;
     EXPECT_TRUE(by_name.count("switch0/pktbuf/shard0/" + std::string(field)))
-        << field;
-    EXPECT_TRUE(by_name.count("switch0/tracerec/chan/" + std::string(field)))
         << field;
   }
   // Every StateStorePrimitive::Stats field.
@@ -276,12 +262,6 @@ TEST_F(TelemetryIntegrationTest, SnapshotExposesEveryPrimitiveStatsField) {
        {"stored", "loaded", "ring_full_drops", "lost_loads", "read_retries",
         "naks", "ecn_marked", "max_ring_depth"}) {
     EXPECT_TRUE(by_name.count("switch0/pktbuf/" + std::string(field)))
-        << field;
-  }
-  // Every TraceRecorderPrimitive::Stats field.
-  for (const char* field :
-       {"records_captured", "writes_sent", "dropped_log_full"}) {
-    EXPECT_TRUE(by_name.count("switch0/tracerec/" + std::string(field)))
         << field;
   }
 }

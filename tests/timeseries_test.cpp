@@ -1,19 +1,18 @@
-// TimeSeriesRecorder contract: periodic sampling into bounded rings and
-// the optional OpTracer sink, derivative (rate) series, prefix tracking,
-// and — the property CI artifact diffing rests on — byte-identical JSON
-// exports across identical seeded runs.
+// TimeSeriesRecorder contract: periodic sampling into bounded rings,
+// derivative (rate) series, prefix tracking, and — the property CI
+// artifact diffing rests on — byte-identical JSON exports across
+// identical seeded runs.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/op_tracer.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace xmem::telemetry {
@@ -135,20 +134,16 @@ TEST(TimeSeries, InvalidConfigAndUnknownNamesThrow) {
   EXPECT_THROW((void)rec.points("nope"), std::out_of_range);
 }
 
-TEST(TimeSeries, TracerSinkGetsOneCounterEventPerSeriesPerTick) {
+TEST(TimeSeries, SeriesAddedAfterStartJoinsAtTheNextTick) {
   sim::Simulator sim;
-  OpTracer tracer(sim);
   int remaining = 3;
   sim.schedule_in(sim::microseconds(100), []() {});  // keep the queue alive
   TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10),
-                               .until = [&]() { return --remaining > 0; },
-                               .tracer = &tracer});
-  rec.add_series("level", "", []() { return 1.0; });
+                               .until = [&]() { return --remaining > 0; }});
   rec.add_series("clock", "us", [&sim]() {
     return static_cast<double>(sim::to_microseconds(sim.now()));
   });
   rec.start();
-  // A series added after start() joins both sinks at the next tick.
   sim.schedule_at(sim::microseconds(15), [&rec]() {
     rec.add_series("late", "", []() { return 2.0; });
   });
@@ -158,26 +153,15 @@ TEST(TimeSeries, TracerSinkGetsOneCounterEventPerSeriesPerTick) {
   // Ticks at 10 and 20 us pass the predicate; the 30 us check fails and
   // takes the final sample. Nothing is sampled at t = 0.
   EXPECT_EQ(rec.ticks(), 3u);
-  EXPECT_EQ(tracer.stats().counter_samples, 3u + 3u + 2u);
-
-  // Each series' counter track repeats its ring point for point.
-  std::map<std::string, std::vector<std::pair<double, double>>> tracks;
-  const auto doc = json::parse(tracer.chrome_trace_json());
-  for (const auto& e : doc.at("traceEvents").array()) {
-    if (e.at("ph").string() != "C") continue;
-    tracks[e.at("name").string()].emplace_back(
-        e.at("ts").number(), e.at("args").at("value").number());
-  }
-  ASSERT_EQ(tracks.size(), 3u);
-  for (const char* name : {"level", "clock", "late"}) {
-    std::vector<std::pair<double, double>> want;
-    for (const auto& p : rec.points(name)) {
-      want.emplace_back(sim::to_microseconds(p.t), p.value);
-    }
-    EXPECT_EQ(tracks.at(name), want) << name;
-  }
-  EXPECT_EQ(tracks.at("clock").front().first, 10.0);
-  EXPECT_EQ(tracks.at("late").front().first, 20.0);
+  std::vector<std::pair<sim::Time, double>> clock;
+  for (const auto& p : rec.points("clock")) clock.emplace_back(p.t, p.value);
+  EXPECT_EQ(clock, (std::vector<std::pair<sim::Time, double>>{
+                       {sim::microseconds(10), 10.0},
+                       {sim::microseconds(20), 20.0},
+                       {sim::microseconds(30), 30.0}}));
+  const auto late = rec.points("late");
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_EQ(late.front().t, sim::microseconds(20));
 }
 
 /// Two independent builds of the same seeded scenario. The exports
