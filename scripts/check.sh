@@ -92,11 +92,6 @@ if [[ "$run_tier1" == 1 ]]; then
   cmake -B "$repo/build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
         -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "$repo/build" -j "$jobs"
-  # When CI routes flight-recorder postmortems to an artifact directory
-  # (XMEM_POSTMORTEM_DIR), make sure the chaos tests can write there.
-  if [[ -n "${XMEM_POSTMORTEM_DIR:-}" ]]; then
-    mkdir -p "$XMEM_POSTMORTEM_DIR"
-  fi
   ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
   # The benchmark is a CMake package of its own. Its smoke test runs every
   # workload's correctness checks (exactly-once counters, per-sender FIFO,

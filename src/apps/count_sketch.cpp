@@ -14,10 +14,9 @@ using switchsim::PipelineContext;
 CountSketchApp::CountSketchApp(switchsim::ProgrammableSwitch& sw,
                                control::RdmaChannelConfig channel,
                                Config config)
-    : switch_(&sw),
-      channel_(sw, std::move(channel)),
+    : channel_(sw, std::move(channel)),
       config_(config),
-      inflight_(sw.simulator(), 1, kResponseTimeout, {},
+      inflight_(sw.simulator(), 1, kResponseTimeout,
                 [this]() { on_timeout(); }) {
   if (config_.rows == 0) {
     throw std::invalid_argument("CountSketchApp: rows must be >= 1");
@@ -111,13 +110,7 @@ void CountSketchApp::handle_response(const roce::RoceMessage& msg) {
 }
 
 void CountSketchApp::on_timeout() {
-  const sim::Time now = switch_->simulator().now();
-  for (const auto& key : inflight_.keys([&](std::size_t, const auto& e) {
-         return now - e.sent_at >= kResponseTimeout;
-       })) {
-    inflight_.erase(key.shard, key.psn);
-    ++stats_.lost_updates;
-  }
+  inflight_.expire([&](std::size_t, const auto&) { ++stats_.lost_updates; });
   pump();
 }
 

@@ -82,7 +82,6 @@ class CountSketchApp {
     return channel_.config().base_va + (row * columns_ + column) * 8;
   }
 
-  switchsim::ProgrammableSwitch* switch_;
   core::RdmaChannel channel_;
   Config config_;
   std::size_t columns_ = 0;

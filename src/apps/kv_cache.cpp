@@ -67,7 +67,7 @@ KvAcceleratorApp::KvAcceleratorApp(switchsim::ProgrammableSwitch& sw,
     : switch_(&sw),
       channel_(sw, std::move(channel)),
       config_(config),
-      pending_(sw.simulator(), 1, kResponseTimeout, {},
+      pending_(sw.simulator(), 1, kResponseTimeout,
                [this]() { on_timeout(); }) {
   if (config_.backend_port < 0) {
     throw std::invalid_argument("KvAcceleratorApp: backend_port must be set");
@@ -160,15 +160,11 @@ void KvAcceleratorApp::handle_response(const roce::RoceMessage& msg) {
 }
 
 void KvAcceleratorApp::on_timeout() {
-  const sim::Time now = switch_->simulator().now();
-  for (const auto& key : pending_.keys([&](std::size_t, const auto& e) {
-         return now - e.sent_at >= kResponseTimeout;
-       })) {
-    // The READ or its response was lost: answer the slow way, as a miss.
-    auto lost = pending_.erase(key.shard, key.psn);
+  // The READ or its response was lost: answer the slow way, as a miss.
+  pending_.expire([&](std::size_t, auto& lost) {
     ++stats_.lost_reads;
-    switch_->inject(std::move(lost->op.request), config_.backend_port);
-  }
+    switch_->inject(std::move(lost.op.request), config_.backend_port);
+  });
 }
 
 KvBackend::KvBackend(host::Host& host, std::span<std::uint8_t> region,

@@ -2,24 +2,13 @@
 
 #include <stdexcept>
 
-#include "sim/log.hpp"
-
 namespace xmem::core {
 
 ChannelSet::ChannelSet(switchsim::ProgrammableSwitch& sw,
                        std::vector<control::RdmaChannelConfig> configs)
-    : ChannelSet(sw, std::move(configs), Config{}) {}
-
-ChannelSet::ChannelSet(switchsim::ProgrammableSwitch& sw,
-                       std::vector<control::RdmaChannelConfig> configs,
-                       Config config)
-    : switch_(&sw), config_(config) {
+    : switch_(&sw) {
   if (configs.empty()) {
     throw std::invalid_argument("ChannelSet: needs at least one channel");
-  }
-  if (config_.down_after_timeouts <= 0 || config_.down_after_naks <= 0) {
-    throw std::invalid_argument(
-        "ChannelSet: down_after_timeouts and down_after_naks must be > 0");
   }
   shards_.reserve(configs.size());
   for (auto& cfg : configs) {
@@ -84,7 +73,7 @@ void ChannelSet::note_timeout(std::size_t shard) {
   ++s.stats.timeouts;
   ++s.consecutive_timeouts;
   if (s.health == Health::kUp &&
-      s.consecutive_timeouts >= config_.down_after_timeouts) {
+      s.consecutive_timeouts >= kDownAfterTimeouts) {
     mark_down(shard);
   }
 }
@@ -102,7 +91,7 @@ void ChannelSet::note_nak(std::size_t shard, roce::AckSyndrome syndrome) {
   }
   ++s.consecutive_naks;
   if (s.health == Health::kUp &&
-      s.consecutive_naks >= config_.down_after_naks) {
+      s.consecutive_naks >= kDownAfterNaks) {
     mark_down(shard);
   }
 }
@@ -121,12 +110,10 @@ bool ChannelSet::note_nak_once(std::size_t shard,
 bool ChannelSet::maybe_probe_response(std::size_t shard,
                                       const roce::RoceMessage& msg) {
   Shard& s = shards_[shard];
-  if (s.probe_psns.empty() || !roce::is_read_response(msg.opcode())) {
+  if (s.probe_psn != msg.bth.psn || !roce::is_read_response(msg.opcode())) {
     return false;
   }
-  auto it = s.probe_psns.find(msg.bth.psn);
-  if (it == s.probe_psns.end()) return false;
-  s.probe_psns.erase(it);
+  s.probe_psn.reset();
   note_ok(shard);
   return true;
 }
@@ -147,13 +134,10 @@ void ChannelSet::reconnect(std::size_t shard,
                            control::RdmaChannelConfig config) {
   Shard& s = shards_[shard];
   s.channel->reconfigure(std::move(config));
-  s.probe_psns.clear();
+  s.probe_psn.reset();
   s.consecutive_timeouts = 0;
   s.consecutive_naks = 0;
   ++s.epoch;
-  XMEM_LOG(Info, switch_->simulator().now(), "channel-set")
-      << "shard " << shard << " reconnected (fresh QPN/PSN/rkey, epoch "
-      << s.epoch << ")";
 }
 
 void ChannelSet::mark_down(std::size_t shard) {
@@ -161,8 +145,6 @@ void ChannelSet::mark_down(std::size_t shard) {
   s.health = Health::kDown;
   s.down_since = switch_->simulator().now();
   ++s.stats.down_transitions;
-  XMEM_LOG(Info, switch_->simulator().now(), "channel-set")
-      << "shard " << shard << " marked DOWN";
   schedule_probe();
   if (flight_recorder_) {
     flight_recorder_->record(telemetry::FlightEventKind::kChannelDown,
@@ -179,10 +161,7 @@ void ChannelSet::mark_up(std::size_t shard) {
   s.health = Health::kUp;
   s.last_outage = switch_->simulator().now() - s.down_since;
   ++s.stats.up_transitions;
-  s.probe_psns.clear();
-  XMEM_LOG(Info, switch_->simulator().now(), "channel-set")
-      << "shard " << shard << " marked UP after "
-      << s.last_outage / sim::kMicrosecond << " us down";
+  s.probe_psn.reset();
   if (flight_recorder_) {
     flight_recorder_->record(telemetry::FlightEventKind::kChannelUp,
                              static_cast<std::uint16_t>(shard), 0,
@@ -193,9 +172,9 @@ void ChannelSet::mark_up(std::size_t shard) {
 }
 
 void ChannelSet::schedule_probe() {
-  if (probe_pending_ || config_.probe_interval <= 0) return;
+  if (probe_pending_) return;
   probe_pending_ = true;
-  switch_->simulator().schedule_in(config_.probe_interval,
+  switch_->simulator().schedule_in(kProbeInterval,
                                    [this]() { on_probe_timer(); });
 }
 
@@ -206,25 +185,19 @@ void ChannelSet::on_probe_timer() {
     Shard& s = shards_[i];
     if (s.health != Health::kDown) continue;
     any_down = true;
-    if (s.probe_psns.empty()) {
-      const roce::Psn psn = s.channel->post_read(
-          s.channel->config().base_va, config_.probe_bytes);
+    if (!s.probe_psn) {
+      s.probe_psn = s.channel->post_read(s.channel->config().base_va,
+                                         kProbeBytes);
       // Probe spans would leak if the shard never answers; close them at
       // injection and let health (not the tracer) track the outcome.
-      s.channel->trace_complete(psn, "probe");
-      s.probe_psns.insert(psn);
+      s.channel->trace_complete(*s.probe_psn, "probe");
     } else {
       // Retransmit the outstanding probe rather than posting a fresh
       // one: on a strict-RC channel every lost probe would otherwise
       // leave a sequence hole that no requester ever fills, wedging the
-      // stream until PSN wraparound. (max_tracked_probe_psns bounds the
-      // set as a backstop; with retransmission it never exceeds one.)
-      if (s.probe_psns.size() > config_.max_tracked_probe_psns) {
-        s.probe_psns.clear();
-        continue;
-      }
-      s.channel->repost_read(s.channel->config().base_va,
-                             config_.probe_bytes, *s.probe_psns.begin());
+      // stream until PSN wraparound.
+      s.channel->repost_read(s.channel->config().base_va, kProbeBytes,
+                             *s.probe_psn);
     }
     ++s.stats.probes_sent;
   }

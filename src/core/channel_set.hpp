@@ -11,14 +11,15 @@
 //   and a recovered shard's data is still where the router expects it.
 //
 //   Health.  Each shard runs a tiny state machine (kUp <-> kDown) driven
-//   by the owning primitive's observations: consecutive response
-//   timeouts or NAKs past a threshold mark the shard down; any response
-//   from it marks it up. While a shard is down the set probes it with
-//   periodic one-slot READs so recovery is detected even though the
-//   router sends it no real traffic. The primitive reacts to route()
-//   returning nullopt with its own degraded mode (lookup table: local
-//   miss; state store: local accumulation; packet buffer: drop-tail on
-//   the dead stripe).
+//   by the owning primitive's observations: 3 consecutive response
+//   timeouts or 8 consecutive broken-responder NAKs mark the shard down;
+//   any response from it marks it up. While a shard is down the set
+//   probes it every 1 ms with an 8-byte READ so recovery is detected
+//   even though the router sends it no real traffic. The thresholds and
+//   the probe are constants. The primitive reacts to route() returning
+//   nullopt with its own degraded mode (lookup table: local miss; state
+//   store: local accumulation; packet buffer: drop-tail on the dead
+//   stripe).
 //
 // All of this is register-and-timer machinery a real switch control
 // plane could drive; the data-plane part of routing is one modulo.
@@ -29,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/dedup_window.hpp"
@@ -43,24 +43,6 @@ namespace xmem::core {
 class ChannelSet {
  public:
   enum class Health : std::uint8_t { kUp, kDown };
-
-  struct Config {
-    /// Consecutive timeouts on one shard before it is marked down.
-    int down_after_timeouts = 3;
-    /// Consecutive NAKs before down (responder reachable but broken).
-    int down_after_naks = 8;
-    /// While down, probe the shard with a small READ at this interval;
-    /// the probe's response flips it back up. 0 disables probing
-    /// (recovery then needs out-of-band note_ok()).
-    sim::Time probe_interval = sim::milliseconds(1);
-    /// Bytes fetched by each probe READ (from the region base).
-    std::uint32_t probe_bytes = 8;
-    /// Unanswered probes to a dead server accumulate in a tracking set;
-    /// past this size the set is cleared (an extremely late response
-    /// then reads as stale instead of as a probe — the next probe
-    /// recovers). Chaos plans shrink this to exercise the cap.
-    std::size_t max_tracked_probe_psns = 1024;
-  };
 
   struct ShardStats {
     std::uint64_t ops_routed = 0;        // route() hits while up
@@ -78,10 +60,7 @@ class ChannelSet {
   using HealthFn = std::function<void(std::size_t shard, Health health)>;
 
   /// One channel per config, in order; shard i talks to configs[i].
-  /// Throws std::invalid_argument on an empty list or a non-positive
-  /// health threshold.
-  ChannelSet(switchsim::ProgrammableSwitch& sw,
-             std::vector<control::RdmaChannelConfig> configs, Config config);
+  /// Throws std::invalid_argument on an empty list.
   ChannelSet(switchsim::ProgrammableSwitch& sw,
              std::vector<control::RdmaChannelConfig> configs);
 
@@ -92,7 +71,6 @@ class ChannelSet {
   [[nodiscard]] const RdmaChannel& at(std::size_t shard) const {
     return *shards_[shard].channel;
   }
-  [[nodiscard]] const Config& config() const { return config_; }
 
   /// Stable placement: key's home shard, independent of health.
   [[nodiscard]] std::size_t home_shard(std::uint64_t key) const {
@@ -154,7 +132,7 @@ class ChannelSet {
   /// A NAK is still a response, so it always proves liveness (clearing
   /// the timeout streak, reviving a down shard). Only syndromes that
   /// indicate a broken responder (remote access/op errors) count toward
-  /// down_after_naks; sequence errors are ordinary go-back-N recovery on
+  /// kDownAfterNaks; sequence errors are ordinary go-back-N recovery on
   /// a lossy link and invalid-request NAKs are expired-replay-cache
   /// artifacts.
   void note_nak(std::size_t shard, roce::AckSyndrome syndrome);
@@ -188,7 +166,7 @@ class ChannelSet {
 
   /// Swap in a rebuilt channel config for `shard` (after the control
   /// plane reconnected against a restarted server). The shard's channel
-  /// is re-pointed at the fresh {QPN, PSN, rkey}, pending probe PSNs
+  /// is re-pointed at the fresh {QPN, PSN, rkey}, the pending probe PSN
   /// and health streaks are cleared, but the shard STAYS in its current
   /// health state — the next probe (or real response) through the new
   /// channel proves the server back and flips it up.
@@ -210,6 +188,15 @@ class ChannelSet {
                         const std::string& prefix);
 
  private:
+  /// Consecutive timeouts on one shard before it is marked down.
+  static constexpr int kDownAfterTimeouts = 3;
+  /// Consecutive broken-responder NAKs before down (reachable but broken).
+  static constexpr int kDownAfterNaks = 8;
+  /// While down, probe the shard with a READ of kProbeBytes from its
+  /// region base at this interval; the probe's response flips it back up.
+  static constexpr sim::Time kProbeInterval = sim::milliseconds(1);
+  static constexpr std::uint32_t kProbeBytes = 8;
+
   struct Shard {
     std::unique_ptr<RdmaChannel> channel;
     Health health = Health::kUp;
@@ -218,7 +205,9 @@ class ChannelSet {
     sim::Time down_since = 0;
     sim::Time last_outage = 0;
     std::uint32_t epoch = 0;
-    std::unordered_set<roce::Psn> probe_psns;
+    /// The one outstanding probe READ while down; on_probe_timer()
+    /// reposts it rather than posting another.
+    std::optional<roce::Psn> probe_psn;
     ShardStats stats;
   };
 
@@ -233,7 +222,6 @@ class ChannelSet {
   void on_probe_timer();
 
   switchsim::ProgrammableSwitch* switch_;
-  Config config_;
   std::vector<Shard> shards_;
   HealthFn health_fn_;
   DedupWindow nak_dedup_;

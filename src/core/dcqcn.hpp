@@ -29,7 +29,7 @@ struct DcqcnConfig {
   /// it ends recovery (timers stop until the next CNP).
   sim::Bandwidth line_rate = sim::gbps(40);
   /// Floor under multiplicative decrease: a channel never cuts to zero,
-  /// so progress (and RTT samples) continue under sustained marking.
+  /// so progress continues under sustained marking.
   sim::Bandwidth min_rate = sim::mbps(100);
   /// EWMA gain g: alpha <- (1-g)*alpha + g on CNP, alpha <- (1-g)*alpha
   /// per quiet alpha-timer period.

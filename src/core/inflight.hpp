@@ -10,15 +10,14 @@
 // (the oldest op), which is monotonic along the deque.
 //
 // Beside the ops, the table owns what every primitive's recovery needs:
-// each shard's deadline (the fixed timeout, or an AdaptiveRto with its
-// own jitter stream) and the primitive's single recovery timer. The
-// primitive keeps its op payload, its completion and abandon logic, and
-// its recovery policy (the timer callback).
+// one fixed deadline, the expiry walk over it, and the primitive's single
+// recovery timer. The primitive keeps its op payload, its completion and
+// abandon logic, and its recovery policy (the timer callback).
 //
 // Re-entrancy: for_each() must not add or remove ops on the shard it
 // walks. Rounds whose actions can reach a health transition (and through
 // it a reclaim or fresh posts) snapshot keys() first and look each key
-// up again with find()/erase().
+// up again with find()/erase(); expire() does exactly that.
 #pragma once
 
 #include <algorithm>
@@ -26,13 +25,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "roce/headers.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,10 +41,6 @@ class InflightTable {
   struct Entry {
     roce::Psn psn;
     sim::Time sent_at = 0;
-    /// Karn's rule: a response to an op that was ever retransmitted may
-    /// answer either transmission, so its RTT must not feed the
-    /// estimator. Set by the primitive when it reposts the op.
-    bool retransmitted = false;
     Op op;
   };
 
@@ -56,38 +49,18 @@ class InflightTable {
     roce::Psn psn;
   };
 
-  /// `shards` deques. Every shard's deadline is `fixed_timeout` unless
-  /// `rto.enabled`; `on_timer` runs when the timer armed by arm() fires
-  /// with ops still in flight, after which the timer re-arms itself.
-  /// Throws std::invalid_argument on a deadline that would re-arm at the
-  /// same instant forever (a timeout, initial_rto or min_rto <= 0), on
-  /// min_rto > max_rto, and on a max_backoff at which the backed-off RTO
-  /// overflows sim::Time.
-  InflightTable(sim::Simulator& sim, std::size_t shards,
-                sim::Time fixed_timeout, const AdaptiveRtoConfig& rto,
+  /// `shards` deques with one deadline, `timeout`; `on_timer` runs when
+  /// the timer armed by arm() fires with ops still in flight, after which
+  /// the timer re-arms itself. Throws std::invalid_argument on a timeout
+  /// <= 0, which would re-arm at the same instant forever.
+  InflightTable(sim::Simulator& sim, std::size_t shards, sim::Time timeout,
                 std::function<void()> on_timer)
       : sim_(&sim),
-        fixed_timeout_(fixed_timeout),
-        adaptive_(rto.enabled),
+        timeout_(timeout),
         on_timer_(std::move(on_timer)),
         shards_(shards) {
-    if (fixed_timeout <= 0 || rto.initial_rto <= 0 || rto.min_rto <= 0) {
-      throw std::invalid_argument(
-          "InflightTable: timeout, initial_rto and min_rto must be > 0");
-    }
-    if (rto.min_rto > rto.max_rto) {
-      throw std::invalid_argument("InflightTable: min_rto exceeds max_rto");
-    }
-    if (rto.max_backoff >= 63 ||
-        std::max(rto.initial_rto, rto.max_rto) >
-            std::numeric_limits<sim::Time>::max() >> rto.max_backoff) {
-      throw std::invalid_argument(
-          "InflightTable: max_backoff overflows the backed-off RTO");
-    }
-    for (std::size_t i = 0; i < shards; ++i) {
-      AdaptiveRtoConfig rc = rto;
-      rc.jitter_seed ^= i * 0x2545f4914f6cdd1dULL;  // per-shard jitter stream
-      shards_[i].rto = AdaptiveRto(rc);
+    if (timeout <= 0) {
+      throw std::invalid_argument("InflightTable: timeout must be > 0");
     }
   }
   // The timer callback captures `this`.
@@ -97,23 +70,23 @@ class InflightTable {
   /// Record an op just posted on `shard` with `psn`, sent now. PSNs on a
   /// shard only grow, so this appends. Does not arm the timer.
   void add(std::size_t shard, roce::Psn psn, Op op) {
-    std::deque<Entry>& ops = shards_[shard].ops;
+    std::deque<Entry>& ops = shards_[shard];
     assert((ops.empty() || roce::psn_lt(ops.back().psn, psn)) &&
            "ops must be added in PSN order");
-    ops.push_back(Entry{psn, sim_->now(), false, std::move(op)});
+    ops.push_back(Entry{psn, sim_->now(), std::move(op)});
     ++size_;
   }
 
   [[nodiscard]] Entry* find(std::size_t shard, roce::Psn psn) {
-    std::deque<Entry>& ops = shards_[shard].ops;
+    std::deque<Entry>& ops = shards_[shard];
     const auto it = first_at_or_after(ops, psn);
     return it != ops.end() && it->psn == psn ? &*it : nullptr;
   }
 
-  /// Remove `psn` without an RTT sample (abandoned, lost, or answered by
-  /// a response that says nothing about the path). nullopt if absent.
+  /// Remove `psn` (answered, abandoned or lost). nullopt if absent (a
+  /// duplicate or stale response).
   std::optional<Entry> erase(std::size_t shard, roce::Psn psn) {
-    std::deque<Entry>& ops = shards_[shard].ops;
+    std::deque<Entry>& ops = shards_[shard];
     const auto it = first_at_or_after(ops, psn);
     if (it == ops.end() || it->psn != psn) return std::nullopt;
     std::optional<Entry> out(std::move(*it));
@@ -122,21 +95,10 @@ class InflightTable {
     return out;
   }
 
-  /// Remove `psn` as answered, and apply both halves of Karn's rule: the
-  /// RTT feeds the shard's estimator (which also ends any backoff) only
-  /// if the op was never retransmitted. nullopt if absent (a duplicate).
-  std::optional<Entry> complete(std::size_t shard, roce::Psn psn) {
-    std::optional<Entry> done = erase(shard, psn);
-    if (done && !done->retransmitted) {
-      shards_[shard].rto.sample(sim_->now() - done->sent_at);
-    }
-    return done;
-  }
-
   /// Remove and return every op of `shard`, in PSN order (reclaim).
   std::deque<Entry> take(std::size_t shard) {
     std::deque<Entry> out;
-    out.swap(shards_[shard].ops);
+    out.swap(shards_[shard]);
     size_ -= out.size();
     return out;
   }
@@ -146,7 +108,7 @@ class InflightTable {
   template <class Fn>
   void for_each(std::size_t shard, Fn&& fn,
                 std::optional<roce::Psn> from = std::nullopt) {
-    std::deque<Entry>& ops = shards_[shard].ops;
+    std::deque<Entry>& ops = shards_[shard];
     auto it = from ? first_at_or_after(ops, *from) : ops.begin();
     for (; it != ops.end(); ++it) fn(*it);
   }
@@ -157,45 +119,37 @@ class InflightTable {
   [[nodiscard]] std::vector<Key> keys(Pred&& pred) const {
     std::vector<Key> out;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      for (const Entry& e : shards_[s].ops) {
+      for (const Entry& e : shards_[s]) {
         if (pred(s, e)) out.push_back(Key{s, e.psn});
       }
     }
     return out;
   }
 
+  /// Remove every op sent at least one deadline ago and pass it to
+  /// fn(shard, Entry&), in (shard, PSN) order. The expired set is
+  /// snapshotted first, so fn may add or remove ops: one that an earlier
+  /// call removed (a down transition's take()) is skipped.
+  template <class Fn>
+  void expire(Fn&& fn) {
+    const sim::Time now = sim_->now();
+    for (const Key& key : keys([&](std::size_t, const Entry& e) {
+           return now - e.sent_at >= timeout_;
+         })) {
+      if (auto e = erase(key.shard, key.psn)) fn(key.shard, *e);
+    }
+  }
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t size(std::size_t shard) const {
-    return shards_[shard].ops.size();
+    return shards_[shard].size();
   }
 
-  /// The shard's RTT estimator (drives deadlines only when adaptive).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return shards_[shard].rto;
-  }
-  /// The shard's current deadline: adaptive (backoff and jitter applied)
-  /// when enabled, the fixed timeout otherwise.
-  [[nodiscard]] sim::Time timeout(std::size_t shard) const {
-    return adaptive_ ? shards_[shard].rto.rto() : fixed_timeout_;
-  }
-  /// The earliest deadline over all shards: one timer serves them all.
-  [[nodiscard]] sim::Time min_timeout() const {
-    sim::Time t = timeout(0);
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-      t = std::min(t, timeout(s));
-    }
-    return t;
-  }
-  /// A silent round on `shard`: the next deadline backs off.
-  void note_timeout(std::size_t shard) { shards_[shard].rto.note_timeout(); }
-  /// Forget the shard's path history (the server was replaced).
-  void reset_rto(std::size_t shard) { shards_[shard].rto.reset(); }
-
-  /// Schedule the recovery timer at the earliest deadline unless it is
+  /// Schedule the recovery timer one deadline from now unless it is
   /// already pending.
   void arm() {
     if (timer_.pending()) return;
-    timer_ = sim_->schedule_in(min_timeout(), [this]() {
+    timer_ = sim_->schedule_in(timeout_, [this]() {
       if (size_ == 0) return;  // all settled; the next post re-arms
       on_timer_();
       arm();
@@ -203,11 +157,6 @@ class InflightTable {
   }
 
  private:
-  struct Shard {
-    std::deque<Entry> ops;  // issue order == PSN order
-    AdaptiveRto rto;
-  };
-
   /// First op whose PSN is at or after `psn`. Circular distance from the
   /// front is monotonic along the deque, so it can be binary-searched.
   static typename std::deque<Entry>::iterator first_at_or_after(
@@ -221,10 +170,9 @@ class InflightTable {
   }
 
   sim::Simulator* sim_;
-  sim::Time fixed_timeout_;
-  bool adaptive_;
+  sim::Time timeout_;
   std::function<void()> on_timer_;
-  std::vector<Shard> shards_;
+  std::vector<std::deque<Entry>> shards_;  // issue order == PSN order
   std::size_t size_ = 0;
   sim::EventId timer_;
 };

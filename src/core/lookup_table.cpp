@@ -39,11 +39,11 @@ LookupTablePrimitive::LookupTablePrimitive(
     switchsim::ProgrammableSwitch& sw,
     std::vector<control::RdmaChannelConfig> channels, Config config)
     : switch_(&sw),
-      channels_(sw, std::move(channels), config.health),
+      channels_(sw, std::move(channels)),
       config_(std::move(config)),
       cache_(cache_config_from(config_)),
       inflight_(sw.simulator(), channels_.size(), config_.lookup_timeout,
-                config_.adaptive_rto, [this]() { on_timeout(); }) {
+                [this]() { on_timeout(); }) {
   if (config_.entry_bytes <= kFrameOffset) {
     throw std::invalid_argument(
         "LookupTable: entry_bytes must exceed the entry header");
@@ -251,7 +251,7 @@ void LookupTablePrimitive::remote_lookup(PipelineContext& ctx,
 void LookupTablePrimitive::handle_response(std::size_t shard,
                                            const roce::RoceMessage& msg) {
   if (!roce::is_read_response(msg.opcode())) return;
-  auto done = inflight_.complete(shard, msg.bth.psn);
+  auto done = inflight_.erase(shard, msg.bth.psn);
   if (!done) {
     ++stats_.duplicate_responses;  // stale or duplicated delivery
     return;
@@ -313,7 +313,6 @@ void LookupTablePrimitive::reconnect(std::size_t shard,
   // alias it): reclaim them now instead of waiting for the scavenger.
   reclaim_shard(shard);
   channels_.reconnect(shard, std::move(config));
-  inflight_.reset_rto(shard);  // old-server RTTs say nothing about the new
 }
 
 void LookupTablePrimitive::reclaim_shard(std::size_t shard) {
@@ -325,27 +324,16 @@ void LookupTablePrimitive::reclaim_shard(std::size_t shard) {
 }
 
 void LookupTablePrimitive::on_timeout() {
-  const sim::Time now = switch_->simulator().now();
-  const auto stale = inflight_.keys([&](std::size_t shard, const auto& l) {
-    return now - l.sent_at >= inflight_.timeout(shard);
-  });
-  std::vector<bool> shard_expired(channels_.size(), false);
-  for (const auto& key : stale) shard_expired[key.shard] = true;
-  for (const auto& key : stale) {
-    // A lookup abandoned: the packet it carried is gone either way
-    // (deposited remotely in bounce mode, held copy dropped in recirc
-    // mode). Each expiry is a timeout observation against its shard —
-    // unless an earlier observation already tripped the down transition,
-    // whose handler reclaimed the rest of the shard's keys.
-    if (!inflight_.erase(key.shard, key.psn)) continue;
+  // A lookup abandoned: the packet it carried is gone either way
+  // (deposited remotely in bounce mode, held copy dropped in recirc
+  // mode). Each expiry is a timeout observation against its shard —
+  // unless an earlier observation already tripped the down transition,
+  // whose handler reclaimed the rest of the shard's lookups.
+  inflight_.expire([&](std::size_t shard, const auto& lookup) {
     ++stats_.lost_responses;
-    channels_.at(key.shard).trace_complete(key.psn, "lost");
-    channels_.note_timeout(key.shard);
-  }
-  // One backoff step per shard per round, however many lookups expired.
-  for (std::size_t shard = 0; shard < shard_expired.size(); ++shard) {
-    if (shard_expired[shard]) inflight_.note_timeout(shard);
-  }
+    channels_.at(shard).trace_complete(lookup.psn, "lost");
+    channels_.note_timeout(shard);
+  });
 }
 
 std::optional<int> LookupTablePrimitive::apply_action(const Action& action,

@@ -49,7 +49,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
 #include "core/inflight.hpp"
 #include "core/lookup_cache.hpp"
@@ -87,15 +86,6 @@ class LookupTablePrimitive {
     /// Outstanding lookups older than this are abandoned (their switch
     /// state reclaimed) and reported to the shard's health machinery.
     sim::Time lookup_timeout = sim::microseconds(100);
-    /// Adaptive deadline: when enabled, each shard's abandonment
-    /// deadline tracks its measured lookup RTT and backs off across
-    /// consecutive expiry rounds — under DCQCN pacing the true response
-    /// time stretches, and a fixed deadline would abandon (and re-issue)
-    /// lookups that are merely paced, feeding the congestion. Disabled
-    /// keeps the fixed lookup_timeout.
-    AdaptiveRtoConfig adaptive_rto;
-    /// Failover thresholds/probing for the channel set.
-    ChannelSet::Config health;
   };
 
   struct Stats {
@@ -141,10 +131,6 @@ class LookupTablePrimitive {
   [[nodiscard]] const ChannelSet& channels() const { return channels_; }
   [[nodiscard]] ChannelSet& channels() { return channels_; }
   [[nodiscard]] std::size_t shard_count() const { return channels_.size(); }
-  /// The shard's RTT estimator (meaningful only with adaptive_rto on).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return inflight_.rto(shard);
-  }
   /// Total entries across all shards.
   [[nodiscard]] std::size_t table_entries() const { return n_entries_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }

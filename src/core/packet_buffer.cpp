@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "net/bytes.hpp"
-#include "sim/log.hpp"
 
 namespace xmem::core {
 
@@ -16,10 +15,10 @@ PacketBufferPrimitive::PacketBufferPrimitive(
     switchsim::ProgrammableSwitch& sw,
     std::vector<control::RdmaChannelConfig> channels, Config config)
     : switch_(&sw),
-      channels_(sw, std::move(channels), config.health),
+      channels_(sw, std::move(channels)),
       config_(config),
       inflight_(sw.simulator(), channels_.size(), config_.read_timeout,
-                config_.adaptive_rto, [this]() { on_timeout(); }) {
+                [this]() { on_timeout(); }) {
   if (config_.watch_port < 0) {
     throw std::invalid_argument("PacketBuffer: watch_port must be >= 0");
   }
@@ -204,7 +203,7 @@ std::optional<std::uint64_t> PacketBufferPrimitive::complete(
     ++stats_.duplicate_responses;  // stale or duplicated delivery
     return std::nullopt;
   }
-  return inflight_.complete(stripe, psn)->op.slot;
+  return inflight_.erase(stripe, psn)->op.slot;
 }
 
 void PacketBufferPrimitive::handle_response(std::size_t channel_index,
@@ -266,7 +265,6 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
 void PacketBufferPrimitive::reconnect(std::size_t stripe,
                                       control::RdmaChannelConfig config) {
   channels_.reconnect(stripe, std::move(config));
-  inflight_.reset_rto(stripe);  // RTTs to the old incarnation are meaningless
   // Any request in flight across the crash may have been lost, but the
   // stripe's DRAM survived and duplicates are idempotent at the
   // responder (WRITEs re-execute, READs re-serve), so rerun the
@@ -286,7 +284,7 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
       // stripe died; repost them in PSN order (original PSN — the
       // responder re-executes duplicates of self-contained writes
       // idempotently).
-      inflight_.for_each(shard, [&](Inflight::Entry& t) {
+      inflight_.for_each(shard, [&](const Inflight::Entry& t) {
         if (t.op.write) repost(shard, t);
       });
       // Post the entries that were parked while the stripe was down.
@@ -306,7 +304,7 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
     if (config_.reliable_loads) {
       // The stripe is back and its DRAM still holds our frames:
       // re-request everything that was outstanding when it died.
-      inflight_.for_each(shard, [&](Inflight::Entry& t) {
+      inflight_.for_each(shard, [&](const Inflight::Entry& t) {
         if (!t.op.write) repost(shard, t);
       });
     }
@@ -332,8 +330,8 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
   maybe_issue_reads();
 }
 
-void PacketBufferPrimitive::repost(std::size_t stripe, Inflight::Entry& t) {
-  t.retransmitted = true;  // Karn: its eventual RTT is unusable
+void PacketBufferPrimitive::repost(std::size_t stripe,
+                                   const Inflight::Entry& t) {
   if (t.op.write) {
     channels_.at(stripe).repost_write(
         slot_va(t.op.slot), FramedEntry(t.op.frame.bytes()).gather(), t.psn);
@@ -399,9 +397,9 @@ void PacketBufferPrimitive::drain_reorder_buffer() {
 }
 
 void PacketBufferPrimitive::on_timeout() {
-  // Progress is judged set-wide, against the earliest stripe deadline.
+  // Progress is judged set-wide.
   if (switch_->simulator().now() - last_read_progress_ <
-      inflight_.min_timeout()) {
+      config_.read_timeout) {
     return;
   }
   // Snapshot what was stalled *before* reporting: note_timeout() can
@@ -414,14 +412,9 @@ void PacketBufferPrimitive::on_timeout() {
     stalled[chan] = inflight_.size(chan) > 0;
   }
   // One timeout observation per stripe with stalled ops: this is what
-  // eventually trips a dead stripe's health state. The adaptive
-  // estimator backs off alongside, so the next silent round waits
-  // longer instead of re-flooding a congested path.
+  // eventually trips a dead stripe's health state.
   for (std::size_t chan = 0; chan < stalled.size(); ++chan) {
-    if (stalled[chan]) {
-      channels_.note_timeout(chan);
-      inflight_.note_timeout(chan);
-    }
+    if (stalled[chan]) channels_.note_timeout(chan);
   }
   // Retransmit on live stripes with the original PSN — unacknowledged
   // entry WRITEs first (duplicates re-execute idempotently), then, in
@@ -432,7 +425,7 @@ void PacketBufferPrimitive::on_timeout() {
   for (const bool writes : {true, false}) {
     if (!writes && !config_.reliable_loads) break;
     for (const auto& key : stale) {
-      Inflight::Entry* t = inflight_.find(key.shard, key.psn);
+      const Inflight::Entry* t = inflight_.find(key.shard, key.psn);
       if (t == nullptr || t->op.write != writes ||
           !channels_.is_up(key.shard)) {
         continue;

@@ -29,7 +29,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
 #include "core/inflight.hpp"
 #include "switchsim/switch.hpp"
@@ -68,13 +67,6 @@ class PacketBufferPrimitive {
     /// behind the WRITE backlog on the same port, and a premature timeout
     /// in unreliable mode discards packets that were merely delayed.
     sim::Time read_timeout = sim::milliseconds(2);
-    /// Adaptive recovery timer: when enabled, the scavenge/retransmit
-    /// deadline tracks each stripe's measured RTT and backs off
-    /// exponentially across silent rounds, replacing the fixed
-    /// read_timeout — recovery reacts in RTTs on a healthy fabric and
-    /// stops retransmit storms when DCQCN pacing stretches response
-    /// times. Disabled keeps the fixed timer.
-    AdaptiveRtoConfig adaptive_rto;
     /// When false, entries are stored but never loaded until
     /// set_load_enabled(true) — the "manually start the two steps"
     /// methodology of the paper's §5 microbenchmark.
@@ -86,8 +78,6 @@ class PacketBufferPrimitive {
     /// When > 0, packets re-injected while the ring holds more than this
     /// many entries get CE-marked (if ECT). 0 disables.
     std::int64_t ecn_mark_ring_depth = 0;
-    /// Failover thresholds/probing for the channel set.
-    ChannelSet::Config health;
   };
 
   struct Stats {
@@ -126,10 +116,6 @@ class PacketBufferPrimitive {
   [[nodiscard]] const ChannelSet& channels() const { return channels_; }
   [[nodiscard]] ChannelSet& channels() { return channels_; }
   [[nodiscard]] std::size_t stripe_width() const { return channels_.size(); }
-  /// The stripe's RTT estimator (meaningful only with adaptive_rto on).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t stripe) const {
-    return inflight_.rto(stripe);
-  }
   /// Entries currently resident in remote memory.
   [[nodiscard]] std::int64_t ring_depth() const {
     return static_cast<std::int64_t>(head_ - tail_);
@@ -191,7 +177,7 @@ class PacketBufferPrimitive {
   std::optional<std::uint64_t> complete(std::size_t stripe, roce::Psn psn,
                                         bool write);
   /// Retransmit `t` with its original PSN.
-  void repost(std::size_t stripe, Inflight::Entry& t);
+  void repost(std::size_t stripe, const Inflight::Entry& t);
   /// True when a READ of `slot` is in flight.
   [[nodiscard]] bool read_in_flight(std::uint64_t slot);
 

@@ -66,9 +66,6 @@ class RdmaChannel {
   /// behaviour. CC state (rate, alpha) survives reconfigure(): a
   /// reconnect changes the endpoint, not the fabric's congestion.
   void enable_congestion_control(DcqcnConfig config);
-  [[nodiscard]] bool congestion_control_enabled() const {
-    return cc_.has_value();
-  }
   /// The live rate machine, or nullptr when CC is off.
   [[nodiscard]] const DcqcnRateController* rate_controller() const {
     return cc_ ? &*cc_ : nullptr;
@@ -164,7 +161,6 @@ class RdmaChannel {
   void attach_telemetry(telemetry::MetricsRegistry* registry,
                         telemetry::OpTracer* tracer,
                         const std::string& prefix);
-  [[nodiscard]] telemetry::OpTracer* tracer() const { return tracer_; }
 
   /// Close the span for `psn` — called by the owning primitive when it
   /// matches the op's ACK / response / NAK. First close wins; stale

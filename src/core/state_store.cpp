@@ -15,10 +15,10 @@ StateStorePrimitive::StateStorePrimitive(
     switchsim::ProgrammableSwitch& sw,
     std::vector<control::RdmaChannelConfig> channels, Config config)
     : switch_(&sw),
-      channels_(sw, std::move(channels), config.health),
+      channels_(sw, std::move(channels)),
       config_(std::move(config)),
       inflight_(sw.simulator(), channels_.size(), config_.retransmit_timeout,
-                config_.adaptive_rto, [this]() { on_timeout(); }) {
+                [this]() { on_timeout(); }) {
   if (config_.max_outstanding <= 0) {
     throw std::invalid_argument("StateStore: max_outstanding must be > 0");
   }
@@ -161,7 +161,7 @@ void StateStorePrimitive::handle_response(std::size_t shard,
   RdmaChannel& channel = channels_.at(shard);
   const roce::Opcode op = msg.opcode();
   if (op == roce::Opcode::kAtomicAcknowledge) {
-    if (!inflight_.complete(shard, msg.bth.psn)) {
+    if (!inflight_.erase(shard, msg.bth.psn)) {
       ++stats_.duplicate_responses;  // already completed: duplicate/stale
       return;
     }
@@ -196,10 +196,7 @@ void StateStorePrimitive::handle_response(std::size_t shard,
     if (msg.aeth->syndrome == roce::AckSyndrome::kNakInvalidRequest) {
       // A retransmitted atomic whose replay-cache entry has expired: the
       // responder executed it long ago, it just cannot replay the
-      // original value. Counting-wise the op is complete. It is erased,
-      // not completed: its RTT is ambiguous, and when the duplicate came
-      // from the network rather than a repost the op is not marked
-      // retransmitted, so complete() would take the sample.
+      // original value. Counting-wise the op is complete.
       if (inflight_.erase(shard, msg.bth.psn)) {
         last_progress_[shard] = switch_->simulator().now();
         channel.trace_complete(msg.bth.psn, nak_status);
@@ -216,7 +213,7 @@ void StateStorePrimitive::handle_response(std::size_t shard,
     // every out-of-order arrival generates a NAK, and answering each with
     // a full repost storm would feed on itself.
     const sim::Time now = switch_->simulator().now();
-    if (now - last_goback_ < config_.goback_min_interval) return;
+    if (now - last_goback_ < kGobackMinInterval) return;
     last_goback_ = now;
 
     // The expected PSN may be a hole nobody will ever repost — a probe
@@ -271,8 +268,7 @@ void StateStorePrimitive::replay_window(std::size_t shard,
   RdmaChannel& channel = channels_.at(shard);
   inflight_.for_each(
       shard,
-      [&](auto& f) {
-        f.retransmitted = true;  // Karn: its eventual RTT is unusable
+      [&](const auto& f) {
         channel.repost_fetch_add(counter_va(f.op.index), f.op.add, f.psn);
         ++stats_.retransmits;
       },
@@ -290,10 +286,8 @@ void StateStorePrimitive::reconnect(std::size_t shard,
   reclaim_shard(shard);
   channels_.reconnect(shard, std::move(config));
   // The rebuilt channel counts as progress: don't let a stale stamp
-  // trigger an immediate replay round against the fresh epoch. RTT
-  // history from the old server says nothing about the new one.
+  // trigger an immediate replay round against the fresh epoch.
   last_progress_[shard] = switch_->simulator().now();
-  inflight_.reset_rto(shard);
   issue_from_accumulators();
 }
 
@@ -315,8 +309,8 @@ void StateStorePrimitive::reclaim_shard(std::size_t shard) {
 }
 
 void StateStorePrimitive::on_timeout() {
-  const sim::Time now = switch_->simulator().now();
   if (config_.reliable) {
+    const sim::Time now = switch_->simulator().now();
     // Replay each silent shard's whole window in PSN order (an unordered
     // replay would trip the responder's sequence check and NAK-storm).
     // Progress is judged per shard — a healthy shard's ACK stream must
@@ -325,8 +319,7 @@ void StateStorePrimitive::on_timeout() {
     // shard's health even in reliable mode.
     for (std::size_t shard = 0; shard < channels_.size(); ++shard) {
       if (inflight_.size(shard) == 0) continue;
-      if (now - last_progress_[shard] < inflight_.timeout(shard)) continue;
-      inflight_.note_timeout(shard);  // the next replay round waits longer
+      if (now - last_progress_[shard] < config_.retransmit_timeout) continue;
       channels_.note_timeout(shard);
       // Replay even while the shard is marked down: the held window is
       // exactly what the responder's sequence check is waiting on, and
@@ -340,23 +333,12 @@ void StateStorePrimitive::on_timeout() {
   // working; the in-flight counts are simply lost, which is the accuracy
   // degradation the paper's §7 discussion anticipates. Each expiry is a
   // timeout observation against its shard's health, and may trip a down
-  // transition that reclaims the rest of the shard: act on a snapshot.
-  const auto stale = inflight_.keys([&](std::size_t shard, const auto& f) {
-    return now - f.sent_at >= inflight_.timeout(shard);
+  // transition that reclaims the rest of the shard (expire() skips those).
+  inflight_.expire([&](std::size_t shard, const auto& f) {
+    stats_.counts_in_flight_lost += f.op.add;
+    channels_.at(shard).trace_complete(f.psn, "lost");
+    channels_.note_timeout(shard);
   });
-  std::vector<bool> shard_expired(channels_.size(), false);
-  for (const auto& key : stale) {
-    const auto f = inflight_.erase(key.shard, key.psn);
-    if (!f) continue;  // reclaimed by a down transition
-    stats_.counts_in_flight_lost += f->op.add;
-    channels_.at(key.shard).trace_complete(key.psn, "lost");
-    channels_.note_timeout(key.shard);
-    shard_expired[key.shard] = true;
-  }
-  // One backoff step per shard per round, however many ops expired.
-  for (std::size_t shard = 0; shard < shard_expired.size(); ++shard) {
-    if (shard_expired[shard]) inflight_.note_timeout(shard);
-  }
   issue_from_accumulators();
 }
 

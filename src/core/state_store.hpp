@@ -37,7 +37,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/adaptive_rto.hpp"
 #include "core/channel_set.hpp"
 #include "core/inflight.hpp"
 #include "core/rdma_channel.hpp"
@@ -67,18 +66,6 @@ class StateStorePrimitive {
     /// §7 reliability extension (see file comment).
     bool reliable = false;
     sim::Time retransmit_timeout = sim::microseconds(100);
-    /// Adaptive RTO: when enabled, each shard's retransmission deadline
-    /// is derived from its measured RTT (Jacobson estimation) and backs
-    /// off exponentially across consecutive silent rounds, instead of
-    /// the fixed retransmit_timeout. Disabled keeps the fixed timer.
-    AdaptiveRtoConfig adaptive_rto;
-    /// Minimum spacing between NAK-triggered go-back-N repost rounds
-    /// (every out-of-order arrival generates a NAK; answering each with
-    /// a full repost storm would feed on itself). Chaos plans compress
-    /// this to speed up recovery under heavy loss.
-    sim::Time goback_min_interval = sim::microseconds(20);
-    /// Failover thresholds/probing for the channel set.
-    ChannelSet::Config health;
   };
 
   struct Stats {
@@ -115,10 +102,6 @@ class StateStorePrimitive {
   [[nodiscard]] const ChannelSet& channels() const { return channels_; }
   [[nodiscard]] ChannelSet& channels() { return channels_; }
   [[nodiscard]] std::size_t shard_count() const { return channels_.size(); }
-  /// The shard's RTT estimator (meaningful only with adaptive_rto on).
-  [[nodiscard]] const AdaptiveRto& rto(std::size_t shard) const {
-    return inflight_.rto(shard);
-  }
   /// Counter slots available across all shards.
   [[nodiscard]] std::uint64_t counters() const { return n_counters_; }
   /// Total in-flight atomics across shards.
@@ -199,6 +182,10 @@ class StateStorePrimitive {
   /// Per-shard: a healthy shard's ACK stream must not mask a silent one,
   /// so replay rounds and timeout observations are gated per shard.
   std::vector<sim::Time> last_progress_;
+  /// Minimum spacing between NAK-triggered go-back-N repost rounds: every
+  /// out-of-order arrival generates a NAK, and answering each with a full
+  /// repost storm would feed on itself.
+  static constexpr sim::Time kGobackMinInterval = sim::microseconds(20);
   sim::Time last_goback_ = -sim::kSecond;  // NAK-repost rate limiter
 
   Stats stats_;

@@ -228,7 +228,6 @@ bool RcRequester::acknowledge_before(roce::Psn psn) {
 void RcRequester::complete_front(bool success) {
   Wqe wqe = std::move(wqes_.front());
   wqes_.pop_front();
-  if (!success) ++failures_;
   if (wqe.started) {
     channel_->trace_complete(wqe.first_psn, success ? "ok" : "failed");
   }

@@ -67,7 +67,6 @@ class RcRequester {
     return wqes_.size();
   }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmits_; }
-  [[nodiscard]] std::uint64_t failures() const { return failures_; }
   [[nodiscard]] std::uint32_t qpn() const { return qpn_; }
   /// The channel that numbers and frames this QP's requests: its stats,
   /// and its attach_telemetry() for op spans. nullptr before connect().
@@ -131,7 +130,6 @@ class RcRequester {
   sim::EventId timer_;
   sim::Time last_progress_ = 0;
   std::uint64_t retransmits_ = 0;
-  std::uint64_t failures_ = 0;
 };
 
 }  // namespace xmem::core

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/log.hpp"
-
 namespace xmem::faults {
 
 FaultScheduler::FaultScheduler(sim::Simulator& simulator, FaultPlan plan)
@@ -88,8 +86,6 @@ void FaultScheduler::apply_link(const FaultEvent& event) {
 
 void FaultScheduler::apply(const FaultEvent& event) {
   ++stats_.events_applied;
-  XMEM_LOG(Info, sim_->now(), "faults")
-      << to_string(event.kind) << " -> target " << event.target;
   if (flight_recorder_) {
     flight_recorder_->record(telemetry::FlightEventKind::kFaultApplied,
                              static_cast<std::uint16_t>(event.target),

@@ -66,11 +66,6 @@ class FaultScheduler {
   void start();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-  /// The composed profile currently applied to a registered link.
-  [[nodiscard]] const topo::LinkFaultProfile& link_profile(int link) const {
-    return profiles_[static_cast<std::size_t>(link)];
-  }
 
   /// Register every Stats field under `<prefix>/...`.
   void register_metrics(telemetry::MetricsRegistry& registry,

@@ -138,9 +138,11 @@ std::vector<Violation> InvariantChecker::run() const {
       violations.push_back({checks_[i].name, std::move(*detail)});
     }
   }
-  if (!violations.empty() && flight_recorder_ && !postmortem_path_.empty()) {
-    flight_recorder_->write_postmortem(
-        postmortem_path_, "invariant violation: " + violations.front().name);
+  if (!violations.empty() && flight_recorder_ && !postmortem_path_.empty() &&
+      !flight_recorder_->write_postmortem(
+          postmortem_path_,
+          "invariant violation: " + violations.front().name)) {
+    violations.push_back({"postmortem", "cannot write " + postmortem_path_});
   }
   return violations;
 }

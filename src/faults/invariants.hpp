@@ -74,7 +74,9 @@ class InvariantChecker {
   /// On any run() that returns violations: record each into `recorder`
   /// and, when `postmortem_path` is non-empty, write the recorder's
   /// dump bundle there — a failing chaos test leaves its event tail
-  /// behind automatically. Recorder not owned; nullptr detaches.
+  /// behind automatically. A bundle that cannot be written adds one more
+  /// violation, "postmortem", naming the path. Recorder not owned;
+  /// nullptr detaches.
   void set_flight_recorder(telemetry::FlightRecorder* recorder,
                            std::string postmortem_path = "") {
     flight_recorder_ = recorder;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/log.hpp"
-
 namespace xmem::rnic {
 
 using roce::AckSyndrome;

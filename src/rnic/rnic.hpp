@@ -66,7 +66,7 @@ class Rnic {
   struct Stats {
     std::uint64_t requests_received = 0;
     std::uint64_t requests_dropped_overflow = 0;
-    std::uint64_t dead_dropped = 0;  // frames discarded while !alive()
+    std::uint64_t dead_dropped = 0;  // frames discarded while hung
     std::uint64_t corrupt_dropped = 0;
     std::uint64_t unknown_qp_dropped = 0;
     std::uint64_t writes = 0;
@@ -113,7 +113,6 @@ class Rnic {
   /// to survive). Reviving it keeps QP and memory state — the model of a
   /// firmware hang or link flap rather than a power cycle.
   void set_alive(bool alive);
-  [[nodiscard]] bool alive() const { return alive_; }
 
   /// Fault recovery: bring the NIC back as a *new epoch*, the model of a
   /// firmware reset or driver reload. All QPs and response handlers are
@@ -148,8 +147,6 @@ class Rnic {
     int_enabled_ = true;
     int_hop_id_ = hop_id;
   }
-  void disable_int() { int_enabled_ = false; }
-  [[nodiscard]] bool int_enabled() const { return int_enabled_; }
 
  private:
   void pump();

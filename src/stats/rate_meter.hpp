@@ -28,7 +28,6 @@ class RateMeter {
 
   [[nodiscard]] std::int64_t bytes() const { return bytes_; }
   [[nodiscard]] std::int64_t packets() const { return packets_; }
-  [[nodiscard]] sim::Time window_start() const { return start_; }
 
   /// Average bits/s over [start, end]; `end` defaults to the last record.
   [[nodiscard]] sim::Bandwidth rate(sim::Time end = -1) const {

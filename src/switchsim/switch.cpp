@@ -5,7 +5,6 @@
 
 #include "net/bytes.hpp"
 #include "net/pause.hpp"
-#include "sim/log.hpp"
 
 namespace xmem::switchsim {
 

@@ -85,8 +85,6 @@ class ProgrammableSwitch : public topo::Node {
     int_enabled_ = true;
     int_hop_id_ = hop_id;
   }
-  void disable_int() { int_enabled_ = false; }
-  [[nodiscard]] bool int_enabled() const { return int_enabled_; }
 
   /// Where the built-in L2 table would send this frame (stages use this
   /// to learn a packet's destination before deciding to divert it).

@@ -56,13 +56,7 @@ class TrafficManager {
   [[nodiscard]] std::int64_t depth_bytes(int port) const {
     return queues_[static_cast<std::size_t>(port)].bytes;
   }
-  [[nodiscard]] std::size_t depth_packets(int port) const {
-    return queues_[static_cast<std::size_t>(port)].packets.size();
-  }
   [[nodiscard]] std::int64_t buffer_used() const { return used_; }
-  [[nodiscard]] std::int64_t buffer_capacity() const {
-    return config_.shared_buffer_bytes;
-  }
 
   /// Observe queue transitions (the packet-buffer primitive's trigger).
   /// Multiple watchers are invoked in registration order.

@@ -104,8 +104,9 @@ class FlightRecorder {
   /// retention counters, the event tail (oldest first) and — when a
   /// registry is attached — a full metrics snapshot.
   [[nodiscard]] std::string dump_json(std::string_view reason) const;
-  bool write_postmortem(const std::string& path,
-                        std::string_view reason) const;
+  /// Write dump_json(reason) to `path`; false if it cannot be written.
+  [[nodiscard]] bool write_postmortem(const std::string& path,
+                                      std::string_view reason) const;
 
  private:
   sim::Simulator* sim_;

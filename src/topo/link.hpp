@@ -108,8 +108,6 @@ class Link {
     int_enabled_ = true;
     int_hop_id_ = hop_id;
   }
-  void disable_int() { int_enabled_ = false; }
-  [[nodiscard]] bool int_enabled() const { return int_enabled_; }
 
   /// Restrict which frames this link *starts* a stack on (return false =
   /// don't tag). Frames already carrying a stack are appended to

@@ -31,6 +31,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -46,10 +47,12 @@ constexpr std::uint64_t kFlowB = 1500;  // h0 -> h2, through the lookup table
 /// Where postmortem bundles land. CI points XMEM_POSTMORTEM_DIR at a
 /// directory it uploads as a job artifact, so a red chaos run ships its
 /// flight-recorder dump with the failure; locally they stay in TempDir.
+/// A missing XMEM_POSTMORTEM_DIR is created.
 std::string postmortem_dir() {
   const std::optional<std::string> dir = sim::env("XMEM_POSTMORTEM_DIR");
-  if (dir.has_value() && !dir->empty()) return *dir + "/";
-  return testing::TempDir();
+  if (!dir.has_value() || dir->empty()) return testing::TempDir();
+  std::filesystem::create_directories(*dir);
+  return *dir + "/";
 }
 
 /// Appends `name=value` pairs to one text line per stats block, so a
@@ -97,8 +100,6 @@ struct ChaosOutcome {
 };
 
 struct ChaosVariant {
-  /// Adaptive RTO on all three primitives.
-  bool adaptive_rto = false;
   /// Lookups hold the packet and fetch only the action.
   bool recirculate = false;
 };
@@ -133,7 +134,6 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   auto ss_configs = tb.setup_memory_pool(ss_spec);
   core::StateStorePrimitive::Config ss_cfg;
   ss_cfg.reliable = true;
-  ss_cfg.adaptive_rto.enabled = variant.adaptive_rto;
   {
     auto next = std::make_shared<std::uint64_t>(0);
     ss_cfg.sample_fn =
@@ -152,7 +152,6 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   core::LookupTablePrimitive::Config lt_cfg;
   lt_cfg.entry_bytes = 2048;
   lt_cfg.cache_capacity = 0;  // the accounting invariant's form
-  lt_cfg.adaptive_rto.enabled = variant.adaptive_rto;
   if (variant.recirculate) {
     lt_cfg.mode = core::LookupTablePrimitive::Mode::kRecirculate;
   }
@@ -176,7 +175,6 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   pb_cfg.reliable_stores = true;
   pb_cfg.reliable_loads = true;
   pb_cfg.read_timeout = sim::microseconds(150);
-  pb_cfg.adaptive_rto.enabled = variant.adaptive_rto;
   core::PacketBufferPrimitive pb(tb.tor(), pb_configs, pb_cfg);
   pb.attach_telemetry(&reg, &tracer, "pb");
 
@@ -472,23 +470,22 @@ TEST(ChaosTest, SeededPlanWithRnicRestartPassesAllInvariants) {
             "naks=0 down_transitions=0 up_transitions=0 probes_sent=0");
 }
 
-TEST(ChaosTest, AdaptiveRtoAndRecirculatePassAllInvariants) {
-  const ChaosOutcome got =
-      run_chaos_scenario({.adaptive_rto = true, .recirculate = true});
-  EXPECT_EQ(got.events, 127191u);
-  EXPECT_EQ(got.trace_digest, 0x0a7f5fad812a1608u);
+TEST(ChaosTest, RecirculatePassesAllInvariants) {
+  const ChaosOutcome got = run_chaos_scenario({.recirculate = true});
+  EXPECT_EQ(got.events, 124934u);
+  EXPECT_EQ(got.trace_digest, 0x07c2345e43239c8cu);
   EXPECT_EQ(got.stats,
-            "ss sampled_packets=6500 fetch_adds_sent=2314 "
-            "acks_received=2295 naks_received=9 accumulated=4216 "
-            "retransmits=159 max_outstanding_seen=16 "
+            "ss sampled_packets=6500 fetch_adds_sent=2101 "
+            "acks_received=2084 naks_received=8 accumulated=4429 "
+            "retransmits=128 max_outstanding_seen=16 "
             "counts_in_flight_lost=0 failover_reissues=30 "
-            "duplicate_responses=64\n"
+            "duplicate_responses=59\n"
             "ss/shard0 ops_routed=771 routed_while_down=0 timeouts=0 "
             "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
-            "ss/shard1 ops_routed=400 routed_while_down=240 timeouts=6 "
-            "naks=5 down_transitions=1 up_transitions=1 probes_sent=1\n"
-            "ss/shard2 ops_routed=1143 routed_while_down=0 timeouts=1 "
-            "naks=4 down_transitions=0 up_transitions=0 probes_sent=0\n"
+            "ss/shard1 ops_routed=411 routed_while_down=0 timeouts=5 "
+            "naks=7 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "ss/shard2 ops_routed=919 routed_while_down=0 timeouts=1 "
+            "naks=1 down_transitions=0 up_transitions=0 probes_sent=0\n"
             "lt cache_hits=0 remote_lookups=1500 applied=1500 "
             "no_entry_drops=0 collision_drops=0 cache_inserts=0 "
             "cache_evictions=0 held_packets=46 lost_responses=0 "
@@ -502,13 +499,13 @@ TEST(ChaosTest, AdaptiveRtoAndRecirculatePassAllInvariants) {
             "lt/shard2 ops_routed=0 routed_while_down=0 timeouts=0 naks=0 "
             "down_transitions=0 up_transitions=0 probes_sent=0\n"
             "pb stored=5000 loaded=5000 ring_full_drops=0 lost_loads=0 "
-            "read_retries=16 write_retries=2110 deferred_stores=0 naks=0 "
-            "ecn_marked=0 dead_stripe_drops=0 duplicate_responses=107 "
+            "read_retries=14 write_retries=1544 deferred_stores=0 naks=0 "
+            "ecn_marked=0 dead_stripe_drops=0 duplicate_responses=184 "
             "max_ring_depth=4876\n"
             "pb/shard0 ops_routed=1667 routed_while_down=0 timeouts=1 "
             "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
-            "pb/shard1 ops_routed=1667 routed_while_down=0 timeouts=29 "
-            "naks=0 down_transitions=1 up_transitions=1 probes_sent=1\n"
+            "pb/shard1 ops_routed=1667 routed_while_down=0 timeouts=3 "
+            "naks=0 down_transitions=0 up_transitions=0 probes_sent=0\n"
             "pb/shard2 ops_routed=1666 routed_while_down=0 timeouts=1 "
             "naks=0 down_transitions=0 up_transitions=0 probes_sent=0");
 }
@@ -577,6 +574,28 @@ TEST(ChaosTest, InvariantFailureWritesPostmortemBundle) {
   }
   EXPECT_TRUE(metric_present);
   std::remove(path.c_str());
+}
+
+// A bundle that cannot be written must not vanish silently: it is one
+// more violation, naming the path, after the check that failed.
+TEST(ChaosTest, UnwritablePostmortemIsAViolation) {
+  sim::Simulator sim;
+  telemetry::FlightRecorder flight(sim, /*capacity=*/16);
+  const std::filesystem::path missing =
+      std::filesystem::path(testing::TempDir()) / "chaos_missing_dir";
+  std::filesystem::remove_all(missing);
+  const std::string path = (missing / "postmortem_bundle.json").string();
+
+  faults::InvariantChecker checker;
+  checker.add("always_fails",
+              []() -> std::optional<std::string> { return "failed"; });
+  checker.set_flight_recorder(&flight, path);
+
+  const auto violations = checker.run();
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0].name, "always_fails");
+  EXPECT_EQ(violations[1].name, "postmortem");
+  EXPECT_EQ(violations[1].detail, "cannot write " + path);
 }
 
 }  // namespace

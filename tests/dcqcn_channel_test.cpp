@@ -1,27 +1,21 @@
 // Congestion control for the RDMA channel: the DCQCN rate machine in
-// isolation (cut/decay/recovery-stage arithmetic), the adaptive RTO
-// estimator, PFC pause/HoL accounting on ports, and the closed loop end
-// to end — TM CE-marks paced RoCE requests, the server RNIC answers with
-// CNPs, the switch-side channel cuts and paces, and the whole episode is
+// isolation (cut/decay/recovery-stage arithmetic), PFC pause/HoL
+// accounting on ports, and the closed loop end to end — TM CE-marks
+// paced RoCE requests, the server RNIC answers with CNPs, the
+// switch-side channel cuts and paces, and the whole episode is
 // bit-deterministic.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "control/testbed.hpp"
-#include "core/adaptive_rto.hpp"
 #include "core/dcqcn.hpp"
 #include "core/primitive.hpp"
 #include "core/rdma_channel.hpp"
-#include "core/state_store.hpp"
-#include "host/sink.hpp"
-#include "host/traffic_gen.hpp"
-#include "net/flow.hpp"
 
 namespace xmem::core {
 namespace {
 
-using control::ChannelController;
 using control::Testbed;
 
 // --- DcqcnRateController unit tests ---------------------------------------
@@ -155,92 +149,6 @@ TEST(DcqcnRateControllerTest, RejectsConfigsThePacerOrTimersCannotRun) {
     c.g = 1.0;
     c.min_rate = c.line_rate;
   }));
-}
-
-// --- AdaptiveRto unit tests ------------------------------------------------
-
-TEST(AdaptiveRtoTest, FirstSampleSeedsJacobsonEstimator) {
-  AdaptiveRtoConfig cfg;
-  cfg.enabled = true;
-  cfg.jitter_fraction = 0.0;
-  AdaptiveRto rto(cfg);
-  EXPECT_FALSE(rto.has_samples());
-  EXPECT_EQ(rto.rto(), cfg.initial_rto);
-
-  rto.sample(sim::microseconds(100));
-  EXPECT_TRUE(rto.has_samples());
-  EXPECT_EQ(rto.srtt(), sim::microseconds(100));
-  EXPECT_EQ(rto.rttvar(), sim::microseconds(50));
-  // RTO = srtt + 4*rttvar = 300 us (within [min, max]).
-  EXPECT_EQ(rto.rto(), sim::microseconds(300));
-}
-
-TEST(AdaptiveRtoTest, ConvergesOnSteadyRtt) {
-  AdaptiveRtoConfig cfg;
-  cfg.enabled = true;
-  cfg.jitter_fraction = 0.0;
-  AdaptiveRto rto(cfg);
-  for (int i = 0; i < 64; ++i) rto.sample(sim::microseconds(40));
-  // Variance decays toward zero, so RTO approaches srtt (clamped below
-  // by min_rto).
-  EXPECT_EQ(rto.srtt(), sim::microseconds(40));
-  EXPECT_LT(rto.rto(), sim::microseconds(60));
-  EXPECT_GE(rto.rto(), cfg.min_rto);
-}
-
-TEST(AdaptiveRtoTest, TimeoutsBackOffExponentiallyAndProgressResets) {
-  AdaptiveRtoConfig cfg;
-  cfg.enabled = true;
-  cfg.jitter_fraction = 0.0;
-  AdaptiveRto rto(cfg);
-  rto.sample(sim::microseconds(50));
-  const sim::Time base = rto.rto();
-
-  rto.note_timeout();
-  EXPECT_EQ(rto.rto(), base * 2);
-  rto.note_timeout();
-  EXPECT_EQ(rto.rto(), base * 4);
-  for (int i = 0; i < 20; ++i) rto.note_timeout();
-  EXPECT_EQ(rto.rto(), base << cfg.max_backoff) << "backoff must cap";
-
-  rto.note_progress();
-  EXPECT_EQ(rto.rto(), base) << "any progress collapses the backoff";
-}
-
-TEST(AdaptiveRtoTest, JitterIsDeterministicPerSeedAndBounded) {
-  AdaptiveRtoConfig cfg;
-  cfg.enabled = true;
-  AdaptiveRto a(cfg);
-  AdaptiveRto b(cfg);
-  cfg.jitter_seed ^= 0x12345;
-  AdaptiveRto c(cfg);
-
-  a.sample(sim::microseconds(100));
-  b.sample(sim::microseconds(100));
-  c.sample(sim::microseconds(100));
-  a.note_timeout();
-  b.note_timeout();
-  c.note_timeout();
-
-  EXPECT_EQ(a.rto(), b.rto()) << "same seed, same jitter";
-  EXPECT_NE(a.rto(), c.rto()) << "different seeds must diverge";
-  const sim::Time unjittered = sim::microseconds(300) * 2;
-  EXPECT_GE(a.rto(), unjittered);
-  EXPECT_LE(a.rto(),
-            unjittered + static_cast<sim::Time>(
-                             static_cast<double>(unjittered) * cfg.jitter_fraction));
-}
-
-TEST(AdaptiveRtoTest, ResetForgetsHistory) {
-  AdaptiveRtoConfig cfg;
-  cfg.enabled = true;
-  AdaptiveRto rto(cfg);
-  rto.sample(sim::microseconds(10));
-  rto.note_timeout();
-  rto.reset();
-  EXPECT_FALSE(rto.has_samples());
-  EXPECT_EQ(rto.backoff(), 0u);
-  EXPECT_EQ(rto.rto(), cfg.initial_rto);
 }
 
 // --- Port PFC telemetry ----------------------------------------------------
@@ -404,53 +312,6 @@ TEST(DcqcnLoopTest, CongestionEpisodeIsDeterministic) {
   EXPECT_EQ(twin.tb_.host(2).rnic().stats().ce_marked_rx,
             loop.tb_.host(2).rnic().stats().ce_marked_rx);
   EXPECT_EQ(twin.tb_.sim().now(), loop.tb_.sim().now());
-}
-
-// --- Adaptive RTO wired into a primitive -----------------------------------
-
-TEST(AdaptiveRtoIntegrationTest, StateStoreSamplesRttAndAvoidsStorms) {
-  Testbed tb;
-  auto channel = tb.controller().setup_channel(tb.host(2), tb.port_of(2),
-                                               {.region_bytes = 4096});
-  StateStorePrimitive::Config cfg;
-  cfg.reliable = true;
-  cfg.adaptive_rto.enabled = true;
-  // Deliberately start below the real RTT: a fixed timer at this value
-  // would retransmit every op forever (a storm); the estimator must
-  // back off, learn the true RTT from the first clean ACK, and settle.
-  cfg.adaptive_rto.initial_rto = sim::microseconds(1);
-  cfg.adaptive_rto.min_rto = sim::microseconds(5);
-  cfg.sample_fn = [](const net::Packet& p) -> std::optional<std::uint64_t> {
-    auto tuple = net::extract_five_tuple(p);
-    if (!tuple || tuple->dst_port == net::kRoceV2Port) return std::nullopt;
-    return 0;
-  };
-  StateStorePrimitive ss(tb.tor(), channel, cfg);
-
-  host::PacketSink sink(tb.host(1));
-  host::CbrTrafficGen gen(tb.host(0), {.dst_mac = tb.host(1).mac(),
-                                       .dst_ip = tb.host(1).ip(),
-                                       .src_port = 7000,
-                                       .dst_port = 9000,
-                                       .frame_size = 128,
-                                       .rate = sim::gbps(10),
-                                       .packet_limit = 400});
-  gen.start();
-  tb.sim().run();
-  for (int i = 0; i < 50 && !ss.quiescent(); ++i) {
-    ss.flush();
-    tb.sim().run_until(tb.sim().now() + sim::milliseconds(1));
-    tb.sim().run();
-  }
-
-  EXPECT_TRUE(ss.quiescent());
-  EXPECT_TRUE(ss.rto(0).has_samples()) << "clean ACKs must feed the estimator";
-  EXPECT_GT(ss.rto(0).srtt(), 0);
-  EXPECT_LT(ss.stats().retransmits, 100u)
-      << "backoff must stop the undersized initial RTO from storming";
-  const auto region = ChannelController::region_bytes(tb.host(2), channel);
-  EXPECT_EQ(rnic::load_le64(region.subspan(0, 8)), 400u)
-      << "reliable mode stays exact through early spurious retransmits";
 }
 
 }  // namespace

@@ -345,37 +345,6 @@ TEST_F(FaultInjectionTest, SchedulerRestartWithReconnectRecoversExactly) {
   EXPECT_EQ(sink.packets(), 2500u);
 }
 
-// Satellite: health thresholds and probe knobs are constructor
-// configuration, with unchanged defaults.
-TEST_F(FaultInjectionTest, HealthThresholdsAreConstructorConfigurable) {
-  build(2);
-  const core::ChannelSet::Config defaults;
-  EXPECT_EQ(defaults.down_after_timeouts, 3);
-  EXPECT_EQ(defaults.down_after_naks, 8);
-  EXPECT_EQ(defaults.probe_interval, sim::milliseconds(1));
-  EXPECT_EQ(defaults.probe_bytes, 8u);
-  EXPECT_EQ(defaults.max_tracked_probe_psns, 1024u);
-  EXPECT_EQ(StateStorePrimitive::Config{}.goback_min_interval,
-            sim::microseconds(20));
-
-  core::ChannelSet::Config compressed;
-  compressed.down_after_timeouts = 1;
-  compressed.down_after_naks = 2;
-  compressed.probe_interval = 0;  // out-of-band recovery only
-  compressed.max_tracked_probe_psns = 4;
-  core::ChannelSet set(tb_->tor(), pool(4096), compressed);
-
-  set.note_timeout(0);
-  EXPECT_FALSE(set.is_up(0)) << "one timeout trips the compressed threshold";
-  set.note_ok(0);
-  EXPECT_TRUE(set.is_up(0));
-
-  set.note_nak(1, roce::AckSyndrome::kNakRemoteAccessError);
-  EXPECT_TRUE(set.is_up(1));
-  set.note_nak(1, roce::AckSyndrome::kNakRemoteAccessError);
-  EXPECT_FALSE(set.is_up(1)) << "two broken-responder NAKs trip it";
-}
-
 // Satellite: repost_* keeps the original PSN (no register advance), the
 // tracer records the retransmit, and a stale duplicate close is ignored.
 TEST_F(FaultInjectionTest, RepostKeepsOriginalPsnAndResponderExecutesOnce) {

@@ -1,9 +1,11 @@
 // Unit tests for core::InflightTable: PSN-ordered lookup and iteration
-// across the 24-bit wrap, snapshot order, Karn's rule on completion, and
-// the shared recovery timer.
+// across the 24-bit wrap, snapshot order, expiry against the one fixed
+// deadline, and the shared recovery timer.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/inflight.hpp"
@@ -26,9 +28,8 @@ class InflightTableTest : public ::testing::Test {
  protected:
   using Table = InflightTable<int>;
 
-  Table make(std::size_t shards, AdaptiveRtoConfig rto = {}) {
-    return Table(sim_, shards, sim::microseconds(100), rto,
-                 [this]() { ++fired_; });
+  Table make(std::size_t shards) {
+    return Table(sim_, shards, sim::microseconds(100), [this]() { ++fired_; });
   }
 
   /// Adds `psns` to `shard` with op = position in the run.
@@ -92,11 +93,6 @@ TEST_F(InflightTableTest, ForEachFromAPsnWalksTheSuffixInPsnOrder) {
   // A start PSN that was erased begins at its successor.
   ASSERT_TRUE(t.erase(0, Psn(0)).has_value());
   EXPECT_EQ(ops(t, 0, Psn(0)), (std::vector<int>{5, 6, 7}));
-
-  // Entries are mutable through for_each (how reposts mark Karn state).
-  t.for_each(0, [](Table::Entry& e) { e.retransmitted = true; }, Psn(2));
-  EXPECT_FALSE(t.find(0, Psn(1))->retransmitted);
-  EXPECT_TRUE(t.find(0, Psn(2))->retransmitted);
 }
 
 TEST_F(InflightTableTest, KeysAndTakeFollowShardThenPsnOrder) {
@@ -132,55 +128,63 @@ TEST_F(InflightTableTest, KeysAndTakeFollowShardThenPsnOrder) {
   EXPECT_EQ(t.size(0), 2u);
 }
 
-TEST_F(InflightTableTest, CompleteAppliesBothHalvesOfKarnsRule) {
-  AdaptiveRtoConfig rto;
-  rto.enabled = true;
-  Table t = make(1, rto);
-  t.add(0, Psn(1), 1);
-  t.add(0, Psn(2), 2);
-  t.find(0, Psn(2))->retransmitted = true;
-  t.note_timeout(0);
-  ASSERT_EQ(t.rto(0).backoff(), 1u);
+TEST_F(InflightTableTest, ExpireTakesDueOpsInShardThenPsnOrder) {
+  Table t = make(2);
+  fill(t, 1, run_of(0xfffffe, 2));  // 0xfffffe, 0xffffff: ops 0, 1
+  t.add(0, Psn(10), 10);
+  sim_.run_until(sim::microseconds(50));
+  t.add(0, Psn(11), 11);
+  t.add(1, Psn(0), 2);  // past the wrap
 
-  // A retransmitted op's response: no sample, and no backoff reset.
-  sim_.run_until(sim::microseconds(30));
-  const auto ambiguous = t.complete(0, Psn(2));
-  ASSERT_TRUE(ambiguous.has_value());
-  EXPECT_FALSE(t.rto(0).has_samples());
-  EXPECT_EQ(t.rto(0).backoff(), 1u);
+  // At 100 us the ops sent at 0 are exactly one deadline old: due. The
+  // ones sent at 50 us are not.
+  sim_.run_until(sim::microseconds(100));
+  std::vector<std::pair<std::size_t, int>> expired;
+  t.expire([&](std::size_t shard, Table::Entry& e) {
+    expired.emplace_back(shard, e.op);
+  });
+  EXPECT_EQ(expired, (std::vector<std::pair<std::size_t, int>>{
+                         {0, 10}, {1, 0}, {1, 1}}));
+  EXPECT_EQ(t.size(), 2u);
+  ASSERT_NE(t.find(0, Psn(11)), nullptr);
+  ASSERT_NE(t.find(1, Psn(0)), nullptr);
 
-  // A clean one samples its RTT and ends the backoff episode.
-  const auto clean = t.complete(0, Psn(1));
-  ASSERT_TRUE(clean.has_value());
-  EXPECT_TRUE(t.rto(0).has_samples());
-  EXPECT_EQ(t.rto(0).srtt(), sim::microseconds(30));
-  EXPECT_EQ(t.rto(0).backoff(), 0u);
-
-  // erase() never samples; a duplicate completion finds nothing.
-  t.add(0, Psn(3), 3);
-  sim_.run_until(sim::microseconds(90));
-  EXPECT_TRUE(t.erase(0, Psn(3)).has_value());
-  EXPECT_EQ(t.rto(0).srtt(), sim::microseconds(30));
-  EXPECT_FALSE(t.complete(0, Psn(1)).has_value());
+  // Nothing else is due until the younger ops age.
+  t.expire([&](std::size_t, Table::Entry&) { ADD_FAILURE(); });
+  sim_.run_until(sim::microseconds(150));
+  expired.clear();
+  t.expire([&](std::size_t shard, Table::Entry& e) {
+    expired.emplace_back(shard, e.op);
+  });
+  EXPECT_EQ(expired,
+            (std::vector<std::pair<std::size_t, int>>{{0, 11}, {1, 2}}));
+  EXPECT_EQ(t.size(), 0u);
 }
 
-TEST_F(InflightTableTest, DeadlinesAreFixedUnlessAdaptive) {
-  Table fixed = make(2);
-  fixed.note_timeout(1);
-  EXPECT_EQ(fixed.timeout(0), sim::microseconds(100));
-  EXPECT_EQ(fixed.timeout(1), sim::microseconds(100));
-  EXPECT_EQ(fixed.min_timeout(), sim::microseconds(100));
+// The lookup table's path: one expiry trips a down transition whose
+// handler reclaims the rest of the shard with take(). expire() must skip
+// the reclaimed ops and leave an op posted from inside the callback.
+TEST_F(InflightTableTest, ExpireSkipsOpsAnEarlierCallbackReclaimed) {
+  Table t = make(2);
+  fill(t, 0, run_of(1, 3));  // psns 1, 2, 3: ops 0, 1, 2
+  t.add(1, Psn(7), 7);
+  sim_.run_until(sim::microseconds(100));
 
-  AdaptiveRtoConfig rto;
-  rto.enabled = true;
-  rto.jitter_fraction = 0.0;
-  Table adaptive = make(2, rto);
-  EXPECT_EQ(adaptive.timeout(0), rto.initial_rto);
-  adaptive.note_timeout(1);
-  EXPECT_EQ(adaptive.timeout(1), 2 * rto.initial_rto);
-  EXPECT_EQ(adaptive.min_timeout(), rto.initial_rto);
-  adaptive.reset_rto(1);
-  EXPECT_EQ(adaptive.timeout(1), rto.initial_rto);
+  std::vector<int> expired;
+  std::deque<Table::Entry> reclaimed;
+  t.expire([&](std::size_t shard, Table::Entry& e) {
+    expired.push_back(e.op);
+    if (shard == 0 && reclaimed.empty()) {
+      reclaimed = t.take(0);
+      t.add(0, Psn(4), 3);  // a fresh post after the reclaim
+    }
+  });
+  EXPECT_EQ(expired, (std::vector<int>{0, 7}));
+  ASSERT_EQ(reclaimed.size(), 2u);
+  EXPECT_EQ(reclaimed[0].op, 1);
+  EXPECT_EQ(reclaimed[1].op, 2);
+  EXPECT_EQ(t.size(), 1u);
+  ASSERT_NE(t.find(0, Psn(4)), nullptr);
 }
 
 TEST_F(InflightTableTest, TimerFiresWhileOpsAreInFlightAndRearms) {
@@ -202,29 +206,12 @@ TEST_F(InflightTableTest, TimerFiresWhileOpsAreInFlightAndRearms) {
 // A deadline of zero re-arms the timer at the same instant for as long
 // as ops are in flight, so the simulation never advances.
 TEST_F(InflightTableTest, RejectsDeadlinesThatCannotAdvance) {
-  const auto table = [this](sim::Time fixed, AdaptiveRtoConfig rto) {
-    return Table(sim_, 1, fixed, rto, [] {});
+  const auto table = [this](sim::Time timeout) {
+    return Table(sim_, 1, timeout, [] {});
   };
-  const sim::Time ok = sim::microseconds(100);
-  EXPECT_THROW(table(0, {}), std::invalid_argument);
-  EXPECT_THROW(table(-1, {}), std::invalid_argument);
-  EXPECT_THROW(table(ok, {.enabled = true, .initial_rto = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(table(ok, {.enabled = true, .min_rto = 0}),
-               std::invalid_argument);
-  // std::clamp(srtt + 4 rttvar, min_rto, max_rto) needs min <= max.
-  EXPECT_THROW(table(ok, {.min_rto = sim::milliseconds(9),
-                          .max_rto = sim::milliseconds(8)}),
-               std::invalid_argument);
-  // 8 ms << 31 overflows a signed 64-bit picosecond clock; << 30 fits.
-  EXPECT_THROW(table(ok, {.max_backoff = 31}), std::invalid_argument);
-  EXPECT_THROW(table(ok, {.max_backoff = 64}), std::invalid_argument);
-  EXPECT_NO_THROW(table(ok, {.max_backoff = 30}));
-  // An initial RTO below the floor stays legal: it applies until the
-  // first sample.
-  EXPECT_NO_THROW(table(ok, {.enabled = true,
-                             .initial_rto = sim::microseconds(1),
-                             .min_rto = sim::microseconds(5)}));
+  EXPECT_THROW(table(0), std::invalid_argument);
+  EXPECT_THROW(table(-1), std::invalid_argument);
+  EXPECT_NO_THROW(table(1));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -552,29 +551,6 @@ TEST_P(TransmissionRoundTrip, RateRecoversBytes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, TransmissionRoundTrip,
                          ::testing::Values(1, 60, 64, 128, 512, 1024, 1500,
                                            1518, 4096, 9000, 65536, 1 << 20));
-
-TEST(Log, FixedWidthPrefixAlignsComponents) {
-  auto& logger = Logger::global();
-  const LogLevel saved = logger.level();
-  std::vector<std::string> lines;
-  logger.set_sink([&](LogLevel, const std::string& line) {
-    lines.push_back(line);
-  });
-  logger.set_level(LogLevel::Debug);
-
-  logger.log(LogLevel::Info, microseconds(3) + nanoseconds(500), "rnic",
-             "qp up");
-  logger.log(LogLevel::Info, milliseconds(12), "switch/tm", "queue full");
-
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "       3.500us rnic               qp up");
-  EXPECT_EQ(lines[1], "   12000.000us switch/tm          queue full");
-  // The message column starts at the same offset on every line.
-  EXPECT_EQ(lines[0].find("qp up"), lines[1].find("queue full"));
-
-  logger.set_level(saved);
-  logger.set_sink([](LogLevel, const std::string&) {});
-}
 
 }  // namespace
 }  // namespace xmem::sim
