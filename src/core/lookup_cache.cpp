@@ -279,35 +279,6 @@ bool LookupCache::invalidate(const Key& key) {
   return true;
 }
 
-std::size_t LookupCache::invalidate_shard(std::uint32_t shard) {
-  std::size_t removed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->second.shard == shard) {
-      eviction_->on_erase(it->second);
-      it = map_.erase(it);
-      ++stats_.invalidations;
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
-void LookupCache::clear() {
-  stats_.invalidations += map_.size();
-  // Drain in sorted key order: the eviction policy observes every
-  // on_erase, so its internal state must not inherit hash order.
-  std::vector<const Key*> keys;
-  keys.reserve(map_.size());
-  for (auto& [key, node] : map_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(), [](const Key* a, const Key* b) {
-    return std::ranges::lexicographical_compare(*a, *b);
-  });
-  for (const Key* key : keys) eviction_->on_erase(map_.at(*key));
-  map_.clear();
-}
-
 void LookupCache::erase_node(Node& node) {
   eviction_->on_erase(node);
   map_.erase(*node.key);  // invalidates `node`

@@ -79,7 +79,7 @@ class LookupCache {
     std::uint64_t inserts = 0;           // positive fills (first time)
     std::uint64_t refreshes = 0;         // positive fills over an entry
     std::uint64_t evictions = 0;         // capacity victims
-    std::uint64_t invalidations = 0;     // invalidate()/clear() removals
+    std::uint64_t invalidations = 0;     // invalidate() removals
     std::uint64_t negative_hits = 0;     // absent-key verdicts served
     std::uint64_t negative_inserts = 0;
     std::uint64_t negative_expired = 0;  // TTL lapses observed on hit
@@ -124,13 +124,6 @@ class LookupCache {
   /// Write-through invalidation hook: the control plane rewrote (or
   /// removed) `key`'s remote entry. True if a local copy was dropped.
   bool invalidate(const Key& key);
-
-  /// Drop every entry filled from `shard` (server reconnect/repopulate).
-  /// Returns the number of entries removed.
-  std::size_t invalidate_shard(std::uint32_t shard);
-
-  /// Drop everything (counted as invalidations).
-  void clear();
 
   /// Counters for every Stats field plus occupancy/capacity gauges under
   /// `<prefix>/...`. Null registry is a no-op.

@@ -109,47 +109,44 @@ void PacketBufferPrimitive::on_ingress(PipelineContext& ctx) {
 }
 
 void PacketBufferPrimitive::store_packet(const net::Packet& packet) {
-  if (head_ - tail_ >= static_cast<std::uint64_t>(capacity_)) {
+  if (ring_.size() >= capacity_) {
     ++stats_.ring_full_drops;  // remote buffer exhausted: best-effort drop
     return;
   }
-  const auto stripe = channels_.route(head_);
+  const std::uint64_t slot = head();
+  const auto stripe = channels_.route(slot);
   if (!stripe) {
     if (config_.reliable_stores) {
       // Defer, don't drop: the slot is allocated *now* so global FIFO
       // order over the stripes survives, and the entry posts when the
       // stripe revives.
-      unacked_slots_.insert(head_);
-      deferred_stores_.emplace(head_, packet.clone());
-      ++head_;
+      ring_.push_back({SlotState::kDeferred, packet.clone()});
       ++stats_.deferred_stores;
-      const std::int64_t d = static_cast<std::int64_t>(head_ - tail_);
-      if (d > stats_.max_ring_depth) stats_.max_ring_depth = d;
+      stats_.max_ring_depth = std::max(stats_.max_ring_depth, ring_depth());
       return;
     }
     // Drop-tail on the dead stripe: the slot is consumed as a hole so
     // the ring keeps striping onto the surviving servers in order, but
     // this packet is gone — a WRITE to a dead server lands nowhere.
-    reorder_.emplace(head_, net::Packet{});
-    ++head_;
+    ring_.push_back({SlotState::kLost, {}});
     ++stats_.dead_stripe_drops;
-    drain_reorder_buffer();
+    drain();
     return;
   }
 
   // The entry, [u32 len][frame], is written straight into the WRITE.
   const roce::Psn psn = channels_.at(*stripe).post_write(
-      slot_va(head_), FramedEntry(packet.bytes()).gather(),
+      slot_va(slot), FramedEntry(packet.bytes()).gather(),
       /*ack_req=*/config_.reliable_stores);
   if (config_.reliable_stores) {
-    unacked_slots_.insert(head_);
-    inflight_.add(*stripe, psn, {head_, true, packet.clone()});
+    ring_.push_back({SlotState::kWriting, packet.clone()});
+    inflight_.add(*stripe, psn, slot);
     inflight_.arm();
+  } else {
+    ring_.push_back({SlotState::kStored, {}});
   }
-  ++head_;
   ++stats_.stored;
-  const std::int64_t depth = static_cast<std::int64_t>(head_ - tail_);
-  if (depth > stats_.max_ring_depth) stats_.max_ring_depth = depth;
+  stats_.max_ring_depth = std::max(stats_.max_ring_depth, ring_depth());
 }
 
 void PacketBufferPrimitive::on_queue_event(QueueEvent event, int port,
@@ -160,15 +157,18 @@ void PacketBufferPrimitive::on_queue_event(QueueEvent event, int port,
 
 void PacketBufferPrimitive::maybe_issue_reads() {
   if (!config_.load_enabled) return;
+  // The drain may have popped holes the reader had not reached yet.
+  next_read_slot_ = std::max(next_read_slot_, tail_);
   bool punched_hole = false;
-  while (next_read_slot_ < head_ &&
+  while (next_read_slot_ < head() &&
          switch_->tm().depth_bytes(config_.watch_port) <=
              config_.resume_threshold_bytes) {
-    if (reorder_.contains(next_read_slot_)) {
+    Slot& slot = at(next_read_slot_);
+    if (slot.state == SlotState::kLost) {
       ++next_read_slot_;  // already a hole (dead-stripe store): skip
       continue;
     }
-    if (unacked_slots_.contains(next_read_slot_)) {
+    if (slot.state != SlotState::kStored) {
       break;  // entry WRITE not acknowledged yet: reading would race it
     }
     const std::size_t chan = channel_of(next_read_slot_);
@@ -176,7 +176,7 @@ void PacketBufferPrimitive::maybe_issue_reads() {
       if (config_.reliable_loads) break;  // hold: data survives in its DRAM
       // Best-effort: the stored frame is unreachable; hole it so the
       // drain keeps moving over the surviving stripes.
-      reorder_.emplace(next_read_slot_, net::Packet{});
+      slot.state = SlotState::kLost;
       ++stats_.lost_loads;
       ++next_read_slot_;
       punched_hole = true;
@@ -186,31 +186,32 @@ void PacketBufferPrimitive::maybe_issue_reads() {
     const roce::Psn psn = channels_.at(chan).post_read(
         slot_va(next_read_slot_),
         static_cast<std::uint32_t>(config_.entry_bytes));
-    inflight_.add(chan, psn, {next_read_slot_, false, {}});
+    inflight_.add(chan, psn, next_read_slot_);
+    slot.state = SlotState::kReading;
     ++reads_per_stripe_[chan];
     ++next_read_slot_;
     // Reliable mode uses the timer to retransmit; unreliable mode uses it
     // as a scavenger so a lost final response cannot wedge the drain.
     inflight_.arm();
   }
-  if (punched_hole) drain_reorder_buffer();
+  if (punched_hole) drain();
 }
 
 std::optional<std::uint64_t> PacketBufferPrimitive::complete(
-    std::size_t stripe, roce::Psn psn, bool write) {
+    std::size_t stripe, roce::Psn psn, SlotState state) {
   const Inflight::Entry* t = inflight_.find(stripe, psn);
-  if (t == nullptr || t->op.write != write) {
+  if (t == nullptr || at(t->op).state != state) {
     ++stats_.duplicate_responses;  // stale or duplicated delivery
     return std::nullopt;
   }
-  return inflight_.erase(stripe, psn)->op.slot;
+  return inflight_.erase(stripe, psn)->op;
 }
 
 void PacketBufferPrimitive::handle_response(std::size_t channel_index,
                                             const roce::RoceMessage& msg) {
   const roce::Opcode op = msg.opcode();
   if (roce::is_read_response(op)) {
-    const auto slot = complete(channel_index, msg.bth.psn, /*write=*/false);
+    const auto slot = complete(channel_index, msg.bth.psn, SlotState::kReading);
     if (!slot) return;
     // Bookkeeping before note_ok(): it may run the up-transition
     // recovery synchronously, which must see this READ as done.
@@ -220,16 +221,21 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
     channels_.at(channel_index).trace_complete(msg.bth.psn);
 
     // Decapsulate [u32 len][frame] back into the original packet, a
-    // slice of the response frame.
+    // slice of the response frame. A corrupt entry, or an empty one whose
+    // WRITE never landed, is counted lost and holed.
+    Slot& s = at(*slot);
     try {
-      net::Packet packet = unframe(msg.payload, 0);
-      packet.meta().from_remote_buffer = true;
-      reorder_.emplace(*slot, std::move(packet));
+      s.frame = unframe(msg.payload, 0);
+      s.frame.meta().from_remote_buffer = true;
     } catch (const net::BufferError&) {
-      ++stats_.lost_loads;  // corrupt entry: count and move on
-      reorder_.emplace(*slot, net::Packet{});
     }
-    drain_reorder_buffer();
+    if (s.frame.size() > 0) {
+      s.state = SlotState::kLoaded;
+    } else {
+      s = {SlotState::kLost, {}};
+      ++stats_.lost_loads;
+    }
+    drain();
     maybe_issue_reads();
     return;
   }
@@ -237,9 +243,9 @@ void PacketBufferPrimitive::handle_response(std::size_t channel_index,
   if (op == roce::Opcode::kAcknowledge &&
       (!msg.aeth || !msg.aeth->is_nak())) {
     // Positive ACK: completes a reliable-store WRITE.
-    const auto slot = complete(channel_index, msg.bth.psn, /*write=*/true);
+    const auto slot = complete(channel_index, msg.bth.psn, SlotState::kWriting);
     if (!slot) return;
-    unacked_slots_.erase(*slot);
+    at(*slot) = {SlotState::kStored, {}};
     last_read_progress_ = switch_->simulator().now();
     channels_.note_ok(channel_index);
     channels_.at(channel_index).trace_complete(msg.bth.psn);
@@ -285,27 +291,30 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
       // responder re-executes duplicates of self-contained writes
       // idempotently).
       inflight_.for_each(shard, [&](const Inflight::Entry& t) {
-        if (t.op.write) repost(shard, t);
+        if (at(t.op).state == SlotState::kWriting) repost(shard, t);
       });
       // Post the entries that were parked while the stripe was down.
-      std::vector<std::uint64_t> posted;
-      for (auto& [slot, frame] : deferred_stores_) {
-        if (channel_of(slot) != shard) continue;
+      bool posted = false;
+      for (std::uint64_t slot = tail_; slot < head(); ++slot) {
+        Slot& s = at(slot);
+        if (channel_of(slot) != shard || s.state != SlotState::kDeferred) {
+          continue;
+        }
         const roce::Psn psn = channels_.at(shard).post_write(
-            slot_va(slot), FramedEntry(frame.bytes()).gather(),
+            slot_va(slot), FramedEntry(s.frame.bytes()).gather(),
             /*ack_req=*/true);
-        inflight_.add(shard, psn, {slot, true, std::move(frame)});
+        inflight_.add(shard, psn, slot);
+        s.state = SlotState::kWriting;
         ++stats_.stored;
-        posted.push_back(slot);
+        posted = true;
       }
-      for (const std::uint64_t slot : posted) deferred_stores_.erase(slot);
-      if (!posted.empty()) inflight_.arm();
+      if (posted) inflight_.arm();
     }
     if (config_.reliable_loads) {
       // The stripe is back and its DRAM still holds our frames:
       // re-request everything that was outstanding when it died.
       inflight_.for_each(shard, [&](const Inflight::Entry& t) {
-        if (!t.op.write) repost(shard, t);
+        if (at(t.op).state == SlotState::kReading) repost(shard, t);
       });
     }
     maybe_issue_reads();
@@ -317,80 +326,62 @@ void PacketBufferPrimitive::on_health_change(std::size_t shard,
   // moves on.
   const auto reads = inflight_.keys(
       [&](std::size_t s, const Inflight::Entry& t) {
-        return s == shard && !t.op.write;
+        return s == shard && at(t.op).state == SlotState::kReading;
       });
   for (const auto& key : reads) {
-    const auto t = inflight_.erase(shard, key.psn);
+    at(inflight_.erase(shard, key.psn)->op).state = SlotState::kLost;
     --reads_per_stripe_[shard];
-    reorder_.emplace(t->op.slot, net::Packet{});
     ++stats_.lost_loads;
     channels_.at(shard).trace_complete(key.psn, "failover");
   }
-  drain_reorder_buffer();
+  drain();
   maybe_issue_reads();
 }
 
 void PacketBufferPrimitive::repost(std::size_t stripe,
                                    const Inflight::Entry& t) {
-  if (t.op.write) {
+  const Slot& slot = at(t.op);
+  if (slot.state == SlotState::kWriting) {
     channels_.at(stripe).repost_write(
-        slot_va(t.op.slot), FramedEntry(t.op.frame.bytes()).gather(), t.psn);
+        slot_va(t.op), FramedEntry(slot.frame.bytes()).gather(), t.psn);
     ++stats_.write_retries;
   } else {
     channels_.at(stripe).repost_read(
-        slot_va(t.op.slot), static_cast<std::uint32_t>(config_.entry_bytes),
+        slot_va(t.op), static_cast<std::uint32_t>(config_.entry_bytes),
         t.psn);
     ++stats_.read_retries;
   }
 }
 
-bool PacketBufferPrimitive::read_in_flight(std::uint64_t slot) {
-  bool found = false;
-  inflight_.for_each(channel_of(slot), [&](const Inflight::Entry& t) {
-    found = found || (!t.op.write && t.op.slot == slot);
-  });
-  return found;
-}
-
-void PacketBufferPrimitive::drain_reorder_buffer() {
-  while (tail_ < head_) {
-    auto it = reorder_.find(tail_);
-    if (it != reorder_.end()) {
-      net::Packet packet = std::move(it->second);
-      reorder_.erase(it);
-      if (packet.size() > 0) {
-        if (config_.ecn_mark_ring_depth > 0 &&
-            ring_depth() > config_.ecn_mark_ring_depth) {
-          // Surface the hidden backlog to end-to-end congestion control:
-          // mark ECT packets CE exactly as a deep physical queue would.
-          try {
-            const auto headers = net::parse_packet(packet);
-            if (headers.ipv4 && headers.ipv4->ecn != net::Ecn::kNotEct) {
-              net::set_ecn(packet, net::Ecn::kCe);
-              ++stats_.ecn_marked;
-            }
-          } catch (const net::BufferError&) {
-          }
+void PacketBufferPrimitive::drain() {
+  while (!ring_.empty() && (ring_.front().state == SlotState::kLoaded ||
+                            ring_.front().state == SlotState::kLost)) {
+    // The ring-depth ECN test counts the slot being drained.
+    const bool mark = config_.ecn_mark_ring_depth > 0 &&
+                      ring_depth() > config_.ecn_mark_ring_depth;
+    Slot slot = std::move(ring_.front());
+    // Advance before inject(): the traffic manager's dequeue watcher can
+    // re-enter the drain, which must start at the next slot.
+    ring_.pop_front();
+    ++tail_;
+    if (slot.state == SlotState::kLost) continue;
+    if (mark) {
+      // Surface the hidden backlog to end-to-end congestion control:
+      // mark ECT packets CE exactly as a deep physical queue would.
+      try {
+        const auto headers = net::parse_packet(slot.frame);
+        if (headers.ipv4 && headers.ipv4->ecn != net::Ecn::kNotEct) {
+          net::set_ecn(slot.frame, net::Ecn::kCe);
+          ++stats_.ecn_marked;
         }
-        switch_->inject(std::move(packet), config_.watch_port);
-        ++stats_.loaded;
+      } catch (const net::BufferError&) {
       }
-      ++tail_;
-      continue;
     }
-    if (!config_.reliable_loads && tail_ < next_read_slot_ &&
-        !read_in_flight(tail_)) {
-      // The READ (or its response) was lost and we do not recover:
-      // the original packet is gone — exactly the paper's best-effort
-      // failure mode.
-      ++stats_.lost_loads;
-      ++tail_;
-      continue;
-    }
-    break;  // waiting on an outstanding or not-yet-issued READ
+    switch_->inject(std::move(slot.frame), config_.watch_port);
+    ++stats_.loaded;
   }
 
-  if (tail_ == head_ &&
+  if (ring_.empty() &&
       std::ranges::all_of(reads_per_stripe_, [](int n) { return n == 0; })) {
     diverting_ = false;  // ring fully drained; back to the fast path
   }
@@ -422,11 +413,11 @@ void PacketBufferPrimitive::on_timeout() {
   // duplicates and executes fresh PSNs, so this is safe whether the
   // request or the response was lost). Stripes that just failed over
   // hold their slots until recovery.
-  for (const bool writes : {true, false}) {
-    if (!writes && !config_.reliable_loads) break;
+  for (const SlotState state : {SlotState::kWriting, SlotState::kReading}) {
+    if (state == SlotState::kReading && !config_.reliable_loads) break;
     for (const auto& key : stale) {
       const Inflight::Entry* t = inflight_.find(key.shard, key.psn);
-      if (t == nullptr || t->op.write != writes ||
+      if (t == nullptr || at(t->op).state != state ||
           !channels_.is_up(key.shard)) {
         continue;
       }
@@ -435,16 +426,18 @@ void PacketBufferPrimitive::on_timeout() {
   }
   if (config_.reliable_loads) return;
   // Best-effort: give up on the stalled READs so the drain keeps moving;
-  // their packets are lost (counted in the drain loop). A down
-  // transition above may already have reclaimed some of them.
+  // their packets are lost. A down transition above may already have
+  // reclaimed some of them.
   for (const auto& key : stale) {
     const Inflight::Entry* t = inflight_.find(key.shard, key.psn);
-    if (t == nullptr || t->op.write) continue;
+    if (t == nullptr || at(t->op).state != SlotState::kReading) continue;
+    at(t->op).state = SlotState::kLost;
+    ++stats_.lost_loads;
     channels_.at(key.shard).trace_complete(key.psn, "lost");
     inflight_.erase(key.shard, key.psn);
     --reads_per_stripe_[key.shard];
   }
-  drain_reorder_buffer();
+  drain();
   maybe_issue_reads();
 }
 

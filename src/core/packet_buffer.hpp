@@ -24,9 +24,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "core/channel_set.hpp"
@@ -84,7 +83,7 @@ class PacketBufferPrimitive {
     std::uint64_t stored = 0;          // packets written to the ring
     std::uint64_t loaded = 0;          // packets read back and re-injected
     std::uint64_t ring_full_drops = 0; // remote buffer exhausted
-    std::uint64_t lost_loads = 0;      // READ data lost (unreliable mode)
+    std::uint64_t lost_loads = 0;      // stored but never re-injected
     std::uint64_t read_retries = 0;    // reliable-mode re-requests
     std::uint64_t write_retries = 0;   // reliable-store retransmits
     std::uint64_t deferred_stores = 0; // stores parked for a down stripe
@@ -118,7 +117,7 @@ class PacketBufferPrimitive {
   [[nodiscard]] std::size_t stripe_width() const { return channels_.size(); }
   /// Entries currently resident in remote memory.
   [[nodiscard]] std::int64_t ring_depth() const {
-    return static_cast<std::int64_t>(head_ - tail_);
+    return static_cast<std::int64_t>(ring_.size());
   }
   [[nodiscard]] bool diverting() const { return diverting_; }
   /// Total slots across all stripes.
@@ -128,8 +127,7 @@ class PacketBufferPrimitive {
   /// fully drained, every store was acknowledged and no READ or
   /// deferred entry is pending.
   [[nodiscard]] bool quiescent() const {
-    return tail_ == head_ && inflight_.size() == 0 &&
-           deferred_stores_.empty();
+    return ring_.empty() && inflight_.size() == 0;
   }
 
   /// §5 microbenchmark control: gate the load path.
@@ -151,14 +149,23 @@ class PacketBufferPrimitive {
   void reconnect(std::size_t stripe, control::RdmaChannelConfig config);
 
  private:
-  /// One slot transfer in flight: a READ awaiting its response, or (with
-  /// reliable_stores) an entry WRITE awaiting its ACK.
-  struct Transfer {
-    std::uint64_t slot = 0;
-    bool write = false;
-    net::Packet frame;  // a WRITE's tenant frame (a clone), for reposts
+  /// A ring slot's one state. The slot holds the one frame its state
+  /// needs: a deferred or writing store keeps its tenant frame (a clone)
+  /// for the post or repost, and a loaded slot the frame it read back.
+  enum class SlotState : std::uint8_t {
+    kDeferred,  // reliable store parked while its stripe is down
+    kWriting,   // reliable store WRITE awaiting its ACK
+    kStored,    // entry in remote DRAM, READ not yet issued
+    kReading,   // READ in flight
+    kLoaded,    // READ answered; the drain re-injects the frame
+    kLost,      // a hole: the data is known lost; the drain skips it
   };
-  using Inflight = InflightTable<Transfer>;
+  struct Slot {
+    SlotState state = SlotState::kStored;
+    net::Packet frame;
+  };
+  /// Transfers in flight per stripe; each entry is the slot it moves.
+  using Inflight = InflightTable<std::uint64_t>;
 
   void on_ingress(switchsim::PipelineContext& ctx);
   void on_queue_event(switchsim::QueueEvent event, int port,
@@ -169,18 +176,21 @@ class PacketBufferPrimitive {
 
   void store_packet(const net::Packet& packet);
   void maybe_issue_reads();
-  void drain_reorder_buffer();
+  void drain();
   void on_timeout();
-  /// Complete the transfer a response answers: READ responses complete
-  /// only READs, ACKs only WRITEs. Returns its slot, or nullopt (counted
-  /// as a duplicate) for a stale or duplicated delivery.
+  /// Complete the transfer a response answers, which must find its slot
+  /// in `state`: READ responses complete only READs, ACKs only WRITEs.
+  /// Returns the slot, or nullopt (counted as a duplicate) for a stale or
+  /// duplicated delivery.
   std::optional<std::uint64_t> complete(std::size_t stripe, roce::Psn psn,
-                                        bool write);
+                                        SlotState state);
   /// Retransmit `t` with its original PSN.
   void repost(std::size_t stripe, const Inflight::Entry& t);
-  /// True when a READ of `slot` is in flight.
-  [[nodiscard]] bool read_in_flight(std::uint64_t slot);
 
+  /// Slot `slot`, which must not have drained yet (a sanitizer build's
+  /// container assertions catch one that has).
+  [[nodiscard]] Slot& at(std::uint64_t slot) { return ring_[slot - tail_]; }
+  [[nodiscard]] std::uint64_t head() const { return tail_ + ring_.size(); }
   [[nodiscard]] std::size_t channel_of(std::uint64_t slot) const {
     return static_cast<std::size_t>(slot % channels_.size());
   }
@@ -197,8 +207,9 @@ class PacketBufferPrimitive {
   // Ring state (all representable as P4 registers).
   std::size_t capacity_ = 0;           // total slots across stripes
   std::size_t per_channel_slots_ = 0;  // slots per stripe
-  std::uint64_t head_ = 0;             // next slot to write (monotonic)
   std::uint64_t tail_ = 0;             // next slot to re-inject (monotonic)
+  /// Slots [tail_, tail_ + size): ring_[slot - tail_].
+  std::deque<Slot> ring_;
   bool diverting_ = false;
 
   std::uint64_t next_read_slot_ = 0;  // next slot to request (monotonic)
@@ -211,17 +222,6 @@ class PacketBufferPrimitive {
   /// Transfers in flight, per stripe, and the READs among them.
   Inflight inflight_;
   std::vector<int> reads_per_stripe_;
-
-  /// Slots whose entry WRITE is not yet acknowledged (or still
-  /// deferred); READs for them are gated.
-  std::unordered_set<std::uint64_t> unacked_slots_;
-  /// slot -> tenant frame (a clone) parked while the slot's stripe is
-  /// down.
-  std::map<std::uint64_t, net::Packet> deferred_stores_;
-  /// slot -> recovered frame; an empty Packet is a *hole* (that slot's
-  /// data is known lost — dead stripe or unrecovered READ) that the
-  /// drain skips over.
-  std::map<std::uint64_t, net::Packet> reorder_;
   sim::Time last_read_progress_ = 0;
 
   Stats stats_;

@@ -102,10 +102,10 @@ void StateStorePrimitive::on_ingress(PipelineContext& ctx) {
   record(*index);
 }
 
-void StateStorePrimitive::make_eligible(std::uint64_t index) {
-  if (eligible_set_.contains(index)) return;
+void StateStorePrimitive::make_eligible(std::uint64_t index, Accumulator& acc) {
+  if (acc.queued) return;
+  acc.queued = true;
   eligible_[shard_of(index)].push_back(index);
-  eligible_set_.insert(index);
 }
 
 void StateStorePrimitive::record(std::uint64_t index) {
@@ -113,10 +113,10 @@ void StateStorePrimitive::record(std::uint64_t index) {
   // is visible in per-shard routing stats (issue() routes the healthy
   // ones when they actually go out).
   if (!channels_.is_up(shard_of(index))) (void)channels_.route(index);
-  auto [it, inserted] = accumulators_.try_emplace(index, 0);
-  it->second += 1;
+  Accumulator& acc = accumulators_[index];
+  ++acc.count;
   ++unflushed_total_;
-  if (it->second >= config_.combining_window) make_eligible(index);
+  if (acc.count >= config_.combining_window) make_eligible(index, acc);
   issue_from_accumulators();
 }
 
@@ -131,10 +131,9 @@ void StateStorePrimitive::issue_from_accumulators() {
            !eligible_[shard].empty()) {
       const std::uint64_t index = eligible_[shard].front();
       eligible_[shard].pop_front();
-      eligible_set_.erase(index);
-      auto it = accumulators_.find(index);
-      if (it == accumulators_.end() || it->second == 0) continue;
-      const std::uint64_t add = it->second;
+      const auto it = accumulators_.find(index);
+      assert(it != accumulators_.end() && it->second.queued);
+      const std::uint64_t add = it->second.count;
       accumulators_.erase(it);
       unflushed_total_ -= add;
       if (add > 1) stats_.accumulated += add - 1;
@@ -233,9 +232,9 @@ void StateStorePrimitive::flush() {
   // inherit the accumulator map's hash order.
   std::vector<std::uint64_t> indices;
   indices.reserve(accumulators_.size());
-  for (const auto& [index, count] : accumulators_) indices.push_back(index);
+  for (const auto& [index, acc] : accumulators_) indices.push_back(index);
   std::sort(indices.begin(), indices.end());
-  for (const std::uint64_t index : indices) make_eligible(index);
+  for (const std::uint64_t i : indices) make_eligible(i, accumulators_.at(i));
   issue_from_accumulators();
 }
 
@@ -296,10 +295,11 @@ void StateStorePrimitive::reclaim_shard(std::size_t shard) {
   // identically run to run, and re-issue follows the original order.
   for (const auto& f : inflight_.take(shard)) {
     if (config_.reliable) {
-      accumulators_[f.op.index] += f.op.add;
+      Accumulator& acc = accumulators_[f.op.index];
+      acc.count += f.op.add;
       unflushed_total_ += f.op.add;
       stats_.failover_reissues += f.op.add;
-      make_eligible(f.op.index);
+      make_eligible(f.op.index, acc);
       channels_.at(shard).trace_complete(f.psn, "failover");
     } else {
       stats_.counts_in_flight_lost += f.op.add;

@@ -34,7 +34,6 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/channel_set.hpp"
@@ -135,6 +134,16 @@ class StateStorePrimitive {
                         const std::string& prefix);
 
  private:
+  /// Local accumulator of one counter index. An index whose count
+  /// reached the combining window is queued once, per home shard, in
+  /// eligible_ awaiting a free outstanding slot on a healthy shard; its
+  /// entry stays until that slot issues it, so every queued index has an
+  /// entry holding at least one count.
+  struct Accumulator {
+    std::uint64_t count = 0;
+    bool queued = false;  // in eligible_
+  };
+
   void on_ingress(switchsim::PipelineContext& ctx);
   void handle_response(std::size_t shard, const roce::RoceMessage& msg);
   void record(std::uint64_t index);
@@ -147,7 +156,7 @@ class StateStorePrimitive {
   /// whole window when nullopt).
   void replay_window(std::size_t shard,
                      std::optional<roce::Psn> from = std::nullopt);
-  void make_eligible(std::uint64_t index);
+  void make_eligible(std::uint64_t index, Accumulator& acc);
 
   [[nodiscard]] std::size_t shard_of(std::uint64_t index) const {
     return channels_.home_shard(index);
@@ -162,16 +171,12 @@ class StateStorePrimitive {
   Config config_;
   std::uint64_t n_counters_ = 0;  // total across shards
 
-  /// Local accumulators (index -> pending count); indices whose count
-  /// reached the combining window queue per home shard in eligible_
-  /// awaiting a free outstanding slot on a healthy shard.
-  std::unordered_map<std::uint64_t, std::uint64_t> accumulators_;
+  std::unordered_map<std::uint64_t, Accumulator> accumulators_;  // by index
   /// Running sum over accumulators_, maintained at every mutation:
   /// unflushed() is a telemetry gauge, sampled every recorder tick, and
   /// walking the map there is O(live flows) per sample.
   std::uint64_t unflushed_total_ = 0;
   std::vector<std::deque<std::uint64_t>> eligible_;  // per shard
-  std::unordered_set<std::uint64_t> eligible_set_;
 
   /// One F&A in flight: the counts it carries, for re-issue or replay.
   struct PendingAdd {

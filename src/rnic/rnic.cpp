@@ -224,7 +224,7 @@ void Rnic::execute(const RoceMessage& msg) {
     ++qp.duplicates_seen;
     const Opcode op = msg.opcode();
     if (op == Opcode::kRdmaWriteOnly) {
-      execute_duplicate_write_only(qp, msg);
+      execute_write(qp, msg, /*advance_sequence=*/false);
     } else if (roce::is_write(op)) {
       if (msg.bth.ack_req) send_ack(qp, msg.bth.psn, AckSyndrome::kAck);
     } else if (roce::is_read_request(op)) {
@@ -264,34 +264,8 @@ void Rnic::execute(const RoceMessage& msg) {
   }
 }
 
-void Rnic::execute_duplicate_write_only(QueuePair& qp,
-                                        const RoceMessage& msg) {
-  assert(msg.reth.has_value());
-  if (!payload_fits_reth(msg)) {
-    ++qp.naks_sent;
-    send_ack(qp, msg.bth.psn, AckSyndrome::kNakInvalidRequest);
-    return;
-  }
-  const MemStatus status = memory_.check(msg.reth->rkey, msg.reth->va,
-                                         msg.reth->dma_len,
-                                         Access::kRemoteWrite);
-  if (status != MemStatus::kOk) {
-    ++qp.naks_sent;
-    send_ack(qp, msg.bth.psn, AckSyndrome::kNakRemoteAccessError);
-    return;
-  }
-  MemoryRegion* region = memory_.find(msg.reth->rkey);
-  if (!msg.payload.empty()) {
-    auto window = region->window(msg.reth->va, msg.payload.size());
-    std::copy(msg.payload.begin(), msg.payload.end(), window.begin());
-  }
-  // No epsn/msn advance: this PSN was already consumed by the sequence.
-  ++stats_.writes;
-  stats_.bytes_written += static_cast<std::int64_t>(msg.payload.size());
-  if (msg.bth.ack_req) send_ack(qp, msg.bth.psn, AckSyndrome::kAck);
-}
-
-void Rnic::execute_write(QueuePair& qp, const RoceMessage& msg) {
+void Rnic::execute_write(QueuePair& qp, const RoceMessage& msg,
+                         bool advance_sequence) {
   const Opcode op = msg.opcode();
   std::uint64_t va = 0;
   std::uint32_t rkey = 0;
@@ -338,12 +312,15 @@ void Rnic::execute_write(QueuePair& qp, const RoceMessage& msg) {
     std::copy(msg.payload.begin(), msg.payload.end(), window.begin());
   }
 
-  qp.epsn = roce::psn_add(qp.epsn, 1);
   ++stats_.writes;
   stats_.bytes_written += static_cast<std::int64_t>(msg.payload.size());
-  if (op == Opcode::kRdmaWriteOnly || op == Opcode::kRdmaWriteLast) {
-    ++qp.writes_executed;
-    qp.msn = (qp.msn + 1) & 0xffffff;
+  // A duplicate's PSN was already consumed by the sequence.
+  if (advance_sequence) {
+    qp.epsn = roce::psn_add(qp.epsn, 1);
+    if (op == Opcode::kRdmaWriteOnly || op == Opcode::kRdmaWriteLast) {
+      ++qp.writes_executed;
+      qp.msn = (qp.msn + 1) & 0xffffff;
+    }
   }
   if (msg.bth.ack_req) {
     send_ack(qp, msg.bth.psn, AckSyndrome::kAck);

@@ -161,9 +161,11 @@ class Rnic {
   void send_read_response(QueuePair& qp, roce::Psn first_psn,
                           std::span<const std::uint8_t> data);
 
-  void execute_duplicate_write_only(QueuePair& qp,
-                                    const roce::RoceMessage& msg);
-  void execute_write(QueuePair& qp, const roce::RoceMessage& msg);
+  /// `advance_sequence` is false for a duplicate (an already-consumed
+  /// PSN): the op is re-applied and answered, and epsn, msn and the
+  /// executed counts stay as they are.
+  void execute_write(QueuePair& qp, const roce::RoceMessage& msg,
+                     bool advance_sequence = true);
   void execute_read(QueuePair& qp, const roce::RoceMessage& msg,
                     bool advance_sequence = true);
   void execute_atomic(QueuePair& qp, const roce::RoceMessage& msg);

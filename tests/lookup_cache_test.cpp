@@ -152,19 +152,6 @@ TEST(LookupCacheTest, InvalidateDropsExactlyTheKey) {
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
-TEST(LookupCacheTest, InvalidateShardDropsOnlyThatShardsFills) {
-  LookupCache cache({.capacity = 8});
-  for (int i = 0; i < 6; ++i) {
-    cache.insert(key_of(i), forward_to(1), /*shard=*/i % 2 == 0 ? 0u : 1u, 0,
-                 0);
-  }
-  EXPECT_EQ(cache.invalidate_shard(1), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(present(cache, i), i % 2 == 0) << "key " << i;
-  }
-}
-
 TEST(LookupCacheTest, NegativeEntryServesThenExpires) {
   LookupCache cache(
       {.capacity = 4, .negative_ttl = sim::microseconds(10)});
@@ -190,14 +177,6 @@ TEST(LookupCacheTest, NegativeInsertIsNoopWhenDisabled) {
   cache.insert_negative(key_of(1), 0, 0, 0);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().negative_inserts, 0u);
-}
-
-TEST(LookupCacheTest, ClearCountsInvalidations) {
-  LookupCache cache({.capacity = 4});
-  for (int i = 0; i < 3; ++i) cache.insert(key_of(i), forward_to(1), 0, 0, 0);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 3u);
 }
 
 TEST(LookupCacheTest, RejectsInvalidConfigsAtConstruction) {
