@@ -41,9 +41,8 @@ Outcome run(double stored_fraction) {
   apps::KvAcceleratorApp accel(
       tb.tor(), channel,
       apps::KvAcceleratorApp::Config{.backend_port = tb.port_of(2)});
-  apps::KvBackend backend(
-      tb.host(2), control::ChannelController::region_bytes(tb.host(2), channel),
-      {});
+  apps::KvBackend backend(tb.host(2), control::ChannelController::region_bytes(
+                                          tb.host(2), channel));
   const auto stored = static_cast<std::uint64_t>(
       static_cast<double>(kKeys) * stored_fraction);
   for (std::uint64_t k = 1; k <= stored; ++k) backend.put(k, k * 100);

@@ -62,8 +62,8 @@ Outcome run(bool with_dctcp) {
       });
 
   host::PacketSink sink(tb.host(2), /*install=*/false);
-  host::EcnEchoReceiver receiver(tb.host(2), {.window = 32},
-                                 [&](const net::Packet& p) { sink.accept(p); });
+  host::EcnEchoReceiver receiver(
+      tb.host(2), [&](const net::Packet& p) { sink.accept(p); });
 
   std::vector<std::unique_ptr<host::DctcpSender>> dctcp;
   std::vector<std::unique_ptr<host::CbrTrafficGen>> cbr;

@@ -70,13 +70,15 @@ int main(int argc, char** argv) {
       {.reliable = true, .retransmit_timeout = sim::microseconds(50)});
 
   // Telemetry plane: registry + armed flight recorder + sampler. The
-  // recorder tracks every store metric at 25 us resolution and derives
-  // the goodput rate from the acks_received counter.
+  // flight ring gets the shard's down/up transitions and the fault
+  // actions; the sampler tracks every store metric at 25 us resolution
+  // and derives the goodput rate from the acks_received counter.
   telemetry::MetricsRegistry registry;
   telemetry::FlightRecorder flight(tb.sim());
   flight.set_registry(&registry);
   telemetry::register_sim_metrics(registry, tb.sim());
   store.attach_telemetry(&registry, nullptr, "store");
+  store.channels().set_flight_recorder(&flight);
 
   // Scripted outage: hang the memory server's RNIC, restart it 600 us
   // later. The restart hook is the control plane: rebuild the channel
@@ -160,6 +162,21 @@ int main(int argc, char** argv) {
   const double dip_ratio = pre > 0 ? out / pre : 1.0;
   const double recovery_ratio = pre > 0 ? post / pre : 0.0;
 
+  // The shard's health transitions, as the flight ring recorded them.
+  std::uint64_t ring_downs = 0;
+  std::uint64_t ring_ups = 0;
+  for (const auto& e : flight.events()) {
+    if (e.subject != 0) continue;
+    if (e.kind == static_cast<std::uint8_t>(
+                      telemetry::FlightEventKind::kChannelDown)) {
+      ++ring_downs;
+    } else if (e.kind == static_cast<std::uint8_t>(
+                             telemetry::FlightEventKind::kChannelUp)) {
+      ++ring_ups;
+    }
+  }
+  const auto& shard = store.channels().shard_stats(0);
+
   stats::TablePrinter table({"phase", "window", "goodput"});
   table.add_row({"pre-fault", "200..900 us",
                  stats::TablePrinter::num(pre / 1e6) + " Mops"});
@@ -213,5 +230,10 @@ int main(int argc, char** argv) {
                   "pre-fault)");
   results.verdict(flight.total_recorded() >= 2,
                   "flight recorder captured the fault actions");
+  results.verdict(ring_downs >= 1 && ring_ups >= 1 &&
+                      ring_downs == shard.down_transitions &&
+                      ring_ups == shard.up_transitions,
+                  "flight recorder holds the shard's channel_down and "
+                  "channel_up events");
   return results.finish();
 }

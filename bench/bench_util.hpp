@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/parallel/thread_pool.hpp"
 #include "stats/table_printer.hpp"
 #include "telemetry/json.hpp"
 
@@ -37,8 +36,7 @@ inline std::string flag_value(int argc, char** argv, const std::string& flag) {
 /// Worker count for sweep-capable benches: `--jobs N` on the command
 /// line wins, then the XMEM_JOBS env knob, then host cores (all via
 /// sim::par::resolve_jobs). Returns the request (0 = auto) rather than
-/// resolving, so SweepDriver/ThreadPool stay the single resolution
-/// point.
+/// resolving, so SweepDriver stays the single resolution point.
 inline std::size_t parse_jobs(int argc, char** argv) {
   const long v = std::strtol(flag_value(argc, argv, "--jobs").c_str(),
                              nullptr, 10);

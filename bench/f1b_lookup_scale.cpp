@@ -95,7 +95,7 @@ std::vector<apps::VipMapping> mappings_for(control::Testbed& tb,
 /// (a) SRAM table + software-vswitch slow path.
 Row run_sram_cpu(std::uint64_t vips, sim::Bandwidth rate) {
   control::Testbed tb;  // h0 client, h1 physical host, h2 vswitch server
-  apps::SoftwareVSwitch vswitch(tb.host(2), {});
+  apps::SoftwareVSwitch vswitch(tb.host(2));
   const auto mappings = mappings_for(tb, vips);
   for (const auto& m : mappings) vswitch.add_mapping(m);
 

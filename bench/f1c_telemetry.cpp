@@ -171,7 +171,7 @@ class Scenario {
         store_(tb_.tor(), exact_channel_, {}),
         sketch_channel_(tb_.controller().setup_channel(
             tb_.host(2), tb_.port_of(2), {.region_bytes = 3 * 4096 * 8})),
-        sketch_(tb_.tor(), sketch_channel_, {.rows = 3}),
+        sketch_(tb_.tor(), sketch_channel_),
         sink_(tb_.host(1)),
         tracer_(tb_.sim()),
         flight_(tb_.sim()),

@@ -125,8 +125,7 @@ double native_gbps(bool use_read, std::size_t message_bytes) {
   auto& client_qp = client.rnic().create_qp();
   server.rnic().connect_qp(server_qp.qpn, client.endpoint(), client_qp.qpn,
                            roce::Psn(0));
-  core::RcRequester requester(tb.sim(), client.rnic(), client_qp.qpn,
-                              {.max_inflight_packets = 64});
+  core::RcRequester requester(tb.sim(), client.rnic(), client_qp.qpn);
   requester.connect(server.endpoint(), server_qp.qpn, roce::Psn(0),
                     mr.rkey());
 

@@ -92,7 +92,7 @@ CpuRow state_store_cpu() {
 /// Contrast: a software vswitch doing the lookup workload on its CPU.
 CpuRow vswitch_cpu() {
   control::Testbed tb;
-  apps::SoftwareVSwitch vswitch(tb.host(2), {});
+  apps::SoftwareVSwitch vswitch(tb.host(2));
   vswitch.add_mapping(apps::VipMapping{net::Ipv4Address(172, 16, 0, 1),
                                        tb.host(1).ip(), tb.host(1).mac(), 0});
   host::PacketSink sink(tb.host(1));

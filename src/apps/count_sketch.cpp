@@ -1,6 +1,7 @@
 #include "apps/count_sketch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "core/primitive.hpp"
@@ -12,28 +13,14 @@ namespace xmem::apps {
 using switchsim::PipelineContext;
 
 CountSketchApp::CountSketchApp(switchsim::ProgrammableSwitch& sw,
-                               control::RdmaChannelConfig channel,
-                               Config config)
+                               control::RdmaChannelConfig channel)
     : channel_(sw, std::move(channel)),
-      config_(config),
+      columns_(channel_.config().region_bytes / 8 / kRows),
       inflight_(sw.simulator(), 1, kResponseTimeout,
                 [this]() { on_timeout(); }) {
-  if (config_.rows == 0) {
-    throw std::invalid_argument("CountSketchApp: rows must be >= 1");
-  }
-  // A zero window never sends: every update would queue forever.
-  if (config_.max_outstanding <= 0) {
-    throw std::invalid_argument("CountSketchApp: max_outstanding must be > 0");
-  }
-  const std::size_t cells = channel_.config().region_bytes / 8;
-  columns_ = config_.columns != 0 ? config_.columns : cells / config_.rows;
   if (columns_ == 0) {
     throw std::invalid_argument(
         "CountSketchApp: region holds no column of 8 B counters per row");
-  }
-  if (config_.rows > cells / columns_) {
-    throw std::invalid_argument(
-        "CountSketchApp: rows x columns x 8 B exceeds the region");
   }
 
   sw.add_ingress_stage("count-sketch",
@@ -50,7 +37,7 @@ std::optional<std::uint64_t> CountSketchApp::flow_key(
 std::uint64_t CountSketchApp::column_of(std::size_t row,
                                         std::uint64_t key) const {
   // Mix the row into the key with distinct multipliers per row.
-  std::uint64_t x = key ^ (config_.seed + 0x9e3779b97f4a7c15ULL * (row + 1));
+  std::uint64_t x = key ^ (kSeed + 0x9e3779b97f4a7c15ULL * (row + 1));
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
   x ^= x >> 33;
@@ -59,7 +46,7 @@ std::uint64_t CountSketchApp::column_of(std::size_t row,
 
 std::int64_t CountSketchApp::sign_of(std::size_t row,
                                      std::uint64_t key) const {
-  std::uint64_t x = key ^ (config_.seed * (2 * row + 3));
+  std::uint64_t x = key ^ (kSeed * (2 * row + 3));
   x ^= x >> 29;
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 32;
@@ -78,7 +65,7 @@ void CountSketchApp::on_ingress(PipelineContext& ctx) {
   if (!key) return;
   ++stats_.sampled_packets;
 
-  for (std::size_t row = 0; row < config_.rows; ++row) {
+  for (std::size_t row = 0; row < kRows; ++row) {
     const std::uint64_t column = column_of(row, *key);
     const std::int64_t sign = sign_of(row, *key);
     queue_.push_back(Update{
@@ -90,8 +77,7 @@ void CountSketchApp::on_ingress(PipelineContext& ctx) {
 }
 
 void CountSketchApp::pump() {
-  const auto window = static_cast<std::size_t>(config_.max_outstanding);
-  while (inflight_.size() < window && !queue_.empty()) {
+  while (inflight_.size() < kMaxOutstanding && !queue_.empty()) {
     const Update u = queue_.front();
     queue_.pop_front();
     inflight_.add(0, channel_.post_fetch_add(u.va, u.add), u);
@@ -116,18 +102,16 @@ void CountSketchApp::on_timeout() {
 
 std::int64_t CountSketchApp::estimate(std::span<const std::uint8_t> region,
                                       std::uint64_t key) const {
-  std::vector<std::int64_t> values;
-  values.reserve(config_.rows);
-  for (std::size_t row = 0; row < config_.rows; ++row) {
+  static_assert(kRows % 2 == 1, "the median of an odd row count is a row");
+  std::array<std::int64_t, kRows> values{};
+  for (std::size_t row = 0; row < kRows; ++row) {
     const std::uint64_t column = column_of(row, key);
     const std::size_t offset = (row * columns_ + column) * 8;
     const std::uint64_t raw = rnic::load_le64(region.subspan(offset, 8));
-    values.push_back(sign_of(row, key) * static_cast<std::int64_t>(raw));
+    values[row] = sign_of(row, key) * static_cast<std::int64_t>(raw);
   }
   std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  if (n % 2 == 1) return values[n / 2];
-  return (values[n / 2 - 1] + values[n / 2]) / 2;
+  return values[kRows / 2];
 }
 
 }  // namespace xmem::apps

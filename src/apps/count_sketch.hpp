@@ -26,15 +26,12 @@ namespace xmem::apps {
 
 class CountSketchApp {
  public:
-  /// The constructor throws std::invalid_argument unless rows >= 1,
-  /// max_outstanding > 0, columns (given or derived) > 0 and the
-  /// rows x columns counters fit the region.
-  struct Config {
-    std::size_t rows = 3;      // d
-    std::size_t columns = 0;   // w; 0 = derive from region size
-    int max_outstanding = 16;
-    std::uint64_t seed = 0x8f1bbcdcbfa53e0bULL;
-  };
+  /// Rows d of the sketch; odd, so the estimate is one row's value.
+  static constexpr std::size_t kRows = 3;
+  /// Outstanding F&As the one window admits.
+  static constexpr std::size_t kMaxOutstanding = 16;
+  /// Seed of the per-row column and sign hashes.
+  static constexpr std::uint64_t kSeed = 0x8f1bbcdcbfa53e0bULL;
 
   struct Stats {
     std::uint64_t sampled_packets = 0;
@@ -44,11 +41,13 @@ class CountSketchApp {
     std::uint64_t lost_updates = 0;  // F&As unanswered past the deadline
   };
 
+  /// Columns w are derived from the region: as many as kRows rows of
+  /// 8 B counters fit. Throws std::invalid_argument when the region
+  /// holds less than one column.
   CountSketchApp(switchsim::ProgrammableSwitch& sw,
-                 control::RdmaChannelConfig channel, Config config);
+                 control::RdmaChannelConfig channel);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t rows() const { return config_.rows; }
   [[nodiscard]] std::size_t columns() const { return columns_; }
   [[nodiscard]] bool quiescent() const {
     return inflight_.size() == 0 && queue_.empty();
@@ -83,7 +82,6 @@ class CountSketchApp {
   }
 
   core::RdmaChannel channel_;
-  Config config_;
   std::size_t columns_ = 0;
 
   /// The fixed deadline the state store and lookup table default to.

@@ -167,9 +167,8 @@ void KvAcceleratorApp::on_timeout() {
   });
 }
 
-KvBackend::KvBackend(host::Host& host, std::span<std::uint8_t> region,
-                     Config config)
-    : host_(&host), region_(region), config_(config) {
+KvBackend::KvBackend(host::Host& host, std::span<std::uint8_t> region)
+    : host_(&host), region_(region) {
   host.set_app([this](net::Packet&& packet, int) { on_packet(std::move(packet)); });
 }
 
@@ -183,7 +182,7 @@ void KvBackend::on_packet(net::Packet&& packet) {
   if (!req) return;
 
   host_->simulator().schedule_in(
-      config_.service_time, [this, p = std::move(packet), r = *req]() {
+      kServiceTime, [this, p = std::move(packet), r = *req]() {
         if (r.op == KvOp::kPut) {
           ++cpu_puts_;
           put(r.key, r.value);

@@ -103,11 +103,10 @@ class KvAcceleratorApp {
 /// that is exactly what the accelerator removes.
 class KvBackend {
  public:
-  struct Config {
-    sim::Time service_time = sim::microseconds(2);
-  };
+  /// CPU time one GET or PUT costs the server.
+  static constexpr sim::Time kServiceTime = sim::microseconds(2);
 
-  KvBackend(host::Host& host, std::span<std::uint8_t> region, Config config);
+  KvBackend(host::Host& host, std::span<std::uint8_t> region);
 
   void put(std::uint64_t key, std::uint64_t value);
 
@@ -119,7 +118,6 @@ class KvBackend {
 
   host::Host* host_;
   std::span<std::uint8_t> region_;
-  Config config_;
   std::unordered_map<std::uint64_t, std::uint64_t> store_;
   std::uint64_t cpu_gets_ = 0;
   std::uint64_t cpu_puts_ = 0;

@@ -53,8 +53,7 @@ std::size_t populate_vip_region(std::span<std::uint8_t> region,
   return installed;
 }
 
-SoftwareVSwitch::SoftwareVSwitch(host::Host& host, Config config)
-    : host_(&host), config_(config) {
+SoftwareVSwitch::SoftwareVSwitch(host::Host& host) : host_(&host) {
   host.set_app([this](net::Packet&& packet, int) { on_packet(std::move(packet)); });
 }
 
@@ -63,7 +62,7 @@ void SoftwareVSwitch::add_mapping(const VipMapping& mapping) {
 }
 
 void SoftwareVSwitch::on_packet(net::Packet&& packet) {
-  if (queue_.size() >= config_.queue_limit) {
+  if (queue_.size() >= kQueueLimit) {
     ++dropped_;
     return;
   }
@@ -77,7 +76,7 @@ void SoftwareVSwitch::pump() {
   net::Packet packet = std::move(queue_.front());
   queue_.pop_front();
   host_->simulator().schedule_in(
-      config_.service_time, [this, p = std::move(packet)]() mutable {
+      kServiceTime, [this, p = std::move(packet)]() mutable {
         auto tuple = net::extract_five_tuple(p);
         if (tuple) {
           auto it = mappings_.find(tuple->dst_ip);

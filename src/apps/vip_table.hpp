@@ -45,14 +45,12 @@ std::size_t populate_vip_region(std::span<std::uint8_t> region,
 /// time, get translated, and are bounced back through the ToR.
 class SoftwareVSwitch {
  public:
-  struct Config {
-    /// Per-packet software forwarding cost (OVS-class fast path).
-    sim::Time service_time = sim::microseconds(3);
-    /// Bounded socket buffer; overflow drops (software overload).
-    std::size_t queue_limit = 1024;
-  };
+  /// Per-packet software forwarding cost (OVS-class fast path).
+  static constexpr sim::Time kServiceTime = sim::microseconds(3);
+  /// Bounded socket buffer; overflow drops (software overload).
+  static constexpr std::size_t kQueueLimit = 1024;
 
-  SoftwareVSwitch(host::Host& host, Config config);
+  explicit SoftwareVSwitch(host::Host& host);
 
   void add_mapping(const VipMapping& mapping);
 
@@ -65,7 +63,6 @@ class SoftwareVSwitch {
   void pump();
 
   host::Host* host_;
-  Config config_;
   std::unordered_map<net::Ipv4Address, VipMapping> mappings_;
   std::deque<net::Packet> queue_;
   bool busy_ = false;

@@ -15,53 +15,49 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 
 #include "sim/time.hpp"
 #include "sim/units.hpp"
 
 namespace xmem::core {
 
-/// Knobs of the DCQCN reaction point. Defaults follow the paper's
-/// parameter table scaled to the simulated 40 GbE fabric.
+/// The one DCQCN knob benches run at two values: a11 uses the default
+/// additive-increase step, xmem_bench's incast_cc 200 Mb/s. Every other
+/// parameter is a DcqcnRateController constant.
 struct DcqcnConfig {
-  /// Full wire rate; the controller never paces above this, and reaching
-  /// it ends recovery (timers stop until the next CNP).
-  sim::Bandwidth line_rate = sim::gbps(40);
-  /// Floor under multiplicative decrease: a channel never cuts to zero,
-  /// so progress continues under sustained marking.
-  sim::Bandwidth min_rate = sim::mbps(100);
-  /// EWMA gain g: alpha <- (1-g)*alpha + g on CNP, alpha <- (1-g)*alpha
-  /// per quiet alpha-timer period.
-  double g = 1.0 / 16.0;
-  /// Period of the alpha-decay timer (the paper's 55 us).
-  sim::Time alpha_timer = sim::microseconds(55);
-  /// Period of the rate-increase timer T.
-  sim::Time rate_timer = sim::microseconds(55);
-  /// Bytes per byte-counter round B (10 MB in the paper; scaled down so
-  /// the byte clock actually ticks at simulated request volumes).
-  std::uint64_t byte_round = 1u << 20;
-  /// Rounds of fast recovery F before additive increase begins.
-  std::uint32_t fast_recovery_rounds = 5;
   /// Additive-increase step Rai.
   sim::Bandwidth additive_increase = sim::mbps(40);
-  /// Hyper-increase step Rhai (applied i times on the i-th successive
-  /// hyper round).
-  sim::Bandwidth hyper_increase = sim::gbps(1);
 };
 
 class DcqcnRateController {
  public:
-  /// Throws std::invalid_argument on a config the timers or the pacer
-  /// cannot run: g = 0 keeps alpha at 1 so the alpha timer re-arms
-  /// forever, a non-positive timer re-arms at the same instant, and a
-  /// zero rate divides by zero in sim::transmission_time.
-  explicit DcqcnRateController(DcqcnConfig config)
-      : config_(validated(config)),
-        current_(config.line_rate),
-        target_(config.line_rate) {}
+  // Parameters of the reaction point: the paper's table scaled to the
+  // simulated 40 GbE fabric.
+  /// Full wire rate; the controller never paces above this, and reaching
+  /// it ends recovery (timers stop until the next CNP).
+  static constexpr sim::Bandwidth kLineRate = sim::gbps(40);
+  /// Floor under multiplicative decrease: a channel never cuts to zero,
+  /// so progress continues under sustained marking.
+  static constexpr sim::Bandwidth kMinRate = sim::mbps(100);
+  /// EWMA gain g: alpha <- (1-g)*alpha + g on CNP, alpha <- (1-g)*alpha
+  /// per quiet alpha-timer period.
+  static constexpr double kG = 1.0 / 16.0;
+  /// Period of the alpha-decay timer (the paper's 55 us).
+  static constexpr sim::Time kAlphaTimer = sim::microseconds(55);
+  /// Period of the rate-increase timer T.
+  static constexpr sim::Time kRateTimer = sim::microseconds(55);
+  /// Bytes per byte-counter round B (10 MB in the paper; scaled down so
+  /// the byte clock actually ticks at simulated request volumes).
+  static constexpr std::uint64_t kByteRound = 1u << 20;
+  /// Rounds of fast recovery F before additive increase begins.
+  static constexpr std::uint32_t kFastRecoveryRounds = 5;
+  /// Hyper-increase step Rhai (applied i times on the i-th successive
+  /// hyper round).
+  static constexpr sim::Bandwidth kHyperIncrease = sim::gbps(1);
 
-  [[nodiscard]] const DcqcnConfig& config() const { return config_; }
+  explicit DcqcnRateController(DcqcnConfig config)
+      : additive_increase_(config.additive_increase) {}
+
   /// Current allowed sending rate Rc.
   [[nodiscard]] sim::Bandwidth rate() const { return current_; }
   /// Recovery target Rt (the rate at the moment of the last cut, plus
@@ -79,9 +75,9 @@ class DcqcnRateController {
     target_ = current_;
     const double cut = 1.0 - alpha_ / 2.0;
     current_ = std::max(
-        config_.min_rate,
+        kMinRate,
         static_cast<sim::Bandwidth>(static_cast<double>(current_) * cut));
-    alpha_ = (1.0 - config_.g) * alpha_ + config_.g;
+    alpha_ = (1.0 - kG) * alpha_ + kG;
     timer_rounds_ = 0;
     byte_rounds_ = 0;
     hyper_rounds_ = 0;
@@ -97,7 +93,7 @@ class DcqcnRateController {
       cnp_this_alpha_period_ = false;  // the CNP already refreshed alpha
       return;
     }
-    alpha_ *= 1.0 - config_.g;
+    alpha_ *= 1.0 - kG;
   }
 
   /// Rate-increase timer T fired.
@@ -112,8 +108,8 @@ class DcqcnRateController {
   void on_bytes_sent(std::uint64_t bytes) {
     if (!in_recovery_) return;
     bytes_into_round_ += bytes;
-    while (bytes_into_round_ >= config_.byte_round) {
-      bytes_into_round_ -= config_.byte_round;
+    while (bytes_into_round_ >= kByteRound) {
+      bytes_into_round_ -= kByteRound;
       ++byte_rounds_;
       increase_step();
       if (!in_recovery_) {
@@ -124,46 +120,29 @@ class DcqcnRateController {
   }
 
  private:
-  static DcqcnConfig validated(const DcqcnConfig& c) {
-    if (c.line_rate <= 0) {
-      throw std::invalid_argument("DcqcnConfig: line_rate must be > 0");
-    }
-    if (c.min_rate <= 0 || c.min_rate > c.line_rate) {
-      throw std::invalid_argument(
-          "DcqcnConfig: need 0 < min_rate <= line_rate");
-    }
-    if (!(c.g > 0.0 && c.g <= 1.0)) {
-      throw std::invalid_argument("DcqcnConfig: need 0 < g <= 1");
-    }
-    if (c.alpha_timer <= 0 || c.rate_timer <= 0) {
-      throw std::invalid_argument("DcqcnConfig: timers must be > 0");
-    }
-    return c;
-  }
-
   void increase_step() {
     const std::uint32_t fastest = std::max(timer_rounds_, byte_rounds_);
     const std::uint32_t slowest = std::min(timer_rounds_, byte_rounds_);
-    if (fastest < config_.fast_recovery_rounds) {
+    if (fastest < kFastRecoveryRounds) {
       // Fast recovery: halve the distance to the pre-cut target without
       // raising the target itself.
-    } else if (slowest > config_.fast_recovery_rounds) {
+    } else if (slowest > kFastRecoveryRounds) {
       // Hyper increase: both clocks agree congestion is long gone; the
       // i-th successive hyper round raises the target by i * Rhai.
       ++hyper_rounds_;
-      target_ += config_.hyper_increase *
+      target_ += kHyperIncrease *
                  static_cast<std::int64_t>(hyper_rounds_);
     } else {
       // Additive increase probes for headroom one Rai step at a time.
-      target_ += config_.additive_increase;
+      target_ += additive_increase_;
     }
-    target_ = std::min(target_, config_.line_rate);
+    target_ = std::min(target_, kLineRate);
     // Ceiling midpoint: a floor here would asymptote one bit below the
     // target and recovery (and its timer) would never terminate.
     current_ += (target_ - current_ + 1) / 2;
-    if (current_ >= config_.line_rate) {
-      current_ = config_.line_rate;
-      target_ = config_.line_rate;
+    if (current_ >= kLineRate) {
+      current_ = kLineRate;
+      target_ = kLineRate;
       in_recovery_ = false;
       timer_rounds_ = 0;
       byte_rounds_ = 0;
@@ -172,9 +151,9 @@ class DcqcnRateController {
     }
   }
 
-  DcqcnConfig config_;
-  sim::Bandwidth current_;
-  sim::Bandwidth target_;
+  sim::Bandwidth additive_increase_;
+  sim::Bandwidth current_ = kLineRate;
+  sim::Bandwidth target_ = kLineRate;
   double alpha_ = 1.0;
   std::uint32_t timer_rounds_ = 0;
   std::uint32_t byte_rounds_ = 0;

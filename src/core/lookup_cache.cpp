@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -12,129 +11,53 @@ namespace xmem::core {
 
 namespace {
 
-/// Minimal intrusive FIFO/LRU list over LookupCache nodes. front() is
-/// the eviction end; push_back() is the "most recently placed" end.
-template <typename NodeT>
-struct IntrusiveList {
-  NodeT* head = nullptr;
-  NodeT* tail = nullptr;
-  std::size_t count = 0;
-
-  [[nodiscard]] bool empty() const { return head == nullptr; }
-  [[nodiscard]] NodeT* front() const { return head; }
-
-  void push_back(NodeT& n) {
-    n.prev = tail;
-    n.next = nullptr;
-    if (tail != nullptr) {
-      tail->next = &n;
-    } else {
-      head = &n;
-    }
-    tail = &n;
-    ++count;
+std::size_t protected_capacity_of(const LookupCache::Config& config) {
+  if (config.policy != LookupCache::Policy::kLfu || config.capacity == 0) {
+    return 0;
   }
-
-  void unlink(NodeT& n) {
-    if (n.prev != nullptr) {
-      n.prev->next = n.next;
-    } else {
-      head = n.next;
-    }
-    if (n.next != nullptr) {
-      n.next->prev = n.prev;
-    } else {
-      tail = n.prev;
-    }
-    n.prev = nullptr;
-    n.next = nullptr;
-    --count;
-  }
-
-  void move_to_back(NodeT& n) {
-    if (tail == &n) return;
-    unlink(n);
-    push_back(n);
-  }
-};
+  // Probation keeps at least one slot so fresh entries always have
+  // somewhere to land (and a victim always exists there first).
+  return std::min(static_cast<std::size_t>(
+                      static_cast<double>(config.capacity) *
+                      LookupCache::kProtectedFraction),
+                  config.capacity - 1);
+}
 
 }  // namespace
 
-/// FIFO: one queue in insertion order; hits change nothing.
-class LookupCache::FifoPolicy final : public LookupCache::EvictionPolicy {
- public:
-  void on_insert(Node& node) override { order_.push_back(node); }
-  void on_hit(Node&) override {}
-  void on_erase(Node& node) override { order_.unlink(node); }
-  [[nodiscard]] Node* victim() override { return order_.front(); }
-
- private:
-  IntrusiveList<Node> order_;
-};
-
-/// LRU: one queue in recency order; a hit refreshes to the back.
-class LookupCache::LruPolicy final : public LookupCache::EvictionPolicy {
- public:
-  void on_insert(Node& node) override { order_.push_back(node); }
-  void on_hit(Node& node) override { order_.move_to_back(node); }
-  void on_erase(Node& node) override { order_.unlink(node); }
-  [[nodiscard]] Node* victim() override { return order_.front(); }
-
- private:
-  IntrusiveList<Node> order_;
-};
-
-/// Segmented LFU (SLRU): probation for new entries, protected for
-/// entries that proved themselves with a hit. Victims come from
-/// probation while it has anyone, so one-hit wonders cannot displace
-/// the protected working set; protected overflow demotes its LRU end
-/// back to probation instead of evicting outright.
-class LookupCache::SlfuPolicy final : public LookupCache::EvictionPolicy {
- public:
-  SlfuPolicy(std::size_t protected_capacity, std::uint64_t* promotions)
-      : protected_capacity_(protected_capacity), promotions_(promotions) {}
-
-  void on_insert(Node& node) override {
-    node.segment = 0;
-    probation_.push_back(node);
+void LookupCache::List::push_back(Node& n) {
+  n.prev = tail;
+  n.next = nullptr;
+  if (tail != nullptr) {
+    tail->next = &n;
+  } else {
+    head = &n;
   }
+  tail = &n;
+  ++count;
+}
 
-  void on_hit(Node& node) override {
-    if (node.segment == 1) {
-      protected_.move_to_back(node);
-      return;
-    }
-    if (protected_capacity_ == 0) {
-      // No protected segment (capacity 1): recency within probation.
-      probation_.move_to_back(node);
-      return;
-    }
-    probation_.unlink(node);
-    node.segment = 1;
-    protected_.push_back(node);
-    ++*promotions_;
-    while (protected_.count > protected_capacity_) {
-      Node& demoted = *protected_.front();
-      protected_.unlink(demoted);
-      demoted.segment = 0;
-      probation_.push_back(demoted);
-    }
+void LookupCache::List::unlink(Node& n) {
+  if (n.prev != nullptr) {
+    n.prev->next = n.next;
+  } else {
+    head = n.next;
   }
-
-  void on_erase(Node& node) override {
-    (node.segment == 1 ? protected_ : probation_).unlink(node);
+  if (n.next != nullptr) {
+    n.next->prev = n.prev;
+  } else {
+    tail = n.prev;
   }
+  n.prev = nullptr;
+  n.next = nullptr;
+  --count;
+}
 
-  [[nodiscard]] Node* victim() override {
-    return probation_.empty() ? protected_.front() : probation_.front();
-  }
-
- private:
-  IntrusiveList<Node> probation_;
-  IntrusiveList<Node> protected_;
-  std::size_t protected_capacity_;
-  std::uint64_t* promotions_;
-};
+void LookupCache::List::move_to_back(Node& n) {
+  if (tail == &n) return;
+  unlink(n);
+  push_back(n);
+}
 
 std::string_view LookupCache::policy_name(Policy policy) {
   switch (policy) {
@@ -148,42 +71,45 @@ std::string_view LookupCache::policy_name(Policy policy) {
   return "?";
 }
 
-LookupCache::LookupCache(Config config) : config_(config) {
+LookupCache::LookupCache(Config config)
+    : config_(config),
+      protected_capacity_(protected_capacity_of(config)),
+      reorder_on_hit_(config.policy != Policy::kFifo) {
   if (config_.negative_ttl < 0) {
     throw std::invalid_argument("LookupCache: negative_ttl must be >= 0");
   }
-  if (std::isnan(config_.lfu_protected_fraction)) {
-    throw std::invalid_argument(
-        "LookupCache: lfu_protected_fraction must not be NaN");
-  }
-  config_.lfu_protected_fraction =
-      std::clamp(config_.lfu_protected_fraction, 0.0, 1.0);
-  eviction_ = make_policy();
   if (config_.capacity > 0) map_.reserve(config_.capacity);
 }
 
-LookupCache::~LookupCache() = default;
-
-std::unique_ptr<LookupCache::EvictionPolicy> LookupCache::make_policy() {
-  switch (config_.policy) {
-    case Policy::kFifo:
-      return std::make_unique<FifoPolicy>();
-    case Policy::kLru:
-      return std::make_unique<LruPolicy>();
-    case Policy::kLfu: {
-      // Probation keeps at least one slot so fresh entries always have
-      // somewhere to land (and a victim always exists there first).
-      std::size_t protected_cap = static_cast<std::size_t>(
-          static_cast<double>(config_.capacity) *
-          config_.lfu_protected_fraction);
-      if (config_.capacity > 0 && protected_cap >= config_.capacity) {
-        protected_cap = config_.capacity - 1;
-      }
-      return std::make_unique<SlfuPolicy>(protected_cap,
-                                          &stats_.promotions);
-    }
+void LookupCache::touch(Node& node) {
+  if (!reorder_on_hit_) return;
+  if (node.segment == 1) {
+    protected_.move_to_back(node);
+    return;
   }
-  return std::make_unique<LruPolicy>();
+  if (protected_capacity_ == 0) {
+    // kLru, or kLfu without a protected segment: recency in probation.
+    probation_.move_to_back(node);
+    return;
+  }
+  // kLfu: a hit proves the entry; protected overflow demotes its LRU end
+  // back to probation instead of evicting outright.
+  probation_.unlink(node);
+  node.segment = 1;
+  protected_.push_back(node);
+  ++stats_.promotions;
+  while (protected_.count > protected_capacity_) {
+    Node& demoted = *protected_.head;
+    protected_.unlink(demoted);
+    demoted.segment = 0;
+    probation_.push_back(demoted);
+  }
+}
+
+LookupCache::Node* LookupCache::victim() const {
+  // Victims come from probation while it has anyone, so one-hit wonders
+  // cannot displace the protected working set.
+  return probation_.head != nullptr ? probation_.head : protected_.head;
 }
 
 std::optional<LookupCache::Hit> LookupCache::lookup(const Key& key,
@@ -202,8 +128,7 @@ std::optional<LookupCache::Hit> LookupCache::lookup(const Key& key,
     erase_node(node);
     return std::nullopt;
   }
-  ++node.freq;
-  eviction_->on_hit(node);
+  touch(node);
   Hit hit;
   hit.negative = node.negative;
   hit.action = node.negative ? nullptr : &node.action;
@@ -224,10 +149,10 @@ LookupCache::Node& LookupCache::fill_slot(const Key& key, bool negative,
   auto it = map_.find(key);
   if (it == map_.end()) {
     if (map_.size() >= config_.capacity) {
-      Node* victim = eviction_->victim();
-      assert(victim != nullptr && "full cache must have a victim");
+      Node* old = victim();
+      assert(old != nullptr && "full cache must have a victim");
       ++stats_.evictions;
-      erase_node(*victim);
+      erase_node(*old);
     }
     it = map_.emplace(key, Node{}).first;
     Node& node = it->second;
@@ -236,7 +161,7 @@ LookupCache::Node& LookupCache::fill_slot(const Key& key, bool negative,
     node.shard = shard;
     node.epoch = epoch;
     node.filled_at = now;
-    eviction_->on_insert(node);
+    probation_.push_back(node);
     return node;
   }
   // In-place refill: keep the node's position fresh via the hit path
@@ -246,7 +171,7 @@ LookupCache::Node& LookupCache::fill_slot(const Key& key, bool negative,
   node.shard = shard;
   node.epoch = epoch;
   node.filled_at = now;
-  eviction_->on_hit(node);
+  touch(node);
   return node;
 }
 
@@ -280,7 +205,7 @@ bool LookupCache::invalidate(const Key& key) {
 }
 
 void LookupCache::erase_node(Node& node) {
-  eviction_->on_erase(node);
+  (node.segment == 1 ? protected_ : probation_).unlink(node);
   map_.erase(*node.key);  // invalidates `node`
 }
 

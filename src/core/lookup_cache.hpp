@@ -1,19 +1,21 @@
 // Local SRAM cache for the lookup-table primitive (§3's "caching remote
 // entries in switch SRAM").
 //
-// A bounded key -> Action map in front of the remote lookup path, with
-// three pluggable eviction policies behind one interface:
+// A bounded key -> Action map in front of the remote lookup path. Its
+// three eviction policies share one segmented list (SLRU): a probation
+// segment that new entries enter and victims leave from, and a protected
+// segment that only kLfu uses.
 //
 //   kFifo  insertion order, hits ignored — the paper's baseline and the
 //          cheapest to realize in hardware (a head pointer per way).
-//   kLru   recency order — a hit moves the entry to the back of one
-//          queue, the victim is always the front.
-//   kLfu   segmented LFU (SLRU): new entries enter a probation segment;
-//          a hit promotes into a protected segment holding
-//          lfu_protected_fraction of capacity, whose overflow demotes
-//          back to probation. One-hit wonders churn through probation
-//          without displacing the hot working set — the behaviour a
-//          heavy-tailed (Zipfian) popularity distribution rewards.
+//   kLru   recency order — a hit moves the entry to the back of
+//          probation, the victim is always the front.
+//   kLfu   segmented LFU: a hit promotes into the protected segment,
+//          which holds kProtectedFraction of capacity and whose overflow
+//          demotes back to probation. One-hit wonders churn through
+//          probation without displacing the hot working set — the
+//          behaviour a heavy-tailed (Zipfian) popularity distribution
+//          rewards.
 //
 // Beyond positive entries the cache stores two more kinds of fact:
 //
@@ -37,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,6 +59,11 @@ class LookupCache {
 
   using Key = std::vector<std::uint8_t>;
 
+  /// kLfu's protected segment holds this share of capacity, rounded
+  /// down and leaving probation at least one slot; at capacity 1 there
+  /// is no protected segment and kLfu degenerates to LRU.
+  static constexpr double kProtectedFraction = 0.8;
+
   struct Config {
     /// Bounded capacity in entries (positive + negative); 0 disables.
     std::size_t capacity = 0;
@@ -66,11 +72,6 @@ class LookupCache {
     /// negative caching entirely). Throws std::invalid_argument when
     /// negative.
     sim::Time negative_ttl = 0;
-    /// kLfu only: share of capacity the hit-promoted protected segment
-    /// may hold. Clamped to [0, 1] (NaN throws std::invalid_argument); at
-    /// capacity 1 there is no protected segment and kLfu degenerates to
-    /// LRU-within-probation.
-    double lfu_protected_fraction = 0.8;
   };
 
   struct Stats {
@@ -98,7 +99,6 @@ class LookupCache {
   explicit LookupCache(Config config);
   LookupCache(const LookupCache&) = delete;
   LookupCache& operator=(const LookupCache&) = delete;
-  ~LookupCache();
 
   [[nodiscard]] bool enabled() const { return config_.capacity > 0; }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
@@ -132,7 +132,7 @@ class LookupCache {
 
  private:
   /// One cached entry. Nodes live in the map (stable addresses) and are
-  /// threaded onto the policy's intrusive lists via prev/next.
+  /// threaded onto one of the two segment lists via prev/next.
   struct Node {
     const Key* key = nullptr;  // points at the owning map key
     switchsim::Action action;
@@ -140,25 +140,21 @@ class LookupCache {
     sim::Time filled_at = 0;
     std::uint32_t shard = 0;
     std::uint32_t epoch = 0;
-    std::uint32_t freq = 0;    // hits since fill (kLfu bookkeeping)
-    std::uint8_t segment = 0;  // kLfu: 0 probation, 1 protected
+    std::uint8_t segment = 0;  // 0 probation, 1 protected (kLfu only)
     Node* prev = nullptr;
     Node* next = nullptr;
   };
-  /// The pluggable part: policies keep an intrusive order over nodes and
-  /// answer "who leaves next". The cache owns storage and stats; the
-  /// policy owns only ordering.
-  class EvictionPolicy {
-   public:
-    virtual ~EvictionPolicy() = default;
-    virtual void on_insert(Node& node) = 0;
-    virtual void on_hit(Node& node) = 0;
-    virtual void on_erase(Node& node) = 0;
-    [[nodiscard]] virtual Node* victim() = 0;
+  /// Intrusive list over nodes: front() is the eviction end, push_back()
+  /// the most recently placed end.
+  struct List {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+    std::size_t count = 0;
+
+    void push_back(Node& n);
+    void unlink(Node& n);
+    void move_to_back(Node& n);
   };
-  class FifoPolicy;
-  class LruPolicy;
-  class SlfuPolicy;
 
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
@@ -167,15 +163,23 @@ class LookupCache {
     }
   };
 
-  [[nodiscard]] std::unique_ptr<EvictionPolicy> make_policy();
-  /// Ensure a free slot exists, evicting the policy's victim if needed,
-  /// then fill (new or in-place) and notify the policy.
+  /// Ensure a free slot exists, evicting the victim if needed, then
+  /// fill (new or in-place) and place the node.
   Node& fill_slot(const Key& key, bool negative, std::uint32_t shard,
                   std::uint32_t epoch, sim::Time now);
+  /// A hit (or in-place refill): reorder per policy, promoting a
+  /// probation node when a protected segment exists.
+  void touch(Node& node);
+  [[nodiscard]] Node* victim() const;
   void erase_node(Node& node);
 
   Config config_;
-  std::unique_ptr<EvictionPolicy> eviction_;
+  /// Derived from the policy: kLfu's protected share of capacity (0 for
+  /// kFifo and kLru), and whether a hit reorders (all but kFifo).
+  std::size_t protected_capacity_;
+  bool reorder_on_hit_;
+  List probation_;
+  List protected_;
   std::unordered_map<Key, Node, KeyHash> map_;
   Stats stats_;
 };

@@ -23,16 +23,6 @@ std::optional<std::vector<std::uint8_t>> five_tuple_key(
   return std::vector<std::uint8_t>(k.begin(), k.end());
 }
 
-LookupCache::Config cache_config_from(
-    const LookupTablePrimitive::Config& config) {
-  LookupCache::Config cc;
-  cc.capacity = config.cache_capacity;
-  cc.policy = config.cache_policy;
-  cc.negative_ttl = config.negative_ttl;
-  cc.lfu_protected_fraction = config.lfu_protected_fraction;
-  return cc;
-}
-
 }  // namespace
 
 LookupTablePrimitive::LookupTablePrimitive(
@@ -41,7 +31,9 @@ LookupTablePrimitive::LookupTablePrimitive(
     : switch_(&sw),
       channels_(sw, std::move(channels)),
       config_(std::move(config)),
-      cache_(cache_config_from(config_)),
+      cache_({.capacity = config_.cache_capacity,
+              .policy = config_.cache_policy,
+              .negative_ttl = config_.negative_ttl}),
       inflight_(sw.simulator(), channels_.size(), config_.lookup_timeout,
                 [this]() { on_timeout(); }) {
   if (config_.entry_bytes <= kFrameOffset) {
@@ -119,13 +111,9 @@ std::uint64_t LookupTablePrimitive::install_entry(
     std::span<std::uint8_t> region, std::size_t entry_bytes,
     std::span<const std::uint8_t> key, const Action& action,
     std::uint64_t seed) {
-  const std::size_t n_entries = region.size() / entry_bytes;
-  const std::uint64_t idx = index_for_key(key, n_entries, seed);
-
-  net::ByteWriter w(region.subspan(idx * entry_bytes, entry_bytes));
-  action.serialize(w);
-  w.u64(key_check_hash(key));
-  return idx;
+  return install_entry_sharded(std::span(&region, 1), entry_bytes, key,
+                               action, seed)
+      .second;
 }
 
 std::pair<std::size_t, std::uint64_t>

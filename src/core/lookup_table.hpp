@@ -16,7 +16,7 @@
 // when its action returns, with no second ingress pass.
 //
 // The local SRAM cache is a core::LookupCache (see lookup_cache.hpp):
-// bounded, with pluggable FIFO/LRU/segmented-LFU eviction, negative
+// bounded, with FIFO/LRU/segmented-LFU eviction, negative
 // entries for absent keys, and write-through invalidation
 // (invalidate_cached()) for control-plane updates. Entries are tagged
 // with the {shard, channel epoch} they were filled from; a hit whose
@@ -79,8 +79,6 @@ class LookupTablePrimitive {
     /// stream of misses on the same dead key stops re-issuing remote
     /// READs. 0 disables negative caching.
     sim::Time negative_ttl = 0;
-    /// kLfu only: protected-segment share of cache capacity.
-    double lfu_protected_fraction = 0.8;
     KeyFn key_fn;  // default: five-tuple
     std::uint64_t hash_seed = 0x9e3779b97f4a7c15ULL;
     /// Outstanding lookups older than this are abandoned (their switch
@@ -166,7 +164,8 @@ class LookupTablePrimitive {
       std::uint64_t seed);
   /// Write {action, key-check} into `key`'s slot of a remote region
   /// (performed by the control plane at initialization, via local access
-  /// on the memory server). Returns the index used.
+  /// on the memory server): install_entry_sharded() over a pool of one.
+  /// Returns the index used.
   static std::uint64_t install_entry(std::span<std::uint8_t> region,
                                      std::size_t entry_bytes,
                                      std::span<const std::uint8_t> key,

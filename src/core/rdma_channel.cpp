@@ -47,11 +47,11 @@ void RdmaChannel::on_cnp() {
 
 void RdmaChannel::arm_cc_timers() {
   if (!alpha_event_.pending()) {
-    alpha_event_ = sim_->schedule_in(cc_->config().alpha_timer,
+    alpha_event_ = sim_->schedule_in(DcqcnRateController::kAlphaTimer,
                                      [this] { on_alpha_tick(); });
   }
   if (!rate_event_.pending()) {
-    rate_event_ = sim_->schedule_in(cc_->config().rate_timer,
+    rate_event_ = sim_->schedule_in(DcqcnRateController::kRateTimer,
                                     [this] { on_rate_tick(); });
   }
 }
@@ -61,7 +61,7 @@ void RdmaChannel::on_alpha_tick() {
   // Keep decaying after recovery ends so the next episode starts from a
   // faded congestion estimate; quiesce once alpha is negligible.
   if (cc_->in_recovery() || cc_->alpha() > 1e-3) {
-    alpha_event_ = sim_->schedule_in(cc_->config().alpha_timer,
+    alpha_event_ = sim_->schedule_in(DcqcnRateController::kAlphaTimer,
                                      [this] { on_alpha_tick(); });
   }
 }
@@ -69,7 +69,7 @@ void RdmaChannel::on_alpha_tick() {
 void RdmaChannel::on_rate_tick() {
   cc_->on_rate_timer();
   if (cc_->in_recovery()) {
-    rate_event_ = sim_->schedule_in(cc_->config().rate_timer,
+    rate_event_ = sim_->schedule_in(DcqcnRateController::kRateTimer,
                                     [this] { on_rate_tick(); });
   }
   if (!paced_.empty() && !drain_event_.pending()) {

@@ -34,12 +34,11 @@ StateStorePrimitive::StateStorePrimitive(
 
   if (!config_.sample_fn) {
     const std::uint64_t n = n_counters_;
-    const std::uint64_t seed = config_.hash_seed;
     config_.sample_fn =
-        [n, seed](const net::Packet& p) -> std::optional<std::uint64_t> {
+        [n](const net::Packet& p) -> std::optional<std::uint64_t> {
       auto tuple = net::extract_five_tuple(p);
       if (!tuple) return std::nullopt;
-      return net::flow_hash(*tuple, seed) % n;
+      return net::flow_hash(*tuple, kHashSeed) % n;
     };
   }
 

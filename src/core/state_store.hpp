@@ -50,6 +50,9 @@ class StateStorePrimitive {
   using SampleFn =
       std::function<std::optional<std::uint64_t>(const net::Packet&)>;
 
+  /// Seed of the default sampler's five-tuple hash.
+  static constexpr std::uint64_t kHashSeed = 0x517cc1b727220a95ULL;
+
   struct Config {
     /// Maximum outstanding atomic requests per shard (the RNIC's
     /// advertised limit — each server enforces its own).
@@ -59,9 +62,9 @@ class StateStorePrimitive {
     /// accumulate-on-backpressure; larger values trade update delay for
     /// bandwidth.
     std::uint64_t combining_window = 1;
-    /// Default sampler: hash the five-tuple over `counters()` slots.
+    /// Default sampler: hash the five-tuple (seeded with kHashSeed) over
+    /// `counters()` slots.
     SampleFn sample_fn;
-    std::uint64_t hash_seed = 0x517cc1b727220a95ULL;
     /// §7 reliability extension (see file comment).
     bool reliable = false;
     sim::Time retransmit_timeout = sim::microseconds(100);

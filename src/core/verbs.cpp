@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 namespace xmem::core {
 
@@ -10,12 +9,8 @@ using roce::Opcode;
 using roce::RoceMessage;
 
 RcRequester::RcRequester(sim::Simulator& simulator, rnic::Rnic& nic,
-                         std::uint32_t qpn, Config config)
-    : sim_(&simulator), nic_(&nic), qpn_(qpn), config_(config) {
-  if (config_.max_inflight_packets == 0) {
-    throw std::invalid_argument(
-        "RcRequester: max_inflight_packets must be > 0");
-  }
+                         std::uint32_t qpn)
+    : sim_(&simulator), nic_(&nic), qpn_(qpn) {
   nic_->set_response_handler(
       qpn_, [this](const RoceMessage& msg) { on_response(msg); });
 }
@@ -87,7 +82,7 @@ void RcRequester::post(Wqe wqe) {
 void RcRequester::pump() {
   bool sent_any = false;
   for (Wqe& wqe : wqes_) {
-    if (inflight() >= config_.max_inflight_packets) break;
+    if (inflight() >= kMaxInflightPackets) break;
     // A WRITE sends each of its segments; a READ or an atomic sends one
     // request, though a READ occupies its whole response range.
     const bool write = wqe.verb == Opcode::kRdmaWriteOnly;
@@ -100,9 +95,9 @@ void RcRequester::pump() {
       }
       // The next segment leaves (the window admitted this WQE), and each
       // later segment i while the PSNs from lowest_unacked_ up to its own
-      // number fewer than max_inflight_packets.
+      // number fewer than kMaxInflightPackets.
       const std::int64_t fits =
-          static_cast<std::int64_t>(config_.max_inflight_packets) -
+          static_cast<std::int64_t>(kMaxInflightPackets) -
           roce::psn_distance(lowest_unacked_, wqe.first_psn);
       const auto to = static_cast<std::uint32_t>(
           std::clamp<std::int64_t>(fits, wqe.packets_sent + 1, frames));

@@ -36,20 +36,14 @@ using CompletionFn = std::function<void(const WorkCompletion&)>;
 /// Requester half of a reliable connection, bound to one local QP.
 class RcRequester {
  public:
-  struct Config {
-    /// PSNs sent but not yet acknowledged, across work requests. Throws
-    /// std::invalid_argument when 0: such a window never sends.
-    std::size_t max_inflight_packets = 64;
-  };
+  /// PSNs sent but not yet acknowledged, across work requests.
+  static constexpr std::size_t kMaxInflightPackets = 64;
   /// Go-back-N after this long without a response...
   static constexpr sim::Time kRetransmitTimeout = sim::microseconds(100);
   /// ...and fail every queued work request after this many rounds.
   static constexpr int kMaxRetries = 7;
 
-  RcRequester(sim::Simulator& simulator, rnic::Rnic& nic, std::uint32_t qpn,
-              Config config);
-  RcRequester(sim::Simulator& simulator, rnic::Rnic& nic, std::uint32_t qpn)
-      : RcRequester(simulator, nic, qpn, Config{}) {}
+  RcRequester(sim::Simulator& simulator, rnic::Rnic& nic, std::uint32_t qpn);
 
   /// Bind to the peer's QP and to the region behind `rkey`. `initial_psn`
   /// seeds the send PSN; the peer's QP must expect the same value.
@@ -119,7 +113,6 @@ class RcRequester {
   sim::Simulator* sim_;
   rnic::Rnic* nic_;
   std::uint32_t qpn_;
-  Config config_;
 
   std::optional<RdmaChannel> channel_;  // built by connect()
   roce::Psn sent_psn_;        // first PSN not yet transmitted

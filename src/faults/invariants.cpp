@@ -101,12 +101,13 @@ void InvariantChecker::require_cc_sane(const core::ChannelSet& channels) {
         bad = true;
         out << "shard" << i << ": alpha=" << cc->alpha() << " outside [0,1]; ";
       }
-      if (cc->rate() < cc->config().min_rate ||
-          cc->rate() > cc->config().line_rate || cc->rate() > cc->target()) {
+      using Dcqcn = core::DcqcnRateController;
+      if (cc->rate() < Dcqcn::kMinRate || cc->rate() > Dcqcn::kLineRate ||
+          cc->rate() > cc->target()) {
         bad = true;
         out << "shard" << i << ": rate=" << cc->rate() << " outside [min="
-            << cc->config().min_rate << ", target=" << cc->target()
-            << " <= line=" << cc->config().line_rate << "]; ";
+            << Dcqcn::kMinRate << ", target=" << cc->target()
+            << " <= line=" << Dcqcn::kLineRate << "]; ";
       }
     }
     if (!bad) return std::nullopt;

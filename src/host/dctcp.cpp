@@ -1,7 +1,6 @@
 #include "host/dctcp.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "net/bytes.hpp"
 #include "net/flow.hpp"
@@ -16,8 +15,8 @@ constexpr std::size_t kEchoBytes = 8;
 
 }  // namespace
 
-EcnEchoReceiver::EcnEchoReceiver(Host& host, Config config, Forward next)
-    : host_(&host), config_(config), next_(std::move(next)) {
+EcnEchoReceiver::EcnEchoReceiver(Host& host, Forward next)
+    : host_(&host), next_(std::move(next)) {
   host.set_app([this](net::Packet&& packet, int) { on_packet(std::move(packet)); });
 }
 
@@ -34,7 +33,7 @@ void EcnEchoReceiver::on_packet(net::Packet&& packet) {
     } catch (const net::BufferError&) {
     }
 
-    if (window_seen_ >= config_.window) {
+    if (window_seen_ >= kWindow) {
       // Echo the marked fraction back to the sender.
       std::vector<std::uint8_t> payload;
       net::ByteWriter w(payload);
@@ -57,7 +56,6 @@ void EcnEchoReceiver::on_packet(net::Packet&& packet) {
 DctcpSender::DctcpSender(Host& host, Config config)
     : host_(&host), config_(config), rate_(config.traffic.rate),
       min_seen_(config.traffic.rate) {
-  assert(config_.min_rate > 0);
   host.set_app([this](net::Packet&& packet, int) {
     auto tuple = net::extract_five_tuple(packet);
     if (!tuple || tuple->dst_port != kEcnEchoPort) return;
@@ -86,17 +84,16 @@ void DctcpSender::stop() { running_ = false; }
 void DctcpSender::on_echo(double marked_fraction) {
   // DCTCP: alpha <- (1-g) alpha + g F;  rate cut by alpha/2 when any
   // marks arrived, additive increase otherwise.
-  alpha_ = (1.0 - config_.alpha_gain) * alpha_ +
-           config_.alpha_gain * marked_fraction;
+  alpha_ = (1.0 - kAlphaGain) * alpha_ + kAlphaGain * marked_fraction;
   if (marked_fraction > 0.0) {
     rate_ = std::max<sim::Bandwidth>(
-        config_.min_rate,
+        kMinRate,
         static_cast<sim::Bandwidth>(static_cast<double>(rate_) *
                                     (1.0 - alpha_ / 2.0)));
     ++rate_cuts_;
     min_seen_ = std::min(min_seen_, rate_);
   } else {
-    rate_ = std::min(config_.max_rate, rate_ + config_.increase);
+    rate_ = std::min(kMaxRate, rate_ + kIncrease);
   }
 }
 

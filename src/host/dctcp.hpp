@@ -10,7 +10,7 @@
 // queue threshold, the receiver echoes the marked fraction back once per
 // window, and the sender adjusts
 //     rate <- rate * (1 - alpha/2)        on congestion
-//     rate <- rate + additive_increase    otherwise
+//     rate <- rate + kIncrease            otherwise
 // with alpha the usual EWMA of the marked fraction.
 #pragma once
 
@@ -26,17 +26,16 @@ namespace xmem::host {
 inline constexpr std::uint16_t kEcnEchoPort = 9977;
 
 /// Receiver half: counts CE-marked arrivals and echoes the fraction to
-/// the sender every `window` packets. Chain it in front of a PacketSink
+/// the sender every kWindow packets. Chain it in front of a PacketSink
 /// (it forwards every packet to `next`).
 class EcnEchoReceiver {
  public:
   using Forward = std::function<void(const net::Packet&)>;
 
-  struct Config {
-    std::uint64_t window = 32;  // packets per echo
-  };
+  /// Packets per echo.
+  static constexpr std::uint64_t kWindow = 32;
 
-  EcnEchoReceiver(Host& host, Config config, Forward next = {});
+  explicit EcnEchoReceiver(Host& host, Forward next = {});
 
   [[nodiscard]] std::uint64_t ce_marked() const { return ce_marked_; }
   [[nodiscard]] std::uint64_t echoes_sent() const { return echoes_; }
@@ -45,7 +44,6 @@ class EcnEchoReceiver {
   void on_packet(net::Packet&& packet);
 
   Host* host_;
-  Config config_;
   Forward next_;
   std::uint64_t window_seen_ = 0;
   std::uint64_t window_marked_ = 0;
@@ -56,13 +54,15 @@ class EcnEchoReceiver {
 /// Sender half: a CBR source whose rate reacts to the receiver's echoes.
 class DctcpSender {
  public:
+  static constexpr sim::Bandwidth kMinRate = sim::mbps(100);
+  static constexpr sim::Bandwidth kMaxRate = sim::gbps(40);
+  /// Additive increase per congestion-free echo.
+  static constexpr sim::Bandwidth kIncrease = sim::mbps(500);
+  /// DCTCP's g.
+  static constexpr double kAlphaGain = 1.0 / 16.0;
+
   struct Config {
-    CbrTrafficGen::Config traffic;  // dst, frame size, packet/byte limits
-    sim::Bandwidth min_rate = sim::mbps(100);
-    sim::Bandwidth max_rate = sim::gbps(40);
-    /// Additive increase per congestion-free echo.
-    sim::Bandwidth increase = sim::mbps(500);
-    double alpha_gain = 1.0 / 16.0;  // DCTCP's g
+    CbrTrafficGen::Config traffic;  // dst, frame size, start rate, limits
   };
 
   DctcpSender(Host& host, Config config);

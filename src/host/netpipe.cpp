@@ -47,8 +47,7 @@ void LatencyProbe::on_arrival(const net::Packet& packet) {
     if (on_finish_) on_finish_();
     return;
   }
-  sink_->simulator().schedule_in(config_.think_time,
-                                 [this]() { send_probe(); });
+  sink_->simulator().schedule_in(kThinkTime, [this]() { send_probe(); });
 }
 
 }  // namespace xmem::host

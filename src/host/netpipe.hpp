@@ -14,6 +14,9 @@ namespace xmem::host {
 
 class LatencyProbe {
  public:
+  /// Idle gap between a reception and the next probe.
+  static constexpr sim::Time kThinkTime = sim::microseconds(1);
+
   struct Config {
     net::MacAddress dst_mac;
     net::Ipv4Address dst_ip;
@@ -21,8 +24,6 @@ class LatencyProbe {
     std::uint16_t dst_port = 9100;
     std::size_t frame_size = 64;
     std::uint64_t samples = 1000;
-    /// Idle gap between a reception and the next probe.
-    sim::Time think_time = sim::microseconds(1);
   };
 
   /// `source` emits probes; `sink` must be reachable through the network

@@ -148,11 +148,14 @@ static_assert(IntStack::kMaxWireBytes == 193,
 /// packet is cloned, so a duplicate frame accumulates its own downstream
 /// hops — exactly what real INT metadata would do.
 ///
-/// Stacks are recycled through a process-wide free list: with INT on,
-/// every monitored packet materializes (and later drops) a ~250-byte
-/// stack, and paying malloc + value-init per packet dominates the whole
-/// feature's cost. The simulator is single-threaded, so the pool is
-/// deliberately unsynchronized.
+/// Stacks are recycled through a free list: with INT on, every monitored
+/// packet materializes (and later drops) a ~250-byte stack, and paying
+/// malloc + value-init per packet dominates the whole feature's cost.
+/// One simulation runs on one thread, but a sweep runs replicas on
+/// several, so each thread keeps its own unsynchronized list. A
+/// per-thread cache holds no simulation state: every stack is reset on
+/// acquire or overwritten on copy, so which list a stack came from (and
+/// which thread freed it) cannot change a result.
 class IntStackHandle {
  public:
   IntStackHandle() = default;
@@ -199,13 +202,12 @@ class IntStackHandle {
       for (IntStack* s : free) delete s;
     }
   };
-  /// Function-local static: constructed on first use, so handles in
-  /// other statics stay safe, and entries are reclaimed at exit (keeps
-  /// leak checkers quiet).
-  static Pool& pool() {
-    static Pool p;
-    return p;
-  }
+  /// The calling thread's list: a function-local thread_local,
+  /// constructed on first use (so handles in other statics stay safe)
+  /// and reclaimed at thread exit (keeps leak checkers quiet). Defined
+  /// out of line in packet.cpp, so the thread-local access stays off
+  /// the inline paths that run for every packet with INT off.
+  static Pool& pool();
   static constexpr std::size_t kPoolCap = 4096;
 
   [[nodiscard]] static IntStack* acquire() {

@@ -4,6 +4,11 @@
 
 namespace xmem::net {
 
+IntStackHandle::Pool& IntStackHandle::pool() {
+  thread_local Pool p;
+  return p;
+}
+
 ParsedPacket parse_packet(const Packet& p) {
   ParsedPacket out;
   ByteReader r(p.bytes());

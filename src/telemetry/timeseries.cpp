@@ -29,7 +29,7 @@ TimeSeriesRecorder::Point TimeSeriesRecorder::Point::parse(net::ByteReader& r) {
 
 TimeSeriesRecorder::TimeSeriesRecorder(sim::Simulator& simulator,
                                        Config config)
-    : sim_(&simulator), config_(std::move(config)) {
+    : sim_(&simulator), config_(config) {
   if (config_.period <= 0) {
     throw std::invalid_argument("TimeSeriesRecorder: period must be > 0");
   }
@@ -110,22 +110,12 @@ void TimeSeriesRecorder::stop() { running_ = false; }
 
 void TimeSeriesRecorder::tick() {
   if (!running_) return;
-  if (config_.until && !config_.until()) {
-    // Final sample, then stop: the last point captures the end state.
-    sample_all();
-    running_ = false;
-    return;
-  }
-  sample_all();
-  sim_->schedule_in(config_.period, [this]() { tick(); });
-}
-
-void TimeSeriesRecorder::sample_all() {
   ++ticks_;
   const sim::Time now = sim_->now();
   for (Series& s : series_) {
     s.ring.push() = Point{now, s.read()};
   }
+  sim_->schedule_in(config_.period, [this]() { tick(); });
 }
 
 std::uint64_t TimeSeriesRecorder::dropped_points() const {

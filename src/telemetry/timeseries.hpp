@@ -8,10 +8,10 @@
 // for an arbitrarily long run costs a fixed amount of memory.
 //
 // Because the simulator runs until its event queue drains, a recorder
-// that rescheduled forever would keep every experiment alive: it stops on
-// stop(), or when Config::until turns false, after one final sample so
-// the series end with the settled state. The first sample is taken one
-// period after start().
+// that rescheduled forever would keep every experiment alive: the owner
+// calls stop(), typically from an event scheduled at the end of the
+// run, and the next tick then ends the series without sampling. The
+// first sample is taken one period after start().
 //
 // Everything is driven by simulator events and reads deterministic
 // callbacks, so two runs of the same seeded simulation export
@@ -42,9 +42,6 @@ class TimeSeriesRecorder {
   struct Config {
     sim::Time period = sim::microseconds(20);
     std::size_t capacity = 4096;  ///< Points per series before overwrite.
-    /// Optional stop predicate, checked before each tick; when it turns
-    /// false the recorder takes one final sample and stops.
-    std::function<bool()> until;
   };
 
   /// One sampled point. The wire layout is pinned because exports and
@@ -113,7 +110,6 @@ class TimeSeriesRecorder {
   };
 
   void tick();
-  void sample_all();
   /// Lexicographic view over series_ (stable export order regardless of
   /// registration order).
   [[nodiscard]] std::vector<const Series*> sorted_series() const;

@@ -50,7 +50,7 @@ TEST(VipTable, PopulateInstallsDistinctSlots) {
 
 TEST(VipTable, SoftwareVSwitchTranslatesWithCpuCost) {
   Testbed tb;  // h0 client, h1 physical target, h2 runs the soft vswitch
-  SoftwareVSwitch vs(tb.host(2), {.service_time = sim::microseconds(3)});
+  SoftwareVSwitch vs(tb.host(2));
   vs.add_mapping(VipMapping{net::Ipv4Address(172, 16, 0, 1), tb.host(1).ip(),
                             tb.host(1).mac(), 0});
   host::PacketSink sink(tb.host(1), /*install=*/true);
@@ -70,25 +70,26 @@ TEST(VipTable, SoftwareVSwitchTranslatesWithCpuCost) {
 
 TEST(VipTable, SoftwareVSwitchDropsOnOverload) {
   Testbed tb;
-  // 10 us per packet but packets arrive every ~0.4 us: queue overflows.
-  SoftwareVSwitch vs(tb.host(2), {.service_time = sim::microseconds(10),
-                                  .queue_limit = 16});
+  // 3 us per packet but packets arrive every ~0.4 us: the 1,024-packet
+  // queue overflows.
+  SoftwareVSwitch vs(tb.host(2));
   vs.add_mapping(VipMapping{net::Ipv4Address(172, 16, 0, 1), tb.host(1).ip(),
                             tb.host(1).mac(), 0});
   host::CbrTrafficGen gen(tb.host(0), {.dst_mac = tb.host(2).mac(),
                                        .dst_ip = net::Ipv4Address(172, 16, 0, 1),
                                        .frame_size = 1500,
                                        .rate = sim::gbps(30),
-                                       .packet_limit = 200});
+                                       .packet_limit = 2000});
   gen.start();
   tb.sim().run();
   EXPECT_GT(vs.dropped(), 0u);
-  EXPECT_LT(vs.processed(), 200u);
+  EXPECT_LT(vs.processed(), 2000u);
+  EXPECT_EQ(vs.processed() + vs.dropped(), 2000u);
 }
 
 TEST(VipTable, UnknownVipCounted) {
   Testbed tb;
-  SoftwareVSwitch vs(tb.host(2), {});
+  SoftwareVSwitch vs(tb.host(2));
   host::CbrTrafficGen gen(tb.host(0), {.dst_mac = tb.host(2).mac(),
                                        .dst_ip = net::Ipv4Address(172, 99, 0, 1),
                                        .frame_size = 100,
@@ -112,26 +113,19 @@ class CountSketchTest : public ::testing::Test {
 };
 
 TEST_F(CountSketchTest, GeometryDerivedFromRegion) {
-  CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
-  EXPECT_EQ(sketch.rows(), 3u);
+  CountSketchApp sketch(tb_.tor(), channel_);
   EXPECT_EQ(sketch.columns(), 1024u);
 }
 
-TEST_F(CountSketchTest, InvalidConfigThrows) {
-  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.rows = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.max_outstanding = 0}),
-               std::invalid_argument);
-  // More rows than the 3,072 counters of the region: no column is left.
-  EXPECT_THROW(CountSketchApp(tb_.tor(), channel_, {.rows = 3073}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      CountSketchApp(tb_.tor(), channel_, {.rows = 3, .columns = 1025}),
-      std::invalid_argument);
+TEST_F(CountSketchTest, RegionWithoutAColumnThrows) {
+  // Two 8 B counters cannot hold one column of three rows.
+  const auto tiny = tb_.controller().setup_channel(
+      tb_.host(2), tb_.port_of(2), {.region_bytes = 16});
+  EXPECT_THROW(CountSketchApp(tb_.tor(), tiny), std::invalid_argument);
 }
 
 TEST_F(CountSketchTest, HashesAreRowIndependent) {
-  CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
+  CountSketchApp sketch(tb_.tor(), channel_);
   int differing = 0;
   sim::Rng rng(5);
   for (int i = 0; i < 100; ++i) {
@@ -148,7 +142,7 @@ TEST_F(CountSketchTest, HashesAreRowIndependent) {
 }
 
 TEST_F(CountSketchTest, EstimatesFlowCountsFromRemoteMemory) {
-  CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
+  CountSketchApp sketch(tb_.tor(), channel_);
   host::PacketSink sink(tb_.host(1));
   // Two flows with very different sizes.
   host::CbrTrafficGen heavy(tb_.host(0), {.dst_mac = tb_.host(1).mac(),
@@ -187,7 +181,7 @@ TEST_F(CountSketchTest, EstimatesFlowCountsFromRemoteMemory) {
 
 TEST_F(CountSketchTest, LostAcksFreeTheirWindowSlots) {
   tb_.link_of(2).set_loss_rate(0.05, 7);  // lossy memory link
-  CountSketchApp sketch(tb_.tor(), channel_, {.rows = 3});
+  CountSketchApp sketch(tb_.tor(), channel_);
   host::PacketSink sink(tb_.host(1));
   host::CbrTrafficGen gen(tb_.host(0), {.dst_mac = tb_.host(1).mac(),
                                         .dst_ip = tb_.host(1).ip(),
@@ -228,8 +222,7 @@ class KvTest : public ::testing::Test {
         tb_.tor(), channel_,
         KvAcceleratorApp::Config{.backend_port = tb_.port_of(2)});
     backend_ = std::make_unique<KvBackend>(
-        tb_.host(2), ChannelController::region_bytes(tb_.host(2), channel_),
-        KvBackend::Config{});
+        tb_.host(2), ChannelController::region_bytes(tb_.host(2), channel_));
     // Client-side response capture.
     tb_.host(0).set_app([this](net::Packet&& p, int) {
       const std::size_t overhead = net::kEthernetHeaderBytes +
@@ -334,7 +327,7 @@ TEST(KvLoss, LostReadsFallBackToTheBackend) {
   tb.link_of(2).set_loss_rate(0.05, 7);
   KvAcceleratorApp accel(tb.tor(), channel, {.backend_port = tb.port_of(1)});
   KvBackend backend(tb.host(1),
-                    ChannelController::region_bytes(tb.host(2), channel), {});
+                    ChannelController::region_bytes(tb.host(2), channel));
   constexpr std::uint64_t kGets = 200;
   for (std::uint64_t key = 0; key < kGets; ++key) backend.put(key, key + 1000);
 

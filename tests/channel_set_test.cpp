@@ -14,7 +14,6 @@
 #include "core/lookup_table.hpp"
 #include "core/packet_buffer.hpp"
 #include "core/state_store.hpp"
-#include "core/verbs.hpp"
 #include "host/sink.hpp"
 #include "host/traffic_gen.hpp"
 #include "net/flow.hpp"
@@ -391,11 +390,6 @@ TEST_F(ChannelSetTest, RejectsInvalidConfigsAtConstruction) {
   // forever.
   EXPECT_THROW(StateStorePrimitive(tb_->tor(), configs,
                                    {.reliable = true, .retransmit_timeout = 0}),
-               std::invalid_argument);
-  // Host verbs with a zero window would never send and never arm a timer.
-  rnic::Rnic& nic = tb_->host(0).rnic();
-  EXPECT_THROW(RcRequester(tb_->sim(), nic, nic.create_qp().qpn,
-                           {.max_inflight_packets = 0}),
                std::invalid_argument);
 }
 

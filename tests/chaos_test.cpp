@@ -115,9 +115,10 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   telemetry::MetricsRegistry reg;
   telemetry::OpTracer tracer(tb.sim());
 
-  // Armed flight recorder: the fault scheduler logs its actions into it
-  // and the invariant checker dumps a postmortem bundle through it if
-  // anything fails at drain time.
+  // Armed flight recorder: the fault scheduler logs its actions and the
+  // primitives' channel sets their shard transitions into it, and the
+  // invariant checker dumps a postmortem bundle through it if anything
+  // fails at drain time.
   telemetry::FlightRecorder flight(tb.sim());
   flight.set_registry(&reg);
   const std::string postmortem_path =
@@ -145,6 +146,7 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   }
   core::StateStorePrimitive ss(tb.tor(), ss_configs, ss_cfg);
   ss.attach_telemetry(&reg, &tracer, "ss");
+  ss.channels().set_flight_recorder(&flight);
 
   ChannelController::ChannelSpec lt_spec;
   lt_spec.region_bytes = 1 << 20;
@@ -164,6 +166,7 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   };
   core::LookupTablePrimitive lt(tb.tor(), lt_configs, lt_cfg);
   lt.attach_telemetry(&reg, &tracer, "lt");
+  lt.channels().set_flight_recorder(&flight);
 
   ChannelController::ChannelSpec pb_spec;
   pb_spec.region_bytes = 1 << 22;
@@ -177,6 +180,7 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
   pb_cfg.read_timeout = sim::microseconds(150);
   core::PacketBufferPrimitive pb(tb.tor(), pb_configs, pb_cfg);
   pb.attach_telemetry(&reg, &tracer, "pb");
+  pb.channels().set_flight_recorder(&flight);
 
   // Populate the lookup entry for flow B: forward to h2's port.
   net::FiveTuple tuple;
@@ -359,6 +363,27 @@ ChaosOutcome run_chaos_scenario(const ChaosVariant& variant) {
     }
   }
   EXPECT_TRUE(saw_fault_event);
+  // Every shard transition of the three channel sets reached the ring.
+  std::uint64_t ring_channel_events = 0;
+  for (const auto& e : flight.events()) {
+    if (e.kind == static_cast<std::uint8_t>(
+                      telemetry::FlightEventKind::kChannelDown) ||
+        e.kind == static_cast<std::uint8_t>(
+                      telemetry::FlightEventKind::kChannelUp)) {
+      ++ring_channel_events;
+    }
+  }
+  std::uint64_t transitions = 0;
+  for (const core::ChannelSet* set : {&ss.channels(), &lt.channels(),
+                                      &pb.channels()}) {
+    for (std::size_t shard = 0; shard < set->size(); ++shard) {
+      transitions += set->shard_stats(shard).down_transitions +
+                     set->shard_stats(shard).up_transitions;
+    }
+  }
+  EXPECT_GT(transitions, 0u);
+  EXPECT_EQ(flight.overwritten(), 0u);
+  EXPECT_EQ(ring_channel_events, transitions);
   EXPECT_FALSE(std::ifstream(postmortem_path).good())
       << "clean invariant run must not write a postmortem";
 

@@ -6,8 +6,6 @@
 // bit-deterministic.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "control/testbed.hpp"
 #include "core/dcqcn.hpp"
 #include "core/primitive.hpp"
@@ -20,22 +18,22 @@ using control::Testbed;
 
 // --- DcqcnRateController unit tests ---------------------------------------
 
+using Dcqcn = DcqcnRateController;
+
 TEST(DcqcnRateControllerTest, CnpCutsRateAndRemembersTarget) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
-  EXPECT_EQ(cc.rate(), cfg.line_rate);
+  DcqcnRateController cc({});
+  EXPECT_EQ(cc.rate(), Dcqcn::kLineRate);
   EXPECT_FALSE(cc.in_recovery());
 
   cc.on_cnp();
   // alpha starts at 1.0, so the first cut is the full Rc/2.
-  EXPECT_EQ(cc.rate(), cfg.line_rate / 2);
-  EXPECT_EQ(cc.target(), cfg.line_rate);
+  EXPECT_EQ(cc.rate(), Dcqcn::kLineRate / 2);
+  EXPECT_EQ(cc.target(), Dcqcn::kLineRate);
   EXPECT_TRUE(cc.in_recovery());
 }
 
 TEST(DcqcnRateControllerTest, AlphaDecaysOverQuietPeriodsAndSoftensCuts) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
+  DcqcnRateController cc({});
   cc.on_cnp();
   const double alpha_after_cnp = cc.alpha();
 
@@ -44,7 +42,7 @@ TEST(DcqcnRateControllerTest, AlphaDecaysOverQuietPeriodsAndSoftensCuts) {
   cc.on_alpha_timer();
   EXPECT_DOUBLE_EQ(cc.alpha(), alpha_after_cnp);
   cc.on_alpha_timer();
-  EXPECT_DOUBLE_EQ(cc.alpha(), alpha_after_cnp * (1.0 - cfg.g));
+  EXPECT_DOUBLE_EQ(cc.alpha(), alpha_after_cnp * (1.0 - Dcqcn::kG));
   for (int i = 0; i < 100; ++i) cc.on_alpha_timer();
   EXPECT_LT(cc.alpha(), 0.01);
 
@@ -55,15 +53,14 @@ TEST(DcqcnRateControllerTest, AlphaDecaysOverQuietPeriodsAndSoftensCuts) {
 }
 
 TEST(DcqcnRateControllerTest, FastRecoveryHalvesDistanceToTarget) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
+  DcqcnRateController cc({});
   cc.on_cnp();  // Rc = line/2, Rt = line
 
   sim::Bandwidth rate = cc.rate();
   sim::Bandwidth gap = cc.target() - rate;
-  for (std::uint32_t round = 1; round < cfg.fast_recovery_rounds; ++round) {
+  for (std::uint32_t round = 1; round < Dcqcn::kFastRecoveryRounds; ++round) {
     cc.on_rate_timer();
-    EXPECT_EQ(cc.target(), cfg.line_rate) << "FR must not raise the target";
+    EXPECT_EQ(cc.target(), Dcqcn::kLineRate) << "FR must not raise the target";
     const sim::Bandwidth new_gap = cc.target() - cc.rate();
     EXPECT_LE(new_gap, gap / 2 + 1) << "round " << round;
     EXPECT_GT(cc.rate(), rate);
@@ -73,8 +70,7 @@ TEST(DcqcnRateControllerTest, FastRecoveryHalvesDistanceToTarget) {
 }
 
 TEST(DcqcnRateControllerTest, RecoveryEndsAtLineRateAndStopsReacting) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
+  DcqcnRateController cc({});
   cc.on_cnp();
   int rounds = 0;
   while (cc.in_recovery() && rounds < 10000) {
@@ -82,17 +78,16 @@ TEST(DcqcnRateControllerTest, RecoveryEndsAtLineRateAndStopsReacting) {
     ++rounds;
   }
   EXPECT_FALSE(cc.in_recovery()) << "recovery must terminate";
-  EXPECT_EQ(cc.rate(), cfg.line_rate);
-  EXPECT_EQ(cc.target(), cfg.line_rate);
+  EXPECT_EQ(cc.rate(), Dcqcn::kLineRate);
+  EXPECT_EQ(cc.target(), Dcqcn::kLineRate);
   // Out of recovery, clocks are inert until the next CNP.
   cc.on_rate_timer();
-  cc.on_bytes_sent(cfg.byte_round * 3);
-  EXPECT_EQ(cc.rate(), cfg.line_rate);
+  cc.on_bytes_sent(Dcqcn::kByteRound * 3);
+  EXPECT_EQ(cc.rate(), Dcqcn::kLineRate);
 }
 
 TEST(DcqcnRateControllerTest, HyperIncreaseAcceleratesWhenBothClocksAgree) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
+  DcqcnRateController cc({});
   // Two back-to-back CNPs leave plenty of headroom below line rate so
   // the hyper stage is observable before the clamp.
   cc.on_cnp();
@@ -101,9 +96,9 @@ TEST(DcqcnRateControllerTest, HyperIncreaseAcceleratesWhenBothClocksAgree) {
   // Drive both clocks together past the fast-recovery threshold.
   auto both_clocks = [&] {
     cc.on_rate_timer();
-    cc.on_bytes_sent(cfg.byte_round);
+    cc.on_bytes_sent(Dcqcn::kByteRound);
   };
-  for (std::uint32_t i = 0; i <= cfg.fast_recovery_rounds; ++i) both_clocks();
+  for (std::uint32_t i = 0; i <= Dcqcn::kFastRecoveryRounds; ++i) both_clocks();
 
   // Now every joint round is hyper: the target's step grows by Rhai each
   // successive round (i * Rhai on round i).
@@ -112,7 +107,7 @@ TEST(DcqcnRateControllerTest, HyperIncreaseAcceleratesWhenBothClocksAgree) {
   for (int i = 0; i < 3 && cc.in_recovery(); ++i) {
     both_clocks();
     const sim::Bandwidth step = cc.target() - prev_target;
-    if (cc.target() >= cfg.line_rate) break;  // clamp reached
+    if (cc.target() >= Dcqcn::kLineRate) break;  // clamp reached
     EXPECT_GT(step, prev_step) << "hyper step must accelerate";
     prev_step = step;
     prev_target = cc.target();
@@ -120,35 +115,10 @@ TEST(DcqcnRateControllerTest, HyperIncreaseAcceleratesWhenBothClocksAgree) {
 }
 
 TEST(DcqcnRateControllerTest, SustainedCnpsNeverCutBelowMinRate) {
-  DcqcnConfig cfg;
-  DcqcnRateController cc(cfg);
+  DcqcnRateController cc({});
   for (int i = 0; i < 200; ++i) cc.on_cnp();
-  EXPECT_EQ(cc.rate(), cfg.min_rate);
+  EXPECT_EQ(cc.rate(), Dcqcn::kMinRate);
   EXPECT_GT(cc.rate(), 0);
-}
-
-TEST(DcqcnRateControllerTest, RejectsConfigsThePacerOrTimersCannotRun) {
-  auto make = [](auto edit) {
-    DcqcnConfig cfg;
-    edit(cfg);
-    return DcqcnRateController(cfg);
-  };
-  using C = DcqcnConfig;
-  // A zero rate divides by zero in sim::transmission_time.
-  EXPECT_THROW(make([](C& c) { c.line_rate = 0; }), std::invalid_argument);
-  EXPECT_THROW(make([](C& c) { c.min_rate = 0; }), std::invalid_argument);
-  EXPECT_THROW(make([](C& c) { c.min_rate = c.line_rate + 1; }),
-               std::invalid_argument);
-  // g = 0 pins alpha at 1, so the alpha timer would re-arm forever.
-  EXPECT_THROW(make([](C& c) { c.g = 0; }), std::invalid_argument);
-  EXPECT_THROW(make([](C& c) { c.g = 1.5; }), std::invalid_argument);
-  // A non-positive period re-arms at the same instant.
-  EXPECT_THROW(make([](C& c) { c.alpha_timer = 0; }), std::invalid_argument);
-  EXPECT_THROW(make([](C& c) { c.rate_timer = -1; }), std::invalid_argument);
-  EXPECT_NO_THROW(make([](C& c) {
-    c.g = 1.0;
-    c.min_rate = c.line_rate;
-  }));
 }
 
 // --- Port PFC telemetry ----------------------------------------------------
@@ -284,13 +254,6 @@ TEST(DcqcnLoopTest, WithoutCcCnpsAreCountedButIgnored) {
   EXPECT_EQ(loop.channel_->stats().paced_deferrals, 0u) << "no CC, no pacing";
   EXPECT_EQ(loop.channel_->rate_controller(), nullptr);
   EXPECT_EQ(loop.responses_.size(), 100u);
-}
-
-TEST(DcqcnLoopTest, ChannelRejectsInvalidConfigAndStaysUncontrolled) {
-  DcqcnLoop loop;
-  EXPECT_THROW(loop.channel_->enable_congestion_control({.g = 0}),
-               std::invalid_argument);
-  EXPECT_EQ(loop.channel_->rate_controller(), nullptr);
 }
 
 TEST(DcqcnLoopTest, CongestionEpisodeIsDeterministic) {

@@ -26,13 +26,12 @@ TEST(SetEcn, RewritesCodepointAndChecksum) {
 
 TEST(Dctcp, NoCongestionRampsUp) {
   Testbed tb;
-  EcnEchoReceiver receiver(tb.host(1), {.window = 16});
+  EcnEchoReceiver receiver(tb.host(1));
   DctcpSender sender(tb.host(0), {.traffic = {.dst_mac = tb.host(1).mac(),
                                               .dst_ip = tb.host(1).ip(),
                                               .frame_size = 1500,
                                               .rate = sim::gbps(1),
-                                              .packet_limit = 2000},
-                                  .increase = sim::mbps(500)});
+                                              .packet_limit = 2000}});
   sender.start();
   tb.sim().run();
   EXPECT_TRUE(sender.finished());
@@ -51,7 +50,7 @@ TEST(Dctcp, TwoSendersConvergeUnderMarking) {
   Testbed tb(cfg);
 
   PacketSink sink(tb.host(2), /*install=*/false);
-  EcnEchoReceiver receiver(tb.host(2), {.window = 16},
+  EcnEchoReceiver receiver(tb.host(2),
                            [&](const net::Packet& p) { sink.accept(p); });
   auto make_sender = [&](int host) {
     return std::make_unique<DctcpSender>(
@@ -85,7 +84,7 @@ TEST(Dctcp, TwoSendersConvergeUnderMarking) {
 
 TEST(Dctcp, EchoTrafficIsSparse) {
   Testbed tb;
-  EcnEchoReceiver receiver(tb.host(1), {.window = 32});
+  EcnEchoReceiver receiver(tb.host(1));
   DctcpSender sender(tb.host(0), {.traffic = {.dst_mac = tb.host(1).mac(),
                                               .dst_ip = tb.host(1).ip(),
                                               .frame_size = 1500,

@@ -71,17 +71,15 @@ IncastRun run_seeded_incast() {
         return static_cast<std::int64_t>(tb.tor().stats().buffer_drops);
       },
       "packets");
-  // Bounded by `until`: the recorder reschedules itself every period, so
-  // without a stop predicate sim().run() would never drain the queue.
-  // 700 us comfortably covers the run (last arrival ~615 us).
-  telemetry::TimeSeriesRecorder rec(
-      tb.sim(),
-      {.period = sim::microseconds(20), .until = [&tb]() {
-         return tb.sim().now() < sim::microseconds(700);
-       }});
+  // Stopped at 700 us: the recorder reschedules itself every period, so
+  // without a stop sim().run() would never drain the queue. 700 us
+  // comfortably covers the run (last arrival ~615 us).
+  telemetry::TimeSeriesRecorder rec(tb.sim(),
+                                    {.period = sim::microseconds(20)});
   rec.track(reg, "sink/packets");
   rec.track(reg, "tor/buffer_drops");
   rec.start();
+  tb.sim().schedule_at(sim::microseconds(700), [&rec] { rec.stop(); });
 
   incast.start(0);
   tb.sim().run();

@@ -103,23 +103,22 @@ TEST(TimeSeries, TrackPrefixTakesScalarsAndSkipsHistograms) {
   EXPECT_EQ(rec.series_count(), 2u);
 }
 
-TEST(TimeSeries, UntilPredicateStopsTheTicker) {
+TEST(TimeSeries, StopEndsTheTicker) {
   sim::Simulator sim;
   MetricsRegistry reg;
   reg.register_gauge("g", []() { return 1.0; }, "");
 
-  TimeSeriesRecorder rec(
-      sim, {.period = sim::microseconds(10),
-            .until = [&]() { return sim.now() < sim::microseconds(45); }});
+  TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10)});
   rec.track(reg, "g");
   rec.start();
-  sim.run_until(sim::microseconds(200));
+  sim.schedule_at(sim::microseconds(45), [&rec]() { rec.stop(); });
+  sim.run();
 
   EXPECT_FALSE(rec.running());
-  // Ticks at 10..40 pass the predicate, the 50 us check fails and takes
-  // the final sample; nothing fires after that.
-  EXPECT_LE(rec.ticks(), 6u);
-  EXPECT_GE(rec.ticks(), 4u);
+  // Ticks at 10..40 sample; the 50 us tick finds the recorder stopped,
+  // samples nothing and schedules nothing, so the queue drains.
+  EXPECT_EQ(rec.ticks(), 4u);
+  EXPECT_EQ(sim.now(), sim::microseconds(50));
 }
 
 TEST(TimeSeries, InvalidConfigAndUnknownNamesThrow) {
@@ -136,10 +135,8 @@ TEST(TimeSeries, InvalidConfigAndUnknownNamesThrow) {
 
 TEST(TimeSeries, SeriesAddedAfterStartJoinsAtTheNextTick) {
   sim::Simulator sim;
-  int remaining = 3;
   sim.schedule_in(sim::microseconds(100), []() {});  // keep the queue alive
-  TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10),
-                               .until = [&]() { return --remaining > 0; }});
+  TimeSeriesRecorder rec(sim, {.period = sim::microseconds(10)});
   rec.add_series("clock", "us", [&sim]() {
     return static_cast<double>(sim::to_microseconds(sim.now()));
   });
@@ -147,11 +144,12 @@ TEST(TimeSeries, SeriesAddedAfterStartJoinsAtTheNextTick) {
   sim.schedule_at(sim::microseconds(15), [&rec]() {
     rec.add_series("late", "", []() { return 2.0; });
   });
+  sim.schedule_at(sim::microseconds(35), [&rec]() { rec.stop(); });
   sim.run();
 
   EXPECT_FALSE(rec.running());
-  // Ticks at 10 and 20 us pass the predicate; the 30 us check fails and
-  // takes the final sample. Nothing is sampled at t = 0.
+  // Ticks at 10, 20 and 30 us sample; the recorder is stopped before the
+  // 40 us tick. Nothing is sampled at t = 0.
   EXPECT_EQ(rec.ticks(), 3u);
   std::vector<std::pair<sim::Time, double>> clock;
   for (const auto& p : rec.points("clock")) clock.emplace_back(p.t, p.value);

@@ -331,34 +331,35 @@ TEST_F(VerbsTest, ChannelCountsAndTracesHostOps) {
 }
 
 TEST_F(VerbsTest, WindowLimitsInflight) {
-  // With a window of 4 packets and 1-byte writes, no more than 4 can be
-  // unacknowledged; all 20 still complete.
+  // 1-byte writes take one packet each: no more than the window's 64 go
+  // out before the first ACK returns, and all 200 still complete.
   auto& client = tb_.host(0);
   auto& qp2 = client.rnic().create_qp();
   auto& server = tb_.host(1);
   auto& sqp2 = server.rnic().create_qp();
   server.rnic().connect_qp(sqp2.qpn, client.endpoint(), qp2.qpn,
                            roce::Psn(0));
-  RcRequester small_window(tb_.sim(), client.rnic(), qp2.qpn,
-                           {.max_inflight_packets = 4});
-  small_window.connect(server.endpoint(), sqp2.qpn, roce::Psn(0),
-                       mr_->rkey());
+  RcRequester requester(tb_.sim(), client.rnic(), qp2.qpn);
+  requester.connect(server.endpoint(), sqp2.qpn, roce::Psn(0), mr_->rkey());
 
   int completed = 0;
-  for (int i = 0; i < 20; ++i) {
-    small_window.post_write(
+  for (int i = 0; i < 200; ++i) {
+    requester.post_write(
         mr_->base_va() + 2048 + static_cast<std::uint64_t>(i),
         {static_cast<std::uint8_t>(i)},
         [&](const WorkCompletion&) { ++completed; });
   }
+  EXPECT_EQ(requester.channel()->next_psn(),
+            roce::Psn(RcRequester::kMaxInflightPackets));
   tb_.sim().run();
-  EXPECT_EQ(completed, 20);
+  EXPECT_EQ(completed, 200);
+  EXPECT_EQ(requester.channel()->next_psn(), roce::Psn(200));
 }
 
 TEST_F(VerbsTest, WriteLongerThanTheWindowCompletes) {
-  // Five segments through a 4-packet window behind a 1-byte WRITE. The
-  // window first fills at segment 2, and the 1-byte WRITE's ACK reopens
-  // it. It fills again at segment 3 with nothing older outstanding, so
+  // 65 segments through the 64-packet window behind a 1-byte WRITE. The
+  // window first fills at segment 62, and the 1-byte WRITE's ACK reopens
+  // it. It fills again at segment 63 with nothing older outstanding, so
   // that segment must request an ACK, or the window never reopens and
   // the WRITE times out.
   auto& client = tb_.host(0);
@@ -367,21 +368,21 @@ TEST_F(VerbsTest, WriteLongerThanTheWindowCompletes) {
   auto& sqp2 = server.rnic().create_qp();
   server.rnic().connect_qp(sqp2.qpn, client.endpoint(), qp2.qpn,
                            roce::Psn(0));
-  RcRequester small_window(tb_.sim(), client.rnic(), qp2.qpn,
-                           {.max_inflight_packets = 4});
-  small_window.connect(server.endpoint(), sqp2.qpn, roce::Psn(0),
-                       mr_->rkey());
+  RcRequester requester(tb_.sim(), client.rnic(), qp2.qpn);
+  requester.connect(server.endpoint(), sqp2.qpn, roce::Psn(0), mr_->rkey());
 
-  std::vector<std::uint8_t> data(20000, 0x6b);
+  const std::size_t len = RcRequester::kMaxInflightPackets * 4096 + 3616;
+  std::vector<std::uint8_t> data(len, 0x6b);
   int succeeded = 0;
   const auto count = [&](const WorkCompletion& wc) { succeeded += wc.success; };
-  small_window.post_write(mr_->base_va() + 20000, {0x6c}, count);
-  small_window.post_write(mr_->base_va(), data, count);
+  requester.post_write(mr_->base_va() + len, {0x6c}, count);
+  requester.post_write(mr_->base_va(), data, count);
   tb_.sim().run();
   EXPECT_EQ(succeeded, 2);
   EXPECT_EQ(sqp2.writes_executed, 2u);
-  EXPECT_EQ(small_window.retransmissions(), 0u);
-  EXPECT_EQ(mr_->bytes()[19999], 0x6b);
+  EXPECT_EQ(requester.retransmissions(), 0u);
+  EXPECT_EQ(requester.channel()->next_psn(), roce::Psn(1 + 65));
+  EXPECT_EQ(mr_->bytes()[len - 1], 0x6b);
 }
 
 }  // namespace
